@@ -1,4 +1,4 @@
-"""Legacy vs kernel benchmark for the CSR/bitset chordal kernels.
+"""Legacy vs kernel benchmark for the CSR chordal kernels.
 
 Produces ``BENCH_kernels.json``: for every (family, n, operation) cell the
 legacy implementation and the kernel dispatch are both run, their outputs
@@ -42,7 +42,6 @@ from typing import Callable, Dict, List, Optional
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.coloring.greedy import _reference_peo_greedy_coloring, peo_greedy_coloring
 from repro.coloring.prune import diameter_rule, peel_chordal_graph, peeling_layers
 from repro.graphs import chordal
 from repro.graphs.adjacency import Graph
@@ -183,16 +182,6 @@ def _compare_cell(rows: List[dict], family: str, g: Graph, seed_baseline: bool) 
         rows, family, n, m, "maximal_cliques", "reference", t_ref, t_k, ref_cl == k_cl
     )
 
-    k_col, t_k = _timed(peo_greedy_coloring, g)
-    ref_col, t_ref = _timed(_reference_peo_greedy_coloring, g)
-    assert list(ref_col.items()) == list(k_col.items())
-    _row(rows, family, n, m, "coloring", "reference", t_ref, t_k, ref_col == k_col)
-
-    k_simp, t_k = _timed(chordal.simplicial_vertices, g)
-    ref_simp, t_ref = _timed(chordal._reference_simplicial_vertices, g)
-    assert ref_simp == k_simp
-    _row(rows, family, n, m, "simplicial", "reference", t_ref, t_k, ref_simp == k_simp)
-
 
 def _peel_compare_cell(
     rows: List[dict], family: str, g: Graph, threshold: int
@@ -225,10 +214,6 @@ def _kernel_only_cell(rows: List[dict], family: str, g: Graph) -> None:
     _row(rows, family, n, m, "peo_check", None, None, t, None)
     cliques, t = _timed(kernels.maximal_cliques_from_peo, idx, peo)
     _row(rows, family, n, m, "maximal_cliques", None, None, t, None)
-    _, t = _timed(kernels.greedy_coloring, idx, peo)
-    _row(rows, family, n, m, "coloring", None, None, t, None)
-    _, t = _timed(kernels.simplicial_vertex_ids, idx)
-    _row(rows, family, n, m, "simplicial", None, None, t, None)
     if family in PEEL_LARGE_FAMILIES:
         (layers, _), t = _timed(
             kernels.peeling_layers, idx, PEEL_LARGE_THRESHOLD, order=peo

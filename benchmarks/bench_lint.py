@@ -6,7 +6,7 @@ dataflow/bandwidth pass, the shadow-execution sanitize suite) plus the
 meter's runtime overhead, and the acceptance facts CI asserts with
 ``--check``:
 
-* the repro package is clean modulo ``tools/lint_baseline.json``;
+* the repro package lints clean (no active findings);
 * every stock program's certificate matches the pinned class table;
 * the shadow suite passes every stock program and still catches the
   planted order-dependent fixture;
@@ -35,7 +35,6 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 OUT_PATH = REPO_ROOT / "BENCH_lint.json"
-BASELINE_PATH = REPO_ROOT / "tools" / "lint_baseline.json"
 FIXTURES = REPO_ROOT / "tests" / "lint" / "fixtures" / "bandwidth_programs.py"
 
 #: the pinned certificate table (program -> (class, horizon)); a change
@@ -66,9 +65,7 @@ def bench_static(rows: List[dict]) -> Dict[str, Any]:
     from repro.lint import (
         active_findings,
         analyze_modules,
-        apply_baseline,
         certificates_for_modules,
-        load_baseline,
         load_modules,
     )
 
@@ -82,9 +79,6 @@ def bench_static(rows: List[dict]) -> Dict[str, Any]:
     certs, t_certs = _timed(certificates_for_modules, modules)
     rows.append({"stage": "certificates", "seconds": round(t_certs, 6)})
 
-    remaining, baselined, unused = apply_baseline(
-        active_findings(findings), load_baseline(BASELINE_PATH)
-    )
     cert_map = {c.program: (c.message_class, c.horizon) for c in certs}
     fixture_certs = {
         c.program: c.message_class
@@ -93,9 +87,7 @@ def bench_static(rows: List[dict]) -> Dict[str, Any]:
     return {
         "modules": len(modules),
         "findings": len(findings),
-        "unexcused_findings": len(remaining),
-        "baselined_findings": len(baselined),
-        "unused_baseline_entries": len(unused),
+        "active_findings": len(active_findings(findings)),
         "certificates": len(certs),
         "certificate_table_matches": all(
             cert_map.get(prog) == expected
@@ -208,13 +200,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.check:
         problems = []
         static = payload["static"]
-        if static["unexcused_findings"]:
+        if static["active_findings"]:
             problems.append(
-                f"{static['unexcused_findings']} finding(s) not excused by "
-                "the baseline"
+                f"{static['active_findings']} active finding(s) in the package"
             )
-        if static["unused_baseline_entries"]:
-            problems.append("baseline has unused entries")
         if not static["certificate_table_matches"]:
             problems.append("certificate table drifted from the pinned classes")
         if not static["planted_fixture_is_unbounded"]:
@@ -236,7 +225,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             for problem in problems:
                 print(f"FAIL: {problem}")
             return 1
-        print("check passed: clean modulo baseline, certificates pinned, "
+        print("check passed: package clean, certificates pinned, "
               "shadow suite sound, meter overhead bounded")
 
     out = args.out

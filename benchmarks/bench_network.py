@@ -60,7 +60,7 @@ from repro.graphs.generators import (
     unit_interval_chain,
 )
 from repro.graphs.index import graph_index
-from repro.localmodel.gather import gather_balls
+from repro.localmodel.gather import _reference_gather, gather_balls
 from repro.localmodel.network import WIRE_STATUSES, MessageRecord, TraceSink
 
 OUT_PATH = Path(__file__).resolve().parent.parent / "BENCH_network.json"
@@ -139,20 +139,20 @@ class FactVolumeSink(TraceSink):
             self.messages += 1
 
 
-def _timed_gather(g: Graph, radius: int, program: str, executor: str, repeats: int):
+def _timed_gather(gather: Callable, g: Graph, radius: int, repeats: int, **kwargs):
     best = None
     for _ in range(repeats):
         start = time.perf_counter()
-        balls, rounds = gather_balls(g, radius, program=program, executor=executor)
+        balls, rounds = gather(g, radius, **kwargs)
         elapsed = time.perf_counter() - start
         if best is None or elapsed < best:
             best = elapsed
     return balls, rounds, best
 
 
-def _measured_volume(g: Graph, radius: int, program: str) -> FactVolumeSink:
+def _measured_volume(gather: Callable, g: Graph, radius: int) -> FactVolumeSink:
     sink = FactVolumeSink()
-    gather_balls(g, radius, program=program, sinks=[sink])
+    gather(g, radius, sinks=[sink])
     return sink
 
 
@@ -173,13 +173,16 @@ def _cell(
     seconds: Dict[str, Optional[float]] = {"node": None, "batch": None}
     rounds = None
     for executor in executors:
-        balls, rounds, t = _timed_gather(g, radius, "delta", executor, repeats)
+        balls, rounds, t = _timed_gather(
+            gather_balls, g, radius, repeats, executor=executor
+        )
         outputs[executor] = balls
         seconds[executor] = t
     flood_seconds = None
     if time_flood:
+        # the flood has no batch kernel: it always steps node by node
         balls, flood_rounds, flood_seconds = _timed_gather(
-            g, radius, "reference", "node", repeats
+            _reference_gather, g, radius, repeats
         )
         outputs["flood"] = balls
         assert flood_rounds == rounds, f"round count diverged on {family} n={n}"
@@ -200,8 +203,8 @@ def _cell(
     delta_facts = flood_facts = delta_messages = flood_messages = None
     volume_reduction = None
     if measure_volume:
-        delta_vol = _measured_volume(g, radius, "delta")
-        flood_vol = _measured_volume(g, radius, "reference")
+        delta_vol = _measured_volume(gather_balls, g, radius)
+        flood_vol = _measured_volume(_reference_gather, g, radius)
         delta_facts, delta_messages = delta_vol.facts, delta_vol.messages
         flood_facts, flood_messages = flood_vol.facts, flood_vol.messages
         if delta_facts:

@@ -6,15 +6,11 @@ three configurations are timed under pytest-benchmark on shrunken
 sweeps, asserting byte-identical tables and full cache reuse.
 """
 
-import time
-
 from benchmarks.conftest import (
     RUNNER_SMALL_IDS,
     RUNNER_SMALL_OVERRIDES,
     run_once,
 )
-from repro.graphs import path_graph
-from repro.localmodel.programs import tree_count
 from repro.runner import run_experiments
 
 
@@ -67,30 +63,3 @@ def test_runner_warm_cache(benchmark, runner_cache):
     assert warm.cache_hit_rate == 1.0
     benchmark.extra_info["cold_seconds"] = cold.wall_seconds
     benchmark.extra_info["cache_hit_rate"] = warm.cache_hit_rate
-
-
-def test_scheduler_active_vs_dense_on_quiet_workload(benchmark):
-    """The active-set scheduler on the simulator's quietest workload.
-
-    Convergecast on a long path keeps all but ~2 nodes idle per round;
-    the benchmark times the active-set run, the dense reference is timed
-    once alongside it, and the speedup (measured >100x here, asserted
-    conservatively) lands in the saved benchmark record.  Outputs must
-    match exactly -- the scheduler is an optimization, not a semantics
-    change.
-    """
-    n = 1000
-    g = path_graph(n)
-
-    active_out = run_once(benchmark, tree_count, g, 0, scheduler="active")
-    start = time.perf_counter()
-    dense_out = tree_count(g, 0, scheduler="dense")
-    dense_seconds = time.perf_counter() - start
-
-    assert active_out == dense_out == n
-    assert dense_seconds > benchmark.stats["mean"] * 10
-    benchmark.extra_info["vertices"] = n
-    benchmark.extra_info["dense_seconds"] = dense_seconds
-    benchmark.extra_info["speedup_over_dense"] = (
-        dense_seconds / benchmark.stats["mean"]
-    )

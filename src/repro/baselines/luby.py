@@ -86,7 +86,7 @@ class LubyMISProgram(NodeProgram):
 
 
 def luby_mis(
-    graph: Graph, seed: int = 0, sealed: bool = False, scheduler: str = "active"
+    graph: Graph, seed: int = 0, sealed: bool = False
 ) -> Tuple[Set[Vertex], int]:
     """Run Luby's MIS; returns (independent set, communication rounds)."""
     master = random.Random(seed)
@@ -95,7 +95,6 @@ def luby_mis(
         graph,
         lambda v, nbrs: LubyMISProgram(v, nbrs, random.Random(seeds[v])),
         sealed=sealed,
-        scheduler=scheduler,
     )
     outputs = net.run(max_rounds=50 * (len(graph).bit_length() + 2) + 20)
     chosen = {v for v, joined in outputs.items() if joined}

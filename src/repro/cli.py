@@ -160,9 +160,6 @@ def build_parser() -> argparse.ArgumentParser:
                        "functions by cumulative time")
     trace.add_argument("--profile-out", metavar="PATH",
                        help="with --profile: dump the raw pstats data to PATH")
-    trace.add_argument("--scheduler", choices=("active", "dense"),
-                       default="active",
-                       help="node scheduler (default: active; dense = reference)")
     trace.add_argument("--sealed", action="store_true",
                        help="run under sealed contexts (runtime LOCAL enforcement)")
     trace.add_argument("--timeline", action="store_true",
@@ -250,10 +247,6 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument("--sanitize", action="store_true",
                       help="shadow-execution determinism suite (permuted "
                       "inbox order, transcript diff)")
-    lint.add_argument("--baseline", metavar="FILE",
-                      help="JSON baseline of tolerated findings")
-    lint.add_argument("--write-baseline", metavar="FILE",
-                      help="record current findings as the baseline")
 
     return parser
 
@@ -386,7 +379,6 @@ def _trace_batch(args, graph, factory, describe, out) -> int:
         graph,
         factory,
         sealed=args.sealed,
-        scheduler=args.scheduler,
         mode=args.executor,
     )
     try:
@@ -442,7 +434,6 @@ def _cmd_trace(args, out) -> int:
         graph,
         factory,
         sealed=args.sealed,
-        scheduler=args.scheduler,
         sinks=sinks,
         faults=plan,
     )
@@ -461,7 +452,7 @@ def _cmd_trace(args, out) -> int:
     summary = metrics.summary()
     print(
         f"{args.program} on {len(graph)} vertices "
-        f"({args.scheduler} scheduler{', sealed' if args.sealed else ''})",
+        f"(active scheduler{', sealed' if args.sealed else ''})",
         file=out,
     )
     print(
@@ -870,16 +861,8 @@ def _cmd_run(args, out) -> int:
             f"parallel(x{summary['parallel']['jobs']}) "
             f"{summary['parallel']['wall_seconds']:.2f}s  "
             f"warm cache {summary['cached_rerun']['wall_seconds']:.2f}s  "
-            f"({summary['cells']} cells, reports identical: "
-            f"{summary['reports_identical']})",
-            file=out,
-        )
-        quiet = summary["scheduler"]["quiet_convergecast"]
-        print(
-            f"scheduler: active {quiet['active_seconds']:.3f}s vs dense "
-            f"{quiet['dense_seconds']:.3f}s on {quiet['workload']} "
-            f"({quiet['speedup_active_over_dense']:.0f}x, outputs identical: "
-            f"{quiet['outputs_identical']})",
+            f"({summary['cells']} cells, {summary['cpu_count']} CPUs, "
+            f"reports identical: {summary['reports_identical']})",
             file=out,
         )
         print(f"bench summary written to {args.bench_output}", file=out)
@@ -1037,10 +1020,6 @@ def main(argv: Optional[list] = None, out=None) -> int:
             lint_argv.append("--congest")
         if args.sanitize:
             lint_argv.append("--sanitize")
-        if args.baseline:
-            lint_argv.extend(["--baseline", args.baseline])
-        if args.write_baseline:
-            lint_argv.extend(["--write-baseline", args.write_baseline])
         return lint_main(lint_argv, out=out)
 
     raise AssertionError("unreachable")

@@ -30,7 +30,7 @@ clique paths come directly from the clique forest (Lemma 7).
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..graphs.adjacency import Graph, Vertex
 from ..graphs.chordal import is_chordal, maximal_cliques
@@ -97,23 +97,33 @@ def consecutive_clique_arrangement(
                 pruned.append(c)
         return pruned
 
+    # Depth-first search with an explicit stack (a path of n vertices has
+    # n - 1 cliques, far beyond the interpreter's recursion limit).  One
+    # frame per search depth: the cliques still to place and the
+    # candidates not yet tried for the next position; order[i] is the
+    # clique tried at depth i, so len(order) == len(stack) - 1.
     order: List[Clique] = []
-
-    def place(remaining: FrozenSet[Clique]) -> bool:
-        if not remaining:
-            return True
-        if remaining in failed:
-            return False
-        for c in candidates(remaining):
+    start = frozenset(cliques)
+    stack: List[Tuple[FrozenSet[Clique], Iterator[Clique]]] = [
+        (start, iter(candidates(start)))
+    ]
+    while stack:
+        remaining, untried = stack[-1]
+        c = next(untried, None)
+        if c is None:
+            failed.add(remaining)
+            stack.pop()
+            if order:
+                order.pop()
+            continue
+        rest = remaining - {c}
+        if not rest:
             order.append(c)
-            if place(remaining - {c}):
-                return True
-            order.pop()
-        failed.add(remaining)
-        return False
-
-    if place(frozenset(cliques)):
-        return order
+            return order
+        if rest in failed:
+            continue
+        order.append(c)
+        stack.append((rest, iter(candidates(rest))))
     return None
 
 

@@ -197,14 +197,12 @@ def message_level_layer_decisions(
     current_graph: Graph,
     params: ColoringParameters,
     sealed: bool = False,
-    scheduler: str = "active",
-    program: str = "delta",
     executor: str = "auto",
 ) -> Tuple[Dict[Vertex, bool], int]:
     """Per-node layer decisions via real message-passing ball gathering.
 
     Floods for ``params.collect_radius`` rounds on the synchronous
-    simulator (delta gathering by default), then each node decides from
+    simulator (delta gathering), then each node decides from
     its own ball alone.  Returns ``(decisions, rounds)`` where
     ``rounds`` is the simulator's round count
     (``collect_radius + 1``, one final round to detect quiescence).
@@ -216,8 +214,6 @@ def message_level_layer_decisions(
         current_graph,
         params.collect_radius,
         sealed=sealed,
-        scheduler=scheduler,
-        program=program,
         executor=executor,
     )
     decisions = {

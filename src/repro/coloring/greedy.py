@@ -22,10 +22,8 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set
 
-from ..graphs import kernels
 from ..graphs.adjacency import Graph, Vertex
-from ..graphs.chordal import _not_chordal, perfect_elimination_ordering
-from ..graphs.index import graph_index
+from ..graphs.chordal import perfect_elimination_ordering
 from .decomposition import PathBags
 
 Color = int
@@ -42,21 +40,8 @@ def peo_greedy_coloring(graph: Graph) -> Dict[Vertex, Color]:
 
     Processes vertices in reverse perfect elimination order; every vertex's
     earlier-colored neighbors form a clique with it, so the smallest free
-    color never exceeds omega(G).  Colors are 1-based.  Dispatches to the
-    stamp-array kernel (:func:`repro.graphs.kernels.greedy_coloring`).
+    color never exceeds omega(G).  Colors are 1-based.
     """
-    index = graph_index(graph)
-    order, bad = kernels.peo_and_violation(index)
-    if bad is not None:
-        raise _not_chordal(index.verts[bad])
-    order.reverse()  # color along the reverse PEO
-    colors = kernels.greedy_coloring(index, order)
-    verts = index.verts
-    return {verts[i]: colors[i] for i in order}
-
-
-def _reference_peo_greedy_coloring(graph: Graph) -> Dict[Vertex, Color]:
-    """Label-space reference for :func:`peo_greedy_coloring`."""
     coloring: Dict[Vertex, Color] = {}
     for v in reversed(perfect_elimination_ordering(graph)):
         used = {coloring[u] for u in graph.neighbors_view(v) if u in coloring}

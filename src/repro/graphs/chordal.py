@@ -264,17 +264,7 @@ def is_simplicial(graph: Graph, v: Vertex) -> bool:
 
 
 def simplicial_vertices(graph: Graph) -> List[Vertex]:
-    """All simplicial vertices, in sorted order.
-
-    Bulk query: dispatches to the bitset kernel
-    (:func:`repro.graphs.kernels.simplicial_vertex_ids`).
-    """
-    index = graph_index(graph)
-    return index.labels_of(kernels.simplicial_vertex_ids(index))
-
-
-def _reference_simplicial_vertices(graph: Graph) -> List[Vertex]:
-    """Label-space reference for :func:`simplicial_vertices`."""
+    """All simplicial vertices, in sorted order."""
     return [v for v in graph.vertices() if is_simplicial(graph, v)]
 
 

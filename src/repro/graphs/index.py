@@ -2,8 +2,8 @@
 
 The algorithm kernels (:mod:`repro.graphs.kernels`) do not want hashable
 vertex labels, per-call set copies, or dict lookups in their inner loops —
-they want dense integer ids, CSR adjacency arrays, and big-int bitset rows.
-:class:`GraphIndex` is that snapshot:
+they want dense integer ids and CSR adjacency arrays.  :class:`GraphIndex`
+is that snapshot:
 
 * ``verts[i]`` is the vertex with id ``i``; ids are assigned in **sorted
   vertex order**, so the id order is order-isomorphic to the label order
@@ -13,15 +13,6 @@ they want dense integer ids, CSR adjacency arrays, and big-int bitset rows.
 * ``vid[v]`` maps a label back to its id.
 * ``indptr`` / ``indices`` are the usual CSR pair: the neighbors of id
   ``i`` are ``indices[indptr[i]:indptr[i + 1]]``, sorted ascending.
-* ``nbr_bits[i]`` is the open neighborhood as a Python big-int bitset
-  (bit ``j`` set iff ``ij`` is an edge) — ``&``/``|``/``~`` run at C speed
-  over 64-bit words, which is what makes clique and subset tests cheap.
-  The bitset table is built **lazily** on first access: a row costs
-  O(n / 64) words, so the whole table is O(n * m / 64) time and O(n^2 / 8)
-  bytes — a clear win up to a few thousand vertices and a clear loss at
-  n = 10^5, which is why the kernels consult it only below a size cutoff
-  (see ``repro.graphs.kernels._BITSET_N_LIMIT``) and the CSR arrays carry
-  everything else.
 
 Snapshots are **immutable** and cached on the graph keyed by its mutation
 :attr:`~repro.graphs.adjacency.Graph.version`: :func:`graph_index` returns
@@ -42,11 +33,11 @@ __all__ = ["GraphIndex", "graph_index"]
 
 
 class GraphIndex:
-    """An immutable CSR + bitset snapshot of a graph (see module docstring)."""
+    """An immutable CSR snapshot of a graph (see module docstring)."""
 
     __slots__ = (
-        "verts", "vid", "indptr", "indices", "n", "m", "_nbr_bits",
-        "_edge_labels", "_degrees",
+        "verts", "vid", "indptr", "indices", "n", "m", "_edge_labels",
+        "_degrees",
     )
 
     def __init__(self, graph: Graph):
@@ -65,7 +56,6 @@ class GraphIndex:
         self.indices = indices
         self.n = n
         self.m = len(indices) // 2
-        self._nbr_bits: Optional[List[int]] = None
         self._edge_labels: Optional[Dict[Tuple[int, int], Tuple[Vertex, Vertex]]] = None
         self._degrees: Optional[List[int]] = None
 
@@ -94,21 +84,6 @@ class GraphIndex:
         return cached
 
     @property
-    def nbr_bits(self) -> List[int]:
-        """Bitset rows, built on first access and cached (see module docstring)."""
-        bits = self._nbr_bits
-        if bits is None:
-            indptr, indices = self.indptr, self.indices
-            bits = [0] * self.n
-            for i in range(self.n):
-                b = 0
-                for k in range(indptr[i], indptr[i + 1]):
-                    b |= 1 << indices[k]
-                bits[i] = b
-            self._nbr_bits = bits
-        return bits
-
-    @property
     def degrees(self) -> List[int]:
         """Per-id degree list, built on first access and cached.
 
@@ -124,7 +99,7 @@ class GraphIndex:
             self._degrees = degs
         return degs
 
-    # -- frontier / bitset helpers ---------------------------------------
+    # -- frontier helpers -----------------------------------------------
     def bfs_frontiers(
         self, sources: Sequence[int], cutoff: Optional[int] = None
     ) -> List[List[int]]:
@@ -162,24 +137,6 @@ class GraphIndex:
             frontier = nxt
             depth += 1
         return layers
-
-    @staticmethod
-    def bits_of(ids: Sequence[int]) -> int:
-        """The big-int bitset with exactly the given id bits set."""
-        bits = 0
-        for i in ids:
-            bits |= 1 << i
-        return bits
-
-    @staticmethod
-    def bits_to_ids(bits: int) -> List[int]:
-        """The ascending id list encoded by a big-int bitset."""
-        out: List[int] = []
-        while bits:
-            low = bits & -bits
-            out.append(low.bit_length() - 1)
-            bits ^= low
-        return out
 
     # -- id-space queries ------------------------------------------------
     def neighbors_of(self, i: int) -> List[int]:

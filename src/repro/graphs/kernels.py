@@ -1,7 +1,7 @@
 """O(n + m) kernels for the hot chordal machinery, in integer id space.
 
 Every function here runs on a :class:`~repro.graphs.index.GraphIndex`
-snapshot (dense ids, CSR adjacency, big-int bitsets) and is the drop-in
+snapshot (dense ids, CSR adjacency) and is the drop-in
 fast path behind the public label-space API:
 
 ====================================  =======================  ==================
@@ -15,10 +15,6 @@ kernel                                replaces                 cost
                                       elimination_ordering``
 :func:`maximal_cliques_from_peo`      ``chordal.maximal_-      O(n + m)
                                       cliques``
-:func:`simplicial_vertex_ids`         ``chordal.simplicial_-   O(m · n / 64)
-                                      vertices``               (bitsets, early exit)
-:func:`greedy_coloring`               ``coloring.greedy.peo_-  O(n + m)
-                                      greedy_coloring``
 :func:`clique_intersection_edges`     ``cliquetree.wcig``      output-sensitive
 :func:`peeling_layers`                layer map of             forest O(n + m) +
                                       ``coloring.prune``       diameter BFSes
@@ -38,8 +34,8 @@ neighbors move (in rank order) into a twin class inserted just before
 their old class, so within-class order stays the initial-rank order — the
 same tie-break the reference's stable block filtering produces.  MCS uses
 a bucket queue with lazy-deletion min-heaps per weight.  The PEO check is
-Golumbic's deferred "parent accumulation" test; on failure a bitset rescan
-recovers the reference's *first* violating vertex.  Maximal cliques use
+Golumbic's deferred "parent accumulation" test; on failure a per-vertex
+rescan recovers the reference's *first* violating vertex.  Maximal cliques use
 the Blair–Peyton criterion (``C(v)`` is non-maximal iff some vertex whose
 parent is ``v`` has a later-neighborhood one larger), which is equivalent
 to — and replaces — the reference's quadratic subset filter.
@@ -59,9 +55,6 @@ __all__ = [
     "check_peo",
     "peo_and_violation",
     "maximal_cliques_from_peo",
-    "is_simplicial_id",
-    "simplicial_vertex_ids",
-    "greedy_coloring",
     "clique_intersection_edges",
     "maximum_weight_spanning_forest_ids",
     "peeling_layers",
@@ -338,7 +331,7 @@ def peo_and_violation(index: GraphIndex) -> Tuple[List[int], Optional[int]]:
 
 
 # ---------------------------------------------------------------------------
-# Maximal cliques (Blair–Peyton) and simplicial vertices
+# Maximal cliques (Blair–Peyton)
 # ---------------------------------------------------------------------------
 
 def maximal_cliques_from_peo(
@@ -388,91 +381,6 @@ def maximal_cliques_from_peo(
             cliques.append(tuple(members))
     cliques.sort(key=lambda c: (len(c), c))
     return cliques
-
-
-#: Above this vertex count the bitset neighborhood table (O(n^2 / 8) bytes,
-#: O(n * m / 64) build) loses to sorted-row merges; the simplicial kernel
-#: switches strategy here.  See docs/kernels.md for the crossover argument.
-_BITSET_N_LIMIT = 4096
-
-
-def _is_simplicial_bits(index: GraphIndex, v: int) -> bool:
-    """Bitset subset tests: one ``& ~`` word sweep per neighbor."""
-    nbr_bits = index.nbr_bits
-    nb = nbr_bits[v]
-    indptr, indices = index.indptr, index.indices
-    for k in range(indptr[v], indptr[v + 1]):
-        u = indices[k]
-        # every neighbor with a larger id must be adjacent to u
-        if (nb & ~nbr_bits[u]) >> (u + 1):
-            return False
-    return True
-
-
-def _is_simplicial_merge(index: GraphIndex, v: int) -> bool:
-    """Sorted-row two-pointer subset tests (no bitset table needed)."""
-    indptr, indices = index.indptr, index.indices
-    row_v = indices[indptr[v]:indptr[v + 1]]
-    dv = len(row_v)
-    for a in range(dv - 1):
-        u = row_v[a]
-        # row_v[a + 1:] (the neighbors above u) must all be adjacent to u
-        i = a + 1
-        j = indptr[u]
-        end = indptr[u + 1]
-        while i < dv:
-            target = row_v[i]
-            while j < end and indices[j] < target:
-                j += 1
-            if j >= end or indices[j] != target:
-                return False
-            i += 1
-            j += 1
-    return True
-
-
-def is_simplicial_id(index: GraphIndex, v: int) -> bool:
-    """Whether N(v) is a clique.
-
-    Uses the bitset table below :data:`_BITSET_N_LIMIT` vertices (or when
-    it is already built), sorted-row merges above it.
-    """
-    if index.n <= _BITSET_N_LIMIT or index._nbr_bits is not None:
-        return _is_simplicial_bits(index, v)
-    return _is_simplicial_merge(index, v)
-
-
-def simplicial_vertex_ids(index: GraphIndex) -> List[int]:
-    """All simplicial ids, ascending."""
-    return [v for v in range(index.n) if is_simplicial_id(index, v)]
-
-
-# ---------------------------------------------------------------------------
-# Greedy coloring along an order
-# ---------------------------------------------------------------------------
-
-def greedy_coloring(index: GraphIndex, order: Sequence[int]) -> List[int]:
-    """First-fit colors (1-based, indexed by id) processing ``order``.
-
-    Stamp-array smallest-free-color: O(n + m) total, no per-vertex set of
-    used colors.  Vertices not in ``order`` keep color 0.
-    """
-    n = index.n
-    indptr, indices = index.indptr, index.indices
-    color = [0] * n
-    used = [0] * (n + 2)
-    stamp = 0
-    for v in order:
-        stamp += 1
-        for k in range(indptr[v], indptr[v + 1]):
-            c = color[indices[k]]
-            if c:
-                used[c] = stamp
-        c = 1
-        while used[c] == stamp:
-            c += 1
-        color[v] = c
-    return color
 
 
 # ---------------------------------------------------------------------------

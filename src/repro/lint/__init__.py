@@ -16,7 +16,6 @@ that contract statically:
   ``ball`` / ``unbounded`` per program) and rules L7-L9;
 * :mod:`repro.lint.findings` -- findings and text/JSON rendering;
 * :mod:`repro.lint.suppressions` -- ``# repro-lint: disable=...`` comments;
-* :mod:`repro.lint.baseline` -- checked-in tolerated-findings files;
 * :mod:`repro.lint.cli` -- ``python -m repro.lint`` / ``repro lint``.
 
 The dynamic counterparts live in :mod:`repro.localmodel`: sealed-context
@@ -48,13 +47,6 @@ from .bandwidth import (
     format_certificates_json,
     format_certificates_text,
 )
-from .baseline import (
-    BaselineEntry,
-    apply_baseline,
-    entry_for,
-    load_baseline,
-    write_baseline,
-)
 from .cli import default_paths, main, run_lint
 from .dataflow import ACC, MSG, WORD, ClassDataflow, analyze_dataflow
 from .findings import Finding, format_json, format_text, sort_findings
@@ -76,11 +68,6 @@ __all__ = [
     "certify",
     "format_certificates_json",
     "format_certificates_text",
-    "BaselineEntry",
-    "apply_baseline",
-    "entry_for",
-    "load_baseline",
-    "write_baseline",
     "default_paths",
     "main",
     "run_lint",

@@ -9,26 +9,23 @@ Usage::
     python -m repro.lint --list-rules         # print the rule set
     python -m repro.lint --congest            # bandwidth certificate table
     python -m repro.lint --sanitize           # shadow-execution determinism run
-    python -m repro.lint --baseline FILE      # tolerate known findings by name
-    python -m repro.lint --write-baseline F   # record current findings as known
 
 Exit status: 0 when no active findings, 1 when violations were found,
-2 on usage/parse errors.  Stale inline suppressions and unused baseline
-entries are *warnings* (reported, never failing).  The same entry point
-backs the ``repro lint`` subcommand of :mod:`repro.cli`.
+2 on usage/parse errors.  Inline ``# repro-lint: disable=`` comments are
+the one suppression mechanism; stale ones are *warnings* (reported,
+never failing).  The same entry point backs the ``repro lint``
+subcommand of :mod:`repro.cli`.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
 from .analyzer import active_findings, analyze_modules, analyze_paths, load_modules
-from .baseline import apply_baseline, load_baseline, write_baseline
 from .bandwidth import (
     certificates_for_modules,
     format_certificates_json,
@@ -88,18 +85,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the shadow-execution determinism suite: every stock "
         "program re-runs with permuted inbox iteration order and its "
         "transcript/outputs are diffed against the baseline run",
-    )
-    parser.add_argument(
-        "--baseline",
-        metavar="FILE",
-        help="JSON baseline of tolerated findings (matched by rule/symbol/"
-        "path, not line); matched findings report as suppressed",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        metavar="FILE",
-        help="write every currently active finding to FILE as a baseline "
-        "and exit 0",
     )
     return parser
 
@@ -280,34 +265,6 @@ def main(argv: Optional[List[str]] = None, out=None) -> int:
         print(f"repro.lint: {exc}", file=sys.stderr)
         return 2
 
-    if args.write_baseline:
-        entries = write_baseline(args.write_baseline, findings)
-        print(
-            f"baseline with {len(entries)} entr"
-            f"{'y' if len(entries) == 1 else 'ies'} written to "
-            f"{args.write_baseline}",
-            file=out,
-        )
-        return 0
-
-    baseline_matched = 0
-    unused_entries: List[Any] = []
-    if args.baseline:
-        try:
-            entries = load_baseline(args.baseline)
-        except (OSError, ValueError, json.JSONDecodeError) as exc:
-            print(f"repro.lint: {exc}", file=sys.stderr)
-            return 2
-        remaining, baselined, unused_entries = apply_baseline(findings, entries)
-        baseline_matched = len(baselined)
-        excused = {id(f) for f in baselined}
-        # a baselined finding renders like a suppressed one: visible with
-        # --show-suppressed, never failing the run
-        findings = [
-            dataclasses.replace(f, suppressed=True) if id(f) in excused else f
-            for f in findings
-        ]
-
     stale = _stale_suppressions(modules)
 
     if args.format == "json":
@@ -315,15 +272,6 @@ def main(argv: Optional[List[str]] = None, out=None) -> int:
         data["stale_suppressions"] = [
             {"path": p, "line": line, "rule": rule} for p, line, rule in stale
         ]
-        if args.baseline:
-            data["baseline"] = {
-                "file": args.baseline,
-                "matched": baseline_matched,
-                "unused_entries": [
-                    {"rule": e.rule, "symbol": e.symbol, "path": e.path}
-                    for e in unused_entries
-                ],
-            }
         rendered = json.dumps(data, indent=2, sort_keys=True)
     else:
         lines = [format_text(findings, show_suppressed=args.show_suppressed)]
@@ -331,16 +279,6 @@ def main(argv: Optional[List[str]] = None, out=None) -> int:
             lines.append(
                 f"warning: {p}:{line}: stale suppression of {rule} "
                 "(nothing to suppress; delete the marker)"
-            )
-        for e in unused_entries:
-            lines.append(
-                f"warning: baseline entry {e.rule} {e.symbol} ({e.path}) "
-                "matched nothing; delete it from the baseline"
-            )
-        if args.baseline and baseline_matched:
-            lines.append(
-                f"{baseline_matched} finding(s) excused by baseline "
-                f"{args.baseline}"
             )
         rendered = "\n".join(lines)
 

@@ -88,7 +88,6 @@ from .gather import (
 from .network import (
     DELIVERY_STATUSES,
     RECOVERY_MODES,
-    SCHEDULERS,
     WIRE_STATUSES,
     MessageRecord,
     NodeContext,
@@ -182,7 +181,6 @@ __all__ = [
     "gather_balls",
     "DELIVERY_STATUSES",
     "RECOVERY_MODES",
-    "SCHEDULERS",
     "WIRE_STATUSES",
     "MessageRecord",
     "NodeContext",

@@ -215,7 +215,7 @@ class LinialPathProgram(NodeProgram):
 
     def step(self, ctx: NodeContext) -> Mapping[int, int]:
         """Advance one stage of the reduction schedule and announce the color."""
-        nbr_colors = list(ctx.inbox.values())
+        nbr_colors = sorted(ctx.inbox.values())
         if ctx.round_number == 0:
             # First round: announce initial color (the ID).
             return self.broadcast(self.color)

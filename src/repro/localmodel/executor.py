@@ -25,8 +25,8 @@ Equivalence contract (pinned by ``tests/localmodel/test_executor.py``):
   :meth:`RunStats.record_round`, so ``rounds``, ``messages_sent``,
   ``messages_delivered`` and ``max_messages_per_round`` all match the
   per-node path exactly;
-* **matrix-invariant** -- the guarantee holds across
-  scheduler{active,dense} x sealed{True,False}: both knobs are
+* **matrix-invariant** -- the guarantee holds with and without
+  ``sealed``, and against the dense-stepping test oracle: both are
   behavior-preserving for conforming programs (the per-node equivalence
   suites assert that), so the kernel can ignore them.
 
@@ -131,8 +131,8 @@ class BatchExecutor:
     """Run a homogeneous node-program network as whole-round kernels.
 
     Drop-in front-end over :class:`SyncNetwork`: same constructor
-    surface (graph, factory, ``sealed``, ``scheduler``, ``sinks``,
-    ``inbox_order``, ``faults``) plus ``mode`` in :data:`EXECUTORS`.
+    surface (graph, factory, ``sealed``, ``sinks``, ``inbox_order``,
+    ``faults``) plus ``mode`` in :data:`EXECUTORS`.
     :meth:`run` returns the same outputs dict, :attr:`stats` the same
     :class:`RunStats`, and :meth:`outputs` the same snapshot as the
     underlying network -- whichever path executed.
@@ -143,7 +143,6 @@ class BatchExecutor:
         graph: Graph,
         program_factory: Callable[[Vertex, List[Vertex]], NodeProgram],
         sealed: bool = False,
-        scheduler: str = "active",
         sinks: Optional[List[TraceSink]] = None,
         inbox_order: Optional[int] = None,
         faults: Optional[Any] = None,
@@ -159,7 +158,6 @@ class BatchExecutor:
             graph,
             program_factory,
             sealed=sealed,
-            scheduler=scheduler,
             sinks=sinks,
             inbox_order=inbox_order,
             faults=faults,

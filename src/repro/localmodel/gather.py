@@ -13,8 +13,8 @@ Two node programs realize the primitive on
   each node re-broadcasts everything it has learned so far.  Simple, but
   the volume is Theta(r * sum-of-ball-sizes-squared) facts -- the reason
   the message-level experiments were historically pinned at small n.
-* :class:`DeltaGatherProgram` is the *output-sensitive* rewrite and the
-  default of :func:`gather_balls`: each node forwards only facts (states,
+* :class:`DeltaGatherProgram` is the *output-sensitive* rewrite that
+  :func:`gather_balls` runs: each node forwards only facts (states,
   edges) first learned in the previous round, excluding per neighbor
   whatever that neighbor itself delivered, so no fact ever crosses the
   same edge twice in the same direction.  Total volume is O(sum over
@@ -37,8 +37,8 @@ programs, so outputs *and* round counts are identical.
 :func:`gather_balls` packages a full run; the equivalence tests check its
 output against direct BFS, which is what entitles the layered algorithms
 to use the cheaper accounting of :mod:`repro.localmodel.rounds`.
-:func:`_reference_gather` runs the retained full flood, for equivalence
-tests and benchmarks.
+:func:`_reference_gather` runs the retained full flood, the oracle of the
+equivalence tests and ``benchmarks/bench_network.py``.
 """
 
 from __future__ import annotations
@@ -455,26 +455,26 @@ class DeltaGatherKernel(BatchKernel):
 DeltaGatherProgram.batch_kernel = DeltaGatherKernel
 
 
-#: The gather program families :func:`gather_balls` can run.
-GATHER_PROGRAMS = ("delta", "reference")
-
-
 def _run_gather(
     graph: Graph,
     radius: int,
     factory: Callable[[Vertex, List[Vertex]], NodeProgram],
     sealed: bool,
-    scheduler: str,
     sinks: Optional[List[TraceSink]],
     faults: Optional["FaultPlan"],
     executor: str = "auto",
     info: Optional[Dict[str, Any]] = None,
 ) -> Tuple[Dict[Vertex, KnownBall], int]:
+    if radius < 0:
+        raise ValueError("radius must be non-negative")
+    if executor not in EXECUTORS:
+        raise ValueError(
+            f"unknown executor {executor!r}; expected one of {EXECUTORS}"
+        )
     net = BatchExecutor(
         graph,
         factory,
         sealed=sealed,
-        scheduler=scheduler,
         sinks=sinks,
         faults=faults,
         mode=executor,
@@ -507,53 +507,31 @@ def gather_balls(
     radius: int,
     states: Optional[Dict[Vertex, Any]] = None,
     sealed: bool = False,
-    scheduler: str = "active",
-    program: str = "delta",
     sinks: Optional[List[TraceSink]] = None,
     faults: Optional["FaultPlan"] = None,
     executor: str = "auto",
     info: Optional[Dict[str, Any]] = None,
 ) -> Tuple[Dict[Vertex, KnownBall], int]:
-    """Run the gathering protocol; returns per-node balls and rounds used.
+    """Run delta gathering; returns per-node balls and rounds used.
 
-    ``program`` selects the node program: ``"delta"`` (default) is the
-    output-sensitive :class:`DeltaGatherProgram`, ``"reference"`` the
-    full-flood :class:`BallGatherProgram`; their outputs and round counts
-    are identical (the equivalence suite asserts the full matrix).
-    ``sinks`` and ``faults`` pass through to the network unchanged.
-    ``executor`` picks the dispatch (:data:`~repro.localmodel.executor.EXECUTORS`):
-    under the default ``"auto"``, delta runs on
-    :class:`~repro.localmodel.executor.DeltaGatherKernel` whenever the
-    run is batch-eligible (no faults, no sinks) and on the per-node
-    scheduler otherwise -- outputs and stats are identical either way.
-    A caller-supplied ``info`` dict is populated with the dispatch
+    Every node runs :class:`DeltaGatherProgram`; outputs and round counts
+    equal the full flood of :func:`_reference_gather` (the equivalence
+    suite asserts the full matrix).  ``sinks`` and ``faults`` pass
+    through to the network unchanged.  ``executor`` picks the dispatch
+    (:data:`~repro.localmodel.executor.EXECUTORS`): under the default
+    ``"auto"`` the run compiles to :class:`DeltaGatherKernel` whenever it
+    is batch-eligible (no faults, no sinks) and steps node by node
+    otherwise -- outputs and stats are identical either way.  A
+    caller-supplied ``info`` dict is populated with the dispatch
     diagnostics (``executed``, ``fallback_reason``) after the run.
     """
-    if radius < 0:
-        raise ValueError("radius must be non-negative")
-    if program not in GATHER_PROGRAMS:
-        raise ValueError(
-            f"unknown gather program {program!r}; expected one of {GATHER_PROGRAMS}"
-        )
-    if executor not in EXECUTORS:
-        raise ValueError(
-            f"unknown executor {executor!r}; expected one of {EXECUTORS}"
-        )
     state_of = states or {}
-    if program == "reference":
+    index = graph_index(graph)
 
-        def factory(v: Vertex, nbrs: List[Vertex]) -> NodeProgram:
-            return BallGatherProgram(v, nbrs, radius, state_of.get(v))
+    def factory(v: Vertex, nbrs: List[Vertex]) -> NodeProgram:
+        return DeltaGatherProgram(v, nbrs, radius, state_of.get(v), index)
 
-    else:
-        index = graph_index(graph)
-
-        def factory(v: Vertex, nbrs: List[Vertex]) -> NodeProgram:
-            return DeltaGatherProgram(v, nbrs, radius, state_of.get(v), index)
-
-    return _run_gather(
-        graph, radius, factory, sealed, scheduler, sinks, faults, executor, info
-    )
+    return _run_gather(graph, radius, factory, sealed, sinks, faults, executor, info)
 
 
 def _reference_gather(
@@ -561,18 +539,13 @@ def _reference_gather(
     radius: int,
     states: Optional[Dict[Vertex, Any]] = None,
     sealed: bool = False,
-    scheduler: str = "active",
     sinks: Optional[List[TraceSink]] = None,
     faults: Optional["FaultPlan"] = None,
 ) -> Tuple[Dict[Vertex, KnownBall], int]:
     """The retained full-flood gather (equivalence tests, benchmarks)."""
-    return gather_balls(
-        graph,
-        radius,
-        states,
-        sealed=sealed,
-        scheduler=scheduler,
-        program="reference",
-        sinks=sinks,
-        faults=faults,
-    )
+    state_of = states or {}
+
+    def factory(v: Vertex, nbrs: List[Vertex]) -> NodeProgram:
+        return BallGatherProgram(v, nbrs, radius, state_of.get(v))
+
+    return _run_gather(graph, radius, factory, sealed, sinks, faults)

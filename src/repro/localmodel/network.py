@@ -18,9 +18,8 @@ Active-set scheduling
 ---------------------
 
 The LOCAL model charges *rounds*, not work, so a simulator is free to
-skip nodes whose step would provably be a no-op.  The default scheduler
-(``scheduler="active"``) steps a node in a round only when it is not done
-and at least one of these holds:
+skip nodes whose step would provably be a no-op.  The scheduler steps a
+node in a round only when it is not done and at least one of these holds:
 
 * it is round 0 (every program gets its initialization step);
 * the node received a message in the previous round;
@@ -36,12 +35,11 @@ still running, and :meth:`SyncNetwork.run` raises ``RuntimeError``
 immediately instead of spinning to the round budget.  Lint rule L6
 (:mod:`repro.lint.rules`) flags such programs statically.
 
-``scheduler="dense"`` preserves the historical reference semantics --
-every not-yet-done node is stepped every round -- and exists so the
-equivalence suite can assert that active-set scheduling changes neither
-outputs nor :class:`RunStats` nor traces for any conforming program.
-Inboxes are allocated only for nodes that actually receive, under both
-schedulers.
+The test suite keeps the dense reference semantics -- every not-yet-done
+node is stepped every round -- as an oracle (``tests/oracles.py``) and
+asserts that active-set scheduling changes neither outputs nor
+:class:`RunStats` nor traces for any conforming program.  Inboxes are
+allocated only for nodes that actually receive.
 
 Trace sinks
 -----------
@@ -100,14 +98,10 @@ __all__ = [
     "MessageRecord",
     "TraceSink",
     "vertex_key",
-    "SCHEDULERS",
     "RECOVERY_MODES",
     "DELIVERY_STATUSES",
     "WIRE_STATUSES",
 ]
-
-#: The recognized scheduling disciplines of :class:`SyncNetwork`.
-SCHEDULERS = ("active", "dense")
 
 #: What a crash-*recover* node resumes from: ``"intact"`` keeps whatever
 #: state the program had when it crashed (the historical semantics),
@@ -249,8 +243,8 @@ class NodeProgram:
     same step as ``done = True`` are still delivered, so a node can
     announce its final state as it stops.
 
-    Scheduling contract (see the module docstring): under the active-set
-    scheduler a quiet node -- one that received nothing last round -- is
+    Scheduling contract (see the module docstring): under active-set
+    scheduling a quiet node -- one that received nothing last round -- is
     not stepped.  A program whose empty-inbox step is *not* a no-op must
     either declare :attr:`always_active` = True at class level, or call
     :meth:`wake_next_round` before returning from any step after which it
@@ -312,10 +306,10 @@ class RunStats:
     network the two are equal; under faults, drops push ``delivered``
     below ``sent`` and duplicates push it above.
 
-    Identical under both schedulers for conforming programs: skipped
-    nodes would have sent nothing, so rounds, message totals, and
-    per-round maxima are scheduling-invariant (asserted program-by-program
-    in the equivalence suite).
+    Identical to dense stepping for conforming programs: skipped nodes
+    would have sent nothing, so rounds, message totals, and per-round
+    maxima are scheduling-invariant (asserted program-by-program in the
+    equivalence suite).
     """
 
     rounds: int = 0
@@ -334,19 +328,16 @@ class RunStats:
 class SyncNetwork:
     """Runs one :class:`NodeProgram` per node of a graph, synchronously.
 
-    ``scheduler`` selects the stepping discipline: ``"active"`` (default)
-    steps only nodes with a reason to run (see the module docstring),
-    ``"dense"`` steps every not-done node every round (the historical
-    reference semantics).  ``sinks`` is an iterable of :class:`TraceSink`
-    observers notified after every round.
+    Each round steps only the nodes with a reason to run (see the module
+    docstring).  ``sinks`` is an iterable of :class:`TraceSink` observers
+    notified after every round.
 
     With ``sealed=True`` every delivered message is deep-frozen and every
     context is read-only (see :mod:`repro.localmodel.sealed`): a program
     peeking beyond its neighborhood or mutating delivered state raises
     :class:`~repro.localmodel.sealed.SealedContextError` at the offending
     statement.  Sealing is behavior-preserving for conforming programs
-    and orthogonal to the scheduler, so any of the four sealed x scheduler
-    combinations is safe (just slightly slower with sealing) in tests.
+    (just slightly slower) in tests.
 
     ``faults`` attaches a :class:`~repro.localmodel.faults.FaultPlan`:
     every delivery consults the plan (drop / duplicate / delay), crash
@@ -389,7 +380,6 @@ class SyncNetwork:
         graph: Graph,
         program_factory: Callable[[Vertex, List[Vertex]], NodeProgram],
         sealed: bool = False,
-        scheduler: str = "active",
         sinks: Optional[List[TraceSink]] = None,
         inbox_order: Optional[int] = None,
         faults: Optional["FaultPlan"] = None,
@@ -399,18 +389,13 @@ class SyncNetwork:
         """Instantiate one program per vertex and wire up the run machinery.
 
         ``program_factory(v, sorted_neighbors)`` builds each node program;
-        ``sealed`` deep-freezes deliveries, ``scheduler`` picks
-        ``"active"``/``"dense"`` stepping, ``sinks`` observe every round,
+        ``sealed`` deep-freezes deliveries, ``sinks`` observe every round,
         ``inbox_order`` permutes inbox iteration (the sanitizer's knob),
         ``faults`` attaches a :class:`~repro.localmodel.faults
         .FaultPlan` consulted at every delivery, ``recovery`` picks the
         crash-recover resume semantics (:data:`RECOVERY_MODES`), and
         ``checkpoint_every`` enables periodic state snapshots.
         """
-        if scheduler not in SCHEDULERS:
-            raise ValueError(
-                f"unknown scheduler {scheduler!r}; expected one of {SCHEDULERS}"
-            )
         if recovery not in RECOVERY_MODES:
             raise ValueError(
                 f"unknown recovery mode {recovery!r}; "
@@ -426,7 +411,6 @@ class SyncNetwork:
             )
         self.graph = graph
         self.sealed = sealed
-        self.scheduler = scheduler
         self.inbox_order = inbox_order
         self.recovery = recovery
         self.checkpoint_every = checkpoint_every
@@ -504,11 +488,10 @@ class SyncNetwork:
         exact: a run needing ``r`` rounds succeeds with ``max_rounds=r``
         (completion is re-checked after the final round, not only before
         stepping).  Raises ``RuntimeError`` if the budget is exhausted
-        with programs still running, or -- under the active-set scheduler
-        -- immediately when running nodes starve (no messages in flight,
-        no wakeups, no always-active programs): a deadlocked or
-        non-conforming program is a bug that should fail loudly rather
-        than spin forever.
+        with programs still running, or immediately when running nodes
+        starve (no messages in flight, no wakeups, no always-active
+        programs): a deadlocked or non-conforming program is a bug that
+        should fail loudly rather than spin forever.
         """
         for _round in range(max_rounds):
             if self._undone == 0 and not (
@@ -521,13 +504,9 @@ class SyncNetwork:
                 # corrupted output.  Without corruption the exit is the
                 # historical fast path, byte-identical to PR 9.
                 return self.outputs()
-            if (
-                self.scheduler == "active"
-                and not (self._active or self._always)
-                and not (
-                    self._fault_runtime is not None
-                    and self._fault_runtime.pending(self.stats.rounds)
-                )
+            if not (self._active or self._always) and not (
+                self._fault_runtime is not None
+                and self._fault_runtime.pending(self.stats.rounds)
             ):
                 raise RuntimeError(
                     f"{self._undone} node(s) starved: still running, but no "
@@ -571,11 +550,6 @@ class SyncNetwork:
         crashed: Set[Vertex] = (
             self._fault_runtime.crashed if self._fault_runtime is not None else set()
         )
-        if self.scheduler == "dense":
-            return [
-                v for v, p in self.programs.items()
-                if not p.done and v not in crashed
-            ]
         if self._always:
             chosen = self._active | self._always
         else:
@@ -896,10 +870,8 @@ class SyncNetwork:
         return sorted(self._fault_runtime.crashed, key=vertex_key)
 
     def active_nodes(self) -> List[Vertex]:
-        """The nodes the active-set scheduler would step next round."""
-        return self._scheduled() if self.scheduler == "active" else [
-            v for v, p in self.programs.items() if not p.done
-        ]
+        """The nodes the scheduler would step next round."""
+        return self._scheduled()
 
     def outputs(self) -> Dict[Vertex, Any]:
         """Snapshot of ``{node: program.output}`` (``None`` while undecided)."""

@@ -152,7 +152,6 @@ def bfs_layers(
     root: Vertex,
     budget: Optional[int] = None,
     sealed: bool = False,
-    scheduler: str = "active",
     executor: str = "auto",
 ) -> Dict[Vertex, Optional[int]]:
     """Distances from ``root`` computed by message passing.
@@ -171,7 +170,6 @@ def bfs_layers(
         graph,
         lambda v, nbrs: BFSLayerProgram(v, nbrs, root, budget),
         sealed=sealed,
-        scheduler=scheduler,
         mode=executor,
     )
     return net.run(max_rounds=budget + 2)
@@ -212,7 +210,6 @@ def elect_leader(
     graph: Graph,
     budget: Optional[int] = None,
     sealed: bool = False,
-    scheduler: str = "active",
 ) -> Dict[Vertex, Vertex]:
     """Every node's view of the leader after ``budget`` rounds."""
     budget = budget if budget is not None else len(graph) + 1
@@ -220,7 +217,6 @@ def elect_leader(
         graph,
         lambda v, nbrs: LeaderElectionProgram(v, nbrs, budget),
         sealed=sealed,
-        scheduler=scheduler,
     )
     return net.run(max_rounds=budget + 2)
 
@@ -267,9 +263,7 @@ class EchoCountProgram(NodeProgram):
         return {}
 
 
-def tree_count(
-    tree: Graph, root: Vertex, sealed: bool = False, scheduler: str = "active"
-) -> int:
+def tree_count(tree: Graph, root: Vertex, sealed: bool = False) -> int:
     """The number of tree nodes, learned by the root via convergecast."""
     if len(tree) == 1:
         return 1
@@ -277,7 +271,6 @@ def tree_count(
         tree,
         lambda v, nbrs: EchoCountProgram(v, nbrs, root),
         sealed=sealed,
-        scheduler=scheduler,
     )
     outputs = net.run(max_rounds=4 * len(tree) + 8)
     return outputs[root]

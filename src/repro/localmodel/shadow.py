@@ -110,7 +110,6 @@ def shadow_check(
     program_factory: Callable[[Vertex, List[Vertex]], NodeProgram],
     seeds: Sequence[int] = DEFAULT_SHADOW_SEEDS,
     sealed: bool = False,
-    scheduler: str = "active",
     max_rounds: int = 10_000,
     faults: Optional["FaultPlan"] = None,
 ) -> ShadowReport:
@@ -133,7 +132,6 @@ def shadow_check(
         graph,
         program_factory,
         sealed=sealed,
-        scheduler=scheduler,
         sinks=[base_sink],
         faults=faults,
     )
@@ -147,7 +145,6 @@ def shadow_check(
             graph,
             program_factory,
             sealed=sealed,
-            scheduler=scheduler,
             sinks=[shadow_sink],
             inbox_order=seed,
             faults=faults,

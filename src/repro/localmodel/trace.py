@@ -240,7 +240,6 @@ class TracedNetwork:
         graph: Graph,
         program_factory: Callable[[Vertex, List[Vertex]], NodeProgram],
         sealed: bool = False,
-        scheduler: str = "active",
         sinks: Optional[List[TraceSink]] = None,
         faults: Optional["FaultPlan"] = None,
         recovery: str = "intact",
@@ -257,7 +256,6 @@ class TracedNetwork:
             graph,
             program_factory,
             sealed=sealed,
-            scheduler=scheduler,
             sinks=[self._sink, *(sinks or [])],
             faults=faults,
             recovery=recovery,

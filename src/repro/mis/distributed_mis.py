@@ -92,16 +92,14 @@ def message_level_mis_decisions(
     current_graph: Graph,
     d: int,
     sealed: bool = False,
-    scheduler: str = "active",
-    program: str = "delta",
     executor: str = "auto",
 ) -> Tuple[Dict[Vertex, bool], int]:
     """Per-node MIS-peeling layer decisions via real ball gathering.
 
     Message-level witness of the Section 7.3 claim that nodes decide
     their peeling layer from collected balls alone: floods for
-    ``mis_local_parameters(d).collect_radius`` rounds (delta gathering by
-    default), then each node decides membership in the current layer from
+    ``mis_local_parameters(d).collect_radius`` rounds (delta gathering),
+    then each node decides membership in the current layer from
     its own ball.  Matches the centralized peeling's non-final
     iterations (the final iteration's independence-number rule needs
     kappa-aware coordination and is accounted, not simulated).
@@ -112,8 +110,6 @@ def message_level_mis_decisions(
         current_graph,
         mis_local_parameters(d),
         sealed=sealed,
-        scheduler=scheduler,
-        program=program,
         executor=executor,
     )
 

@@ -57,7 +57,6 @@ __all__ = [
     "run_bench",
     "run_cells",
     "run_experiments",
-    "scheduler_bench",
     "write_jsonl",
 ]
 
@@ -92,57 +91,6 @@ def run_experiments(
     return report, results, stats
 
 
-def scheduler_bench(
-    quiet_n: int = 1000, busy_n: int = 10_000, seed: int = 3
-) -> Dict[str, Any]:
-    """Active-set vs dense scheduling on the LOCAL-model simulator.
-
-    Two workloads on a path graph, chosen to bracket the scheduler's
-    behavior.  The *quiet* one is tree convergecast (``tree_count``):
-    almost every node idles while the reports climb toward the root, so
-    the active set stays tiny and the scheduler's win is large.  The
-    *busy* one is Luby's MIS: an ``always_active`` program whose
-    scheduled sets coincide with the dense reference by construction, so
-    parity (ratio ~1) is the expected — and asserted-meaningful —
-    result.  Outputs are compared for equality before any timing is
-    reported, so a speedup can never come from computing something else.
-    """
-    import time
-
-    from ..baselines.luby import luby_mis
-    from ..graphs import path_graph
-    from ..localmodel.programs import tree_count
-
-    def timed(fn: Callable[[], Any]) -> Tuple[Any, float]:
-        start = time.perf_counter()
-        value = fn()
-        return value, time.perf_counter() - start
-
-    def compare(workload: str, fn: Callable[[str], Any]) -> Dict[str, Any]:
-        active_out, active_s = timed(lambda: fn("active"))
-        dense_out, dense_s = timed(lambda: fn("dense"))
-        return {
-            "workload": workload,
-            "active_seconds": active_s,
-            "dense_seconds": dense_s,
-            "speedup_active_over_dense": dense_s / active_s if active_s else 0.0,
-            "outputs_identical": active_out == dense_out,
-        }
-
-    quiet = path_graph(quiet_n)
-    busy = path_graph(busy_n)
-    return {
-        "quiet_convergecast": compare(
-            f"tree_count on path_graph({quiet_n})",
-            lambda scheduler: tree_count(quiet, 0, scheduler=scheduler),
-        ),
-        "busy_luby": compare(
-            f"luby_mis(seed={seed}) on path_graph({busy_n})",
-            lambda scheduler: luby_mis(busy, seed=seed, scheduler=scheduler),
-        ),
-    }
-
-
 def run_bench(
     ids: Optional[List[str]] = None,
     jobs: Optional[int] = None,
@@ -154,9 +102,9 @@ def run_bench(
     Three runs over the same cells: jobs=1 without cache (the legacy
     serial baseline), jobs=N against a fresh cache (cold parallel), and
     jobs=N again (warm — measures pure cache-hit latency).  Also asserts
-    the three reports are byte-identical and records the verdict, plus a
-    ``scheduler`` section comparing the simulator's active-set scheduler
-    against the dense reference (see :func:`scheduler_bench`).
+    the three reports are byte-identical and records the verdict and the
+    machine's CPU count (see :func:`~repro.runner.results.bench_summary`
+    for when the parallel speedup is reported).
     """
     import os
     import tempfile
@@ -175,8 +123,8 @@ def run_bench(
             canonical, jobs=jobs, cache=cache, overrides=overrides, timeout=timeout
         )
     summary = bench_summary(canonical, serial, parallel, cached)
+    summary["cpu_count"] = os.cpu_count()
     summary["reports_identical"] = (
         serial_report == parallel_report == cached_report
     )
-    summary["scheduler"] = scheduler_bench()
     return summary

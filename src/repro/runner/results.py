@@ -118,19 +118,23 @@ def bench_summary(
     parallel: RunStats,
     cached: RunStats,
 ) -> Dict[str, Any]:
-    """The ``BENCH_runner.json`` payload: serial vs parallel vs warm cache."""
-    speedup = (
-        serial.wall_seconds / parallel.wall_seconds
-        if parallel.wall_seconds > 0
-        else 0.0
-    )
-    return {
+    """The ``BENCH_runner.json`` payload: serial vs parallel vs warm cache.
+
+    ``speedup_parallel_over_serial`` is left out when the "parallel" run
+    had a single worker: two jobs=1 runs differ only by noise, so their
+    ratio is no speedup.
+    """
+    summary: Dict[str, Any] = {
         "benchmark": "repro.runner",
         "ids": ids,
         "cells": serial.cells,
         "serial": serial.to_json(),
         "parallel": parallel.to_json(),
         "cached_rerun": cached.to_json(),
-        "speedup_parallel_over_serial": speedup,
         "cached_hit_rate": cached.cache_hit_rate,
     }
+    if parallel.jobs > 1 and parallel.wall_seconds > 0:
+        summary["speedup_parallel_over_serial"] = (
+            serial.wall_seconds / parallel.wall_seconds
+        )
+    return summary

@@ -50,6 +50,14 @@ class TestArrangement:
         assert arr is not None
         assert is_consecutive(arr)
 
+    def test_long_path_does_not_recurse(self):
+        """The search depth is the clique count; it must not hit the
+        interpreter's recursion limit (a 3000-vertex path has 2999)."""
+        arr = consecutive_clique_arrangement(maximal_cliques(path_graph(3000)))
+        assert arr is not None
+        assert len(arr) == 2999
+        assert is_consecutive(arr)
+
     def test_non_interval_cliques_rejected(self):
         # Subdivided star: chordal but not interval.
         g = Graph(edges=[(0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6)])

@@ -19,11 +19,15 @@ from repro.coloring import (
 )
 from repro.graphs import paper_example_graph, random_chordal_graph
 from repro.localmodel import gather_balls
+from repro.localmodel.gather import _reference_gather
+
+#: the shipped delta gather and the full-flood oracle, by test id
+GATHERS = {"delta": gather_balls, "reference": _reference_gather}
 
 
-def decisions_from_flooded_balls(current, params):
+def decisions_from_flooded_balls(current, params, gather=gather_balls):
     """Per-node decisions computed from message-passing ball gathering."""
-    balls, rounds = gather_balls(current, params.collect_radius)
+    balls, rounds = gather(current, params.collect_radius)
     assert rounds == params.collect_radius + 1
     out = {}
     for v, ball in balls.items():
@@ -54,13 +58,14 @@ def test_paper_example_message_level():
     assert {v for v, joined in decisions.items() if joined} == layer1
 
 
-@pytest.mark.parametrize("program", ("delta", "reference"))
+@pytest.mark.parametrize("program", sorted(GATHERS))
 def test_message_level_helper_matches_flooded_decisions(program):
-    """The packaged entry point equals the hand-rolled gather+decide loop."""
+    """The packaged entry point equals the hand-rolled gather+decide loop,
+    whether that loop gathers by delta or by the full flood."""
     g = random_chordal_graph(20, seed=23)
     params = ColoringParameters.paper_constants(1)
-    expected = decisions_from_flooded_balls(g, params)
-    decisions, rounds = message_level_layer_decisions(g, params, program=program)
+    expected = decisions_from_flooded_balls(g, params, GATHERS[program])
+    decisions, rounds = message_level_layer_decisions(g, params)
     assert rounds == params.collect_radius + 1
     assert decisions == expected
 

@@ -5,7 +5,8 @@ The public chordal API dispatches to the integer kernels of
 label-space ``_reference_*`` paths.  This suite pins that promise over
 every generator family, adversarial non-chordal inputs, shuffled orders,
 and the paper's 23-node example, with networkx as the independent oracle
-for chordality, cliques, and chromatic numbers.
+for chordality, cliques, simplicial vertices, greedy colorings, and
+chromatic numbers.
 """
 
 import random
@@ -14,7 +15,7 @@ import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.coloring.greedy import _reference_peo_greedy_coloring, peo_greedy_coloring
+from repro.coloring.greedy import peo_greedy_coloring
 from repro.coloring.prune import diameter_rule, peel_chordal_graph, peeling_layers
 from repro.cliquetree.wcig import _reference_wcig_edges_among, wcig_edges_among
 from repro.graphs import (
@@ -65,6 +66,24 @@ def _gnm(n, m, seed):
     return g
 
 
+def nx_simplicial_vertices(g):
+    """Vertices whose neighborhood is a clique, by definition, in networkx."""
+    nxg = to_networkx(g)
+    out = []
+    for v in g.vertices():
+        k = nxg.degree(v)
+        if nxg.subgraph(nxg[v]).number_of_edges() == k * (k - 1) // 2:
+            out.append(v)
+    return out
+
+
+def nx_peo_greedy_coloring(g):
+    """networkx first-fit along the reverse PEO, shifted to 1-based colors."""
+    order = list(reversed(perfect_elimination_ordering(g)))
+    colors = nx.greedy_color(to_networkx(g), strategy=lambda graph, c: iter(order))
+    return {v: c + 1 for v, c in colors.items()}
+
+
 def pool():
     yield "empty", Graph()
     yield "singleton", Graph(vertices=[7])
@@ -109,7 +128,7 @@ class TestOrderEquivalence:
             assert check_peo(g, order) == chordal_mod._reference_check_peo(g, order)
 
     def test_simplicial_matches_reference(self, g):
-        assert simplicial_vertices(g) == chordal_mod._reference_simplicial_vertices(g)
+        assert simplicial_vertices(g) == nx_simplicial_vertices(g)
 
     def test_chordality_matches_networkx(self, g):
         nxg = to_networkx(g)
@@ -142,7 +161,7 @@ class TestChordalOutputs:
                 peo_greedy_coloring(g)
             return
         ours = peo_greedy_coloring(g)
-        ref = _reference_peo_greedy_coloring(g)
+        ref = nx_peo_greedy_coloring(g)
         assert ours == ref
         assert list(ours) == list(ref)  # same insertion order too
         for u, v in g.edges():
@@ -250,16 +269,6 @@ class TestNotChordalReporting:
 class TestKernelUnits:
     """Direct id-space kernel checks not covered via the wrappers."""
 
-    def test_greedy_coloring_arbitrary_order(self):
-        g = random_k_tree(30, 3, seed=1)
-        idx = graph_index(g)
-        order = list(range(idx.n))
-        random.Random(3).shuffle(order)
-        colors = kernels.greedy_coloring(idx, order)
-        for i in range(idx.n):
-            for j in idx.neighbors_of(i):
-                assert colors[i] != colors[j]
-
     def test_spanning_forest_is_acyclic_and_max_weight_canonical(self):
         g = paper_example_graph()
         idx = graph_index(g)
@@ -288,12 +297,6 @@ class TestKernelUnits:
         }
         assert ours == ref_edges
 
-    def test_is_simplicial_id(self):
-        g = path_graph(3)
-        idx = graph_index(g)
-        assert kernels.is_simplicial_id(idx, idx.vid[0])
-        assert not kernels.is_simplicial_id(idx, idx.vid[1])
-
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(2, 18))
@@ -311,10 +314,10 @@ def test_property_random_graphs_agree_everywhere(seed, n):
     )
     order = list(reversed(lex_bfs(g)))
     assert check_peo(g, order) == chordal_mod._reference_check_peo(g, order)
-    assert simplicial_vertices(g) == chordal_mod._reference_simplicial_vertices(g)
+    assert simplicial_vertices(g) == nx_simplicial_vertices(g)
     nxg = to_networkx(g)
     chordal = len(g) == 0 or nx.is_chordal(nxg)
     assert is_chordal(g) == chordal
     if chordal:
         assert maximal_cliques(g) == chordal_mod._reference_maximal_cliques(g)
-        assert peo_greedy_coloring(g) == _reference_peo_greedy_coloring(g)
+        assert peo_greedy_coloring(g) == nx_peo_greedy_coloring(g)

@@ -21,7 +21,6 @@ REPRO_PACKAGE = Path(repro.__file__).resolve().parent
 FIXTURES_DIR = Path(__file__).resolve().parent / "fixtures"
 CHEATERS = FIXTURES_DIR / "cheating_programs.py"
 BANDWIDTH_CHEATERS = FIXTURES_DIR / "bandwidth_programs.py"
-BASELINE = Path(__file__).resolve().parents[2] / "tools" / "lint_baseline.json"
 
 
 @pytest.fixture(scope="session")

@@ -19,7 +19,7 @@ them and observe the violation at runtime:
   must find).
 
 Keep this file OUT of ``src/``: the package-wide lint run must stay
-clean modulo the checked-in baseline.
+clean.
 """
 
 from __future__ import annotations

@@ -16,6 +16,7 @@ import pytest
 from repro.graphs import path_graph
 from repro.lint import active_findings, main as lint_main
 from repro.localmodel import SealedContextError, SyncNetwork
+from tests.oracles import dense_scheduling
 
 from .conftest import CHEATERS, FIXTURES_DIR
 from .fixtures.cheating_programs import (
@@ -31,36 +32,14 @@ from .fixtures.cheating_programs import (
 
 
 class TestPackageConformance:
-    def test_repro_package_is_clean_modulo_baseline(self, package_findings):
-        """Every active finding is excused, by name, in the checked-in baseline."""
-        from repro.lint import apply_baseline, load_baseline
+    def test_repro_package_is_clean(self, package_findings):
+        """No active finding anywhere in the package, and no baseline."""
+        assert active_findings(package_findings) == []
 
-        from .conftest import BASELINE
-
-        entries = load_baseline(BASELINE)
-        remaining, baselined, unused = apply_baseline(
-            active_findings(package_findings), entries
-        )
-        assert remaining == []
-        assert unused == []
-        assert {(e.rule, e.symbol) for e in entries} == {
-            (f.rule, f.symbol) for f in baselined
-        }
-
-    def test_cli_exits_zero_on_package_with_baseline(self, capsys):
-        from .conftest import BASELINE
-
-        assert lint_main(["--baseline", str(BASELINE)]) == 0
+    def test_cli_exits_zero_on_package(self, capsys):
+        assert lint_main([]) == 0
         out = capsys.readouterr().out
         assert "0 findings" in out
-        assert "excused by baseline" in out
-
-    def test_cli_exits_nonzero_on_package_without_baseline(self, capsys):
-        # the one tolerated L9 (LinialPathProgram's inbox materialization,
-        # shadow-verified order-insensitive) is active without the baseline
-        assert lint_main([]) == 1
-        out = capsys.readouterr().out
-        assert "L9" in out and "LinialPathProgram" in out
 
 
 class TestStaticDetection:
@@ -171,12 +150,13 @@ class TestSealedRuntimeDetection:
     def test_l6_starvation_is_real_under_the_active_scheduler(self):
         # The dynamic counterpart of L6: the flagged fixture genuinely
         # starves under active-set scheduling (the engine detects it and
-        # raises instead of spinning), while the dense reference
-        # scheduler completes the same program.
-        dense = SyncNetwork(path_graph(4), SilentCountdownProgram, scheduler="dense")
-        outputs = dense.run(max_rounds=10)
+        # raises instead of spinning), while the dense-stepping oracle
+        # completes the same program.
+        with dense_scheduling():
+            dense = SyncNetwork(path_graph(4), SilentCountdownProgram)
+            outputs = dense.run(max_rounds=10)
         assert set(outputs.values()) == {5}
-        active = SyncNetwork(path_graph(4), SilentCountdownProgram, scheduler="active")
+        active = SyncNetwork(path_graph(4), SilentCountdownProgram)
         with pytest.raises(RuntimeError, match="starv"):
             active.run(max_rounds=10)
 

@@ -3,7 +3,7 @@
 Covers the corners the basic round-trip tests skip: markers on and
 around decorated classes, multi-rule markers, stale-marker warnings
 (advisory, never failing), and the ``suppressed_count`` field of the
-JSON report -- fed both by inline markers and by baseline excusals.
+JSON report.
 """
 
 from __future__ import annotations
@@ -243,29 +243,3 @@ class TestSuppressedCount:
         report = json.loads(capsys.readouterr().out)
         assert report["summary"]["suppressed_count"] == 1
         assert [f["rule"] for f in report["findings"]] == ["L3"]
-
-    def test_baseline_excusals_count_as_suppressed(self, tmp_path, capsys):
-        prog = tmp_path / "seeded_program.py"
-        prog.write_text(
-            HEADER
-            + textwrap.dedent("""
-                import random
-
-                class SeededProgram(NodeProgram):
-                    def step(self, ctx):
-                        self.output = random.random()
-                        self.done = True
-                        return {}
-            """)
-        )
-        baseline = tmp_path / "baseline.json"
-        assert lint_main(["--write-baseline", str(baseline), str(prog)]) == 0
-        capsys.readouterr()
-        assert (
-            lint_main(["--format=json", "--baseline", str(baseline), str(prog)])
-            == 0
-        )
-        report = json.loads(capsys.readouterr().out)
-        assert report["summary"]["suppressed_count"] == 1
-        assert report["baseline"]["matched"] == 1
-        assert report["baseline"]["unused_entries"] == []

@@ -17,6 +17,7 @@ from repro.localmodel import (
 )
 from repro.localmodel.faults import _PROTECTED_FIELDS
 from repro.localmodel.programs import BFSLayerProgram
+from tests.oracles import scheduling
 
 
 def bfs_factory(root=0, budget=12):
@@ -181,17 +182,17 @@ class TestEmptyCorruptionByteIdentity:
         runs = []
         for faults in (None, FaultPlan()):
             sink = RecordingSink()
-            net = SyncNetwork(
-                g,
-                bfs_factory(),
-                scheduler=scheduler,
-                sealed=sealed,
-                sinks=[sink],
-                faults=faults,
-                recovery="intact",
-                checkpoint_every=None,
-            )
-            outputs = net.run()
+            with scheduling(scheduler):
+                net = SyncNetwork(
+                    g,
+                    bfs_factory(),
+                    sealed=sealed,
+                    sinks=[sink],
+                    faults=faults,
+                    recovery="intact",
+                    checkpoint_every=None,
+                )
+                outputs = net.run()
             runs.append((outputs, net.stats, canonical_transcript(sink)))
         assert runs[0] == runs[1]
 

@@ -4,7 +4,8 @@ The acceptance bar for the scheduler rewrite: on every on-simulator
 program (BFS, leader election, convergecast, ball gathering, Linial /
 Cole-Vishkin, Luby's MIS, randomized (Delta+1)-coloring), the active-set
 scheduler must produce **identical outputs, identical RunStats, and
-identical traces** to the dense reference -- sealed and unsealed.  The
+identical traces** to the dense oracle of ``tests/oracles.py`` -- sealed
+and unsealed.  The
 only permitted difference is work: how many node steps were spent.
 
 Also hosts the regression tests for the two trace bugs fixed alongside
@@ -33,6 +34,7 @@ from repro.localmodel import (
 )
 from repro.localmodel.gather import BallGatherProgram
 from repro.localmodel.trace import TracedNetwork
+from tests.oracles import dense_scheduling, scheduling
 
 
 # ---------------------------------------------------------------------------
@@ -97,8 +99,9 @@ CASES = {
 
 def _run(case, scheduler, sealed):
     graph, factory = CASES[case]()
-    traced = TracedNetwork(graph, factory, sealed=sealed, scheduler=scheduler)
-    outputs = traced.run()
+    with scheduling(scheduler):
+        traced = TracedNetwork(graph, factory, sealed=sealed)
+        outputs = traced.run()
     stats = traced.network.stats
     return {
         "outputs": outputs,
@@ -136,9 +139,10 @@ class TestActiveEqualsDense:
 
 class TestSchedulerValidation:
     def test_unknown_scheduler_rejected(self):
-        with pytest.raises(ValueError, match="unknown scheduler"):
+        # one scheduler ships; dense stepping lives on as a test oracle
+        with pytest.raises(TypeError, match="scheduler"):
             SyncNetwork(path_graph(3), lambda v, n: NodeProgram(v, n),
-                        scheduler="lazy")
+                        scheduler="dense")
 
 
 # ---------------------------------------------------------------------------
@@ -184,8 +188,9 @@ class TestActiveSetSemantics:
         assert set(net.run().values()) == {3}
 
     def test_dense_reference_never_starves(self):
-        net = SyncNetwork(path_graph(4), SilentCountdown, scheduler="dense")
-        assert set(net.run().values()) == {3}
+        with dense_scheduling():
+            net = SyncNetwork(path_graph(4), SilentCountdown)
+            assert set(net.run().values()) == {3}
 
     def test_isolated_vertex_gathers_its_empty_ball(self):
         # the always_active declaration on BallGatherProgram exists for

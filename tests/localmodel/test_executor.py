@@ -5,7 +5,8 @@ program family (delta gather, BFS layers, Linial path coloring):
 
 * byte-identical outputs vs the per-node scheduler,
 * identical ``RunStats`` (rounds, messages sent/delivered, per-round max),
-* across the full scheduler{active,dense} x sealed{True,False} matrix,
+* across the full scheduler{active,dense} x sealed{True,False} matrix
+  (dense stepping is the test oracle of ``tests/oracles.py``),
 
 plus the refusal rules: batch mode raises ``ValueError`` on a non-empty
 fault plan (auto falls back to the per-node path instead), and the
@@ -34,8 +35,13 @@ from repro.localmodel import (
     gather_balls,
 )
 from repro.localmodel.colorreduction import LinialPathProgram
-from repro.localmodel.gather import DeltaGatherProgram, _reference_gather
+from repro.localmodel.gather import (
+    BallGatherProgram,
+    DeltaGatherProgram,
+    _reference_gather,
+)
 from repro.localmodel.programs import BFSLayerProgram, bfs_layers
+from tests.oracles import scheduling
 
 SCHEDULERS = ("active", "dense")
 
@@ -50,10 +56,11 @@ def stats_tuple(executor):
     )
 
 
-def run_both(graph, factory, max_rounds=10_000, **kwargs):
+def run_both(graph, factory, max_rounds=10_000, scheduler="active", **kwargs):
     """Run node and batch paths; assert outputs+stats agree; return them."""
-    node = BatchExecutor(graph, factory, mode="node", **kwargs)
-    out_node = node.run(max_rounds=max_rounds)
+    with scheduling(scheduler):
+        node = BatchExecutor(graph, factory, mode="node", **kwargs)
+        out_node = node.run(max_rounds=max_rounds)
     batch = BatchExecutor(graph, factory, mode="batch", **kwargs)
     out_batch = batch.run(max_rounds=max_rounds)
     assert node.executed == "node"
@@ -133,10 +140,13 @@ class TestDeltaGatherKernelEquivalence:
 
     def test_reference_program_has_no_kernel_and_falls_back(self):
         g = path_graph(6)
-        balls, rounds = gather_balls(g, 2, program="reference", executor="auto")
+        balls, rounds = _reference_gather(g, 2)
         assert rounds == 3
+        ex = BatchExecutor(
+            g, lambda v, nbrs: BallGatherProgram(v, nbrs, 2, None), mode="batch"
+        )
         with pytest.raises(ValueError, match="declares no batch kernel"):
-            gather_balls(g, 2, program="reference", executor="batch")
+            ex.run()
 
 
 class TestBFSLayerKernelEquivalence:

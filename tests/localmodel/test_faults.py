@@ -19,6 +19,7 @@ from repro.localmodel import (
     shadow_check,
 )
 from repro.localmodel.programs import BFSLayerProgram, EchoCountProgram
+from tests.oracles import dense_scheduling
 
 
 def bfs_factory(root=0, budget=12):
@@ -305,11 +306,11 @@ class TestCrashes:
 
     def test_dense_scheduler_also_skips_crashed(self):
         g = path_graph(4)
-        net = SyncNetwork(
-            g,
-            bfs_factory(budget=6),
-            scheduler="dense",
-            faults=FaultPlan.parse("crash=2@0"),
-        )
-        outputs = net.run()
+        with dense_scheduling():
+            net = SyncNetwork(
+                g,
+                bfs_factory(budget=6),
+                faults=FaultPlan.parse("crash=2@0"),
+            )
+            outputs = net.run()
         assert outputs[2] is None and outputs[3] is None

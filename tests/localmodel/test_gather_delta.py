@@ -2,7 +2,8 @@
 
 The contract of :class:`DeltaGatherProgram` is strict: byte-identical
 ``KnownBall`` outputs *and* identical round counts against
-:class:`BallGatherProgram`, across schedulers, sealed mode, and the
+:class:`BallGatherProgram`, across the active scheduler and the dense
+oracle of ``tests/oracles.py``, sealed mode, and the
 fault plans under which the two programs are provably equivalent
 (reliable, explicitly empty, and duplicate-only -- duplicates are no-op
 merges for both).  The ball contents themselves are pinned against a
@@ -21,9 +22,12 @@ from repro.graphs import (
     star_graph,
 )
 from repro.localmodel import FaultPlan, MessageMeter, gather_balls
-from repro.localmodel.gather import GATHER_PROGRAMS, _reference_gather
+from repro.localmodel.gather import _reference_gather
+from tests.oracles import scheduling
 
 SCHEDULERS = ("active", "dense")
+#: the shipped delta gather and the full-flood oracle, by test id
+GATHERS = {"delta": gather_balls, "reference": _reference_gather}
 # fault plans under which delta == reference holds (drop/delay diverge)
 EQUIVALENT_FAULTS = {
     "none": None,
@@ -76,22 +80,21 @@ class TestEquivalenceMatrix:
         for name, g in graphs_under_test():
             states = {v: ("s", v) for v in g.vertices()}
             for radius in (0, 1, 2, 4):
-                delta, d_rounds = gather_balls(
-                    g,
-                    radius,
-                    states,
-                    sealed=sealed,
-                    scheduler=scheduler,
-                    faults=EQUIVALENT_FAULTS[fault_name],
-                )
-                ref, r_rounds = _reference_gather(
-                    g,
-                    radius,
-                    states,
-                    sealed=sealed,
-                    scheduler=scheduler,
-                    faults=EQUIVALENT_FAULTS[fault_name],
-                )
+                with scheduling(scheduler):
+                    delta, d_rounds = gather_balls(
+                        g,
+                        radius,
+                        states,
+                        sealed=sealed,
+                        faults=EQUIVALENT_FAULTS[fault_name],
+                    )
+                    ref, r_rounds = _reference_gather(
+                        g,
+                        radius,
+                        states,
+                        sealed=sealed,
+                        faults=EQUIVALENT_FAULTS[fault_name],
+                    )
                 label = f"{name} r={radius} {scheduler} sealed={sealed} {fault_name}"
                 assert d_rounds == r_rounds, label
                 assert set(delta) == set(ref), label
@@ -106,16 +109,17 @@ class TestEquivalenceMatrix:
                         sorted(ref[v].edges)
                     ), label
 
-    @pytest.mark.parametrize("program", GATHER_PROGRAMS)
+    @pytest.mark.parametrize("program", sorted(GATHERS))
     def test_rounds_are_exactly_radius_plus_one(self, program):
         g = random_chordal_graph(16, seed=2)
         for radius in (0, 1, 3, 5):
-            _, rounds = gather_balls(g, radius, program=program)
+            _, rounds = GATHERS[program](g, radius)
             assert rounds == radius + 1
 
     def test_unknown_program_rejected(self):
-        with pytest.raises(ValueError, match="unknown gather program"):
-            gather_balls(path_graph(3), 1, program="telepathy")
+        # one gather ships; the full flood is the _reference_gather oracle
+        with pytest.raises(TypeError, match="program"):
+            gather_balls(path_graph(3), 1, program="reference")
 
     def test_negative_radius_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):
@@ -123,12 +127,12 @@ class TestEquivalenceMatrix:
 
 
 class TestOracle:
-    @pytest.mark.parametrize("program", GATHER_PROGRAMS)
+    @pytest.mark.parametrize("program", sorted(GATHERS))
     def test_against_bfs_oracle(self, program):
         for name, g in graphs_under_test():
             states = {v: ("s", v) for v in g.vertices()}
             for radius in (0, 1, 2, 3):
-                balls, _ = gather_balls(g, radius, states, program=program)
+                balls, _ = GATHERS[program](g, radius, states)
                 assert set(balls) == set(g.vertices()), name
                 for v, ball in balls.items():
                     want_states, want_edges = oracle_ball(g, v, radius, states)
@@ -136,11 +140,11 @@ class TestOracle:
                     assert ball.states == want_states, f"{name} {v} r={radius}"
                     assert ball.edges == want_edges, f"{name} {v} r={radius}"
 
-    @pytest.mark.parametrize("program", GATHER_PROGRAMS)
+    @pytest.mark.parametrize("program", sorted(GATHERS))
     def test_radius_zero_sees_self_and_incident_edges(self, program):
         g = _with_isolated_vertex()
         states = {v: v * 10 for v in g.vertices()}
-        balls, rounds = gather_balls(g, 0, states, program=program)
+        balls, rounds = GATHERS[program](g, 0, states)
         assert rounds == 1  # one round to run the cutoff check
         for v, ball in balls.items():
             assert ball.states == {v: v * 10}
@@ -148,21 +152,21 @@ class TestOracle:
                 tuple(sorted((v, u))) for u in g.neighbors(v)
             }
 
-    @pytest.mark.parametrize("program", GATHER_PROGRAMS)
+    @pytest.mark.parametrize("program", sorted(GATHERS))
     def test_isolated_vertex_terminates_with_empty_ball(self, program):
         g = _with_isolated_vertex()
         for radius in (0, 1, 3):
-            balls, rounds = gather_balls(g, radius, program=program)
+            balls, rounds = GATHERS[program](g, radius)
             assert rounds == radius + 1
             lonely = balls[6]
             assert lonely.states == {6: None}
             assert lonely.edges == set()
             assert lonely.as_graph().vertices() == [6]
 
-    @pytest.mark.parametrize("program", GATHER_PROGRAMS)
+    @pytest.mark.parametrize("program", sorted(GATHERS))
     def test_disconnected_ball_never_crosses_components(self, program):
         g = _two_components()
-        balls, _ = gather_balls(g, 4, program=program)
+        balls, _ = GATHERS[program](g, 4)
         assert set(balls[0].states) == {0, 1, 2, 3, 4}
         assert set(balls[9].states) == {5, 6, 7, 8, 9}
 

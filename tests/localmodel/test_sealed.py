@@ -21,6 +21,7 @@ from repro.localmodel import (
 )
 from repro.localmodel.programs import bfs_layers, elect_leader, tree_count
 from repro.localmodel.trace import TracedNetwork
+from tests.oracles import scheduling
 
 
 class TestFreeze:
@@ -129,39 +130,36 @@ class TestSealingIsBehaviorPreserving:
 
     Parametrized over the scheduler so all four sealed x scheduler
     combinations run: sealing must stay behavior-preserving under both
-    the active-set scheduler and the dense reference (the scheduler x
+    the active-set scheduler and the dense oracle (the scheduler x
     scheduler axis is covered by ``test_equivalence.py``).
     """
 
+    @pytest.fixture(autouse=True)
+    def _scheduled_by(self, scheduler):
+        with scheduling(scheduler):
+            yield
+
     def test_bfs_layers(self, scheduler):
         g = random_chordal_graph(40, seed=3)
-        assert bfs_layers(g, 0, scheduler=scheduler) == bfs_layers(
-            g, 0, sealed=True, scheduler=scheduler
-        )
+        assert bfs_layers(g, 0) == bfs_layers(g, 0, sealed=True)
 
     def test_leader_election(self, scheduler):
         g = cycle_graph(15)
-        assert elect_leader(g, scheduler=scheduler) == elect_leader(
-            g, sealed=True, scheduler=scheduler
-        )
+        assert elect_leader(g) == elect_leader(g, sealed=True)
 
     def test_tree_count(self, scheduler):
         t = random_tree(30, seed=8)
-        assert tree_count(t, 0, scheduler=scheduler) == tree_count(
-            t, 0, sealed=True, scheduler=scheduler
-        )
+        assert tree_count(t, 0) == tree_count(t, 0, sealed=True)
 
     def test_luby_mis(self, scheduler):
         g = random_chordal_graph(35, seed=11)
-        assert luby_mis(g, seed=4, scheduler=scheduler) == luby_mis(
-            g, seed=4, sealed=True, scheduler=scheduler
-        )
+        assert luby_mis(g, seed=4) == luby_mis(g, seed=4, sealed=True)
 
     def test_delta_plus_one_coloring(self, scheduler):
         g = random_chordal_graph(30, seed=6)
-        assert distributed_delta_plus_one(
-            g, seed=9, scheduler=scheduler
-        ) == distributed_delta_plus_one(g, seed=9, sealed=True, scheduler=scheduler)
+        assert distributed_delta_plus_one(g, seed=9) == distributed_delta_plus_one(
+            g, seed=9, sealed=True
+        )
 
     def test_cole_vishkin_linial(self, scheduler):
         ids = [17, 3, 29, 0, 12, 8, 41, 5]
@@ -172,15 +170,14 @@ class TestSealingIsBehaviorPreserving:
                 g,
                 lambda v, nbrs: LinialPathProgram(v, nbrs, 42),
                 sealed=sealed,
-                scheduler=scheduler,
             )
             runs[sealed] = (net.run(), net.stats.rounds, net.stats.messages_sent)
         assert runs[False] == runs[True]
 
     def test_ball_gathering(self, scheduler):
         g = random_chordal_graph(25, seed=2)
-        plain, rounds_plain = gather_balls(g, 2, scheduler=scheduler)
-        sealed, rounds_sealed = gather_balls(g, 2, sealed=True, scheduler=scheduler)
+        plain, rounds_plain = gather_balls(g, 2)
+        sealed, rounds_sealed = gather_balls(g, 2, sealed=True)
         assert rounds_plain == rounds_sealed
         for v in plain:
             assert plain[v].states == sealed[v].states
@@ -194,7 +191,6 @@ class TestSealingIsBehaviorPreserving:
             g,
             lambda v, nbrs: LeaderElectionProgram(v, nbrs, len(g)),
             sealed=True,
-            scheduler=scheduler,
         )
         outputs = traced.run()
         assert set(outputs.values()) == {0}

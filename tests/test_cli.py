@@ -7,6 +7,7 @@ import pytest
 
 from repro.cli import main
 from repro.graphs import cycle_graph, to_edge_list
+from tests.oracles import scheduling
 
 
 def run_cli(argv):
@@ -177,18 +178,19 @@ class TestRun:
 
 
 class TestLint:
-    def test_package_is_clean_via_cli_with_baseline(self):
-        from tests.lint.conftest import BASELINE
-
-        code, out = run_cli(["lint", "--baseline", str(BASELINE)])
+    def test_package_is_clean_via_cli(self):
+        code, out = run_cli(["lint"])
         assert code == 0
         assert "0 findings" in out
 
-    def test_package_needs_baseline(self):
-        # Without the baseline the shipped LinialPathProgram L9 stays active.
-        code, out = run_cli(["lint"])
-        assert code == 1
-        assert "L9" in out
+    @pytest.mark.parametrize("flag", ["--baseline", "--write-baseline"])
+    def test_baseline_flags_removed(self, flag, tmp_path, capsys):
+        # inline "# repro-lint: disable=" comments are the one suppression
+        # mechanism; a baseline file is no longer accepted
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["lint", flag, str(tmp_path / "baseline.json")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_violations_reported_with_locations(self):
         from tests.lint.conftest import CHEATERS
@@ -252,13 +254,21 @@ class TestTrace:
         paths = {}
         for scheduler in ("active", "dense"):
             paths[scheduler] = tmp_path / f"{scheduler}.jsonl"
-            code, out = run_cli(
-                ["trace", tree_file, "--program", "luby",
-                 "--scheduler", scheduler, "--jsonl", str(paths[scheduler])]
-            )
+            with scheduling(scheduler):
+                code, out = run_cli(
+                    ["trace", tree_file, "--program", "luby",
+                     "--jsonl", str(paths[scheduler])]
+                )
             assert code == 0
-            assert f"({scheduler} scheduler)" in out
+            assert "(active scheduler)" in out
         assert paths["active"].read_text() == paths["dense"].read_text()
+
+    def test_scheduler_flag_removed(self, tree_file, capsys):
+        # dense stepping is a test oracle now, not a CLI choice
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["trace", tree_file, "--scheduler", "dense"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_sealed_flag(self, tree_file):
         code, out = run_cli(["trace", tree_file, "--program", "leader", "--sealed"])

@@ -20,11 +20,11 @@ instructions can never silently rot:
   (``TraceSink``, ``on_round``, the stock sinks, ``repro trace``);
 * ``docs/lint.md`` must exist, carry a ``### Lx — ...`` section (with a
   minimal triggering example) for every registered lint rule, and name
-  the bandwidth/sanitizer surface (``--congest``, ``--sanitize``, the
-  baseline file, ``MessageMeter``, ``shadow_check``);
+  the bandwidth/sanitizer surface (``--congest``, ``--sanitize``,
+  ``MessageMeter``, ``shadow_check``);
 * ``docs/kernels.md`` must exist and document the kernel substrate
-  (``GraphIndex``, the ``graph_index`` version-keyed cache, the bitset
-  cutoff, ``bench_kernels`` / ``BENCH_kernels.json``);
+  (``GraphIndex``, the ``graph_index`` version-keyed cache,
+  ``bench_kernels`` / ``BENCH_kernels.json``);
 * ``docs/faults.md`` must exist and document the fault-injection and
   resilience surface (``FaultPlan``, the plan grammar including
   ``corrupt=``, the three classifications, ``ReliableProgram``,
@@ -221,9 +221,6 @@ def check(root: Path) -> List[str]:
         for term in (
             "--congest",
             "--sanitize",
-            "--baseline",
-            "--write-baseline",
-            "lint_baseline.json",
             "MessageMeter",
             "shadow_check",
             "inbox_order",
@@ -380,7 +377,6 @@ def check(root: Path) -> List[str]:
             "graph_index",
             "Graph.version",
             "neighbors_view",
-            "_BITSET_N_LIMIT",
             "bench_kernels",
             "BENCH_kernels.json",
         ):
