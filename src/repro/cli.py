@@ -40,7 +40,7 @@ import sys
 from typing import Optional
 
 from .analysis.report import EXPERIMENTS, run_report
-from .coloring import color_chordal_graph, distributed_color_chordal
+from .coloring import ColoringParameters, color_chordal_graph, distributed_color_chordal
 from .graphs import (
     Graph,
     clique_number,
@@ -58,7 +58,7 @@ from .graphs import (
     triangulate,
     unit_interval_chain,
 )
-from .mis import chordal_mis, independence_number_chordal
+from .mis import chordal_mis, independence_number_chordal, mis_peeling_parameters
 
 __all__ = ["main", "build_parser"]
 
@@ -254,6 +254,16 @@ def build_parser() -> argparse.ArgumentParser:
 def _read_graph(path: str) -> Graph:
     text = sys.stdin.read() if path == "-" else open(path).read()
     return from_edge_list(text)
+
+
+def _epsilon_error(command: str, check, epsilon: float) -> Optional[int]:
+    """Exit status 2 with a one-line message if ``check`` rejects epsilon."""
+    try:
+        check(epsilon)
+    except ValueError as exc:
+        print(f"repro {command}: {exc}", file=sys.stderr)
+        return 2
+    return None
 
 
 def _prepare(graph: Graph, allow_triangulate: bool, out) -> Graph:
@@ -947,6 +957,9 @@ def main(argv: Optional[list] = None, out=None) -> int:
         return 0
 
     if args.command == "color":
+        bad = _epsilon_error("color", ColoringParameters.from_epsilon, args.epsilon)
+        if bad is not None:
+            return bad
         g = _prepare(_read_graph(args.graph), args.triangulate, out)
         if args.distributed:
             report = distributed_color_chordal(g, epsilon=args.epsilon)
@@ -964,6 +977,9 @@ def main(argv: Optional[list] = None, out=None) -> int:
         return 0
 
     if args.command == "mis":
+        bad = _epsilon_error("mis", mis_peeling_parameters, args.epsilon)
+        if bad is not None:
+            return bad
         g = _prepare(_read_graph(args.graph), args.triangulate, out)
         result = chordal_mis(g, args.epsilon)
         alpha = independence_number_chordal(g)

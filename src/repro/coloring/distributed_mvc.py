@@ -31,8 +31,7 @@ are genuinely distributed:
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..cliquetree.forest import CliqueForest
@@ -41,13 +40,12 @@ from ..cliquetree.local_view import (
     compute_local_view,
     local_view_from_ball,
 )
-from ..cliquetree.paths import path_diameter
 from ..graphs.adjacency import Graph, Vertex
 from ..localmodel.gather import KnownBall, gather_balls
-from ..localmodel.rounds import NodeClocks, RoundLedger
+from ..localmodel.rounds import NodeClocks
 from .chordal_mvc import ChordalColoringResult, color_chordal_graph, conflict_boundary
 from .parameters import ColoringParameters
-from .prune import PeeledPath, Peeling
+from .prune import PeeledPath
 
 __all__ = [
     "DistributedColoringReport",
@@ -142,19 +140,36 @@ def compute_parent(
     The parent is the maximum-ID node of the attachment clique C nearest
     to v (ties toward the left attachment), provided dist_G(v, C) is at
     most the recoloring distance.
+
+    dist_G(v, C) is the first BFS level from v that meets C, so the search
+    goes level by level and stops at the first level meeting either
+    attachment (checked left first), or after the recoloring distance.
     """
-    candidates: List[Tuple[int, Vertex]] = []
-    dist = graph.bfs_distances(v, cutoff=params.recolor_distance)
-    for att in (peeled.path.left_attachment, peeled.path.right_attachment):
-        if att is None:
-            continue
-        reachable = [dist[u] for u in att if u in dist]
-        if reachable:
-            candidates.append((min(reachable), max(att)))
-    if not candidates:
+    attachments = [
+        att
+        for att in (peeled.path.left_attachment, peeled.path.right_attachment)
+        if att is not None
+    ]
+    if not attachments:
         return None
-    candidates.sort(key=lambda t: t[0])
-    return candidates[0][1]
+    seen = {v}
+    frontier = [v]
+    level = 0
+    while frontier:
+        for att in attachments:
+            if not att.isdisjoint(frontier):
+                return max(att)
+        if level == params.recolor_distance:
+            break
+        level += 1
+        nxt = []
+        for u in frontier:
+            for w in graph.neighbors_view(u):
+                if w not in seen:
+                    seen.add(w)
+                    nxt.append(w)
+        frontier = nxt
+    return None
 
 
 def local_layer_decision(

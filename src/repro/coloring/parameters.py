@@ -66,8 +66,8 @@ class ColoringParameters:
 
     @classmethod
     def from_epsilon(cls, epsilon: float) -> "ColoringParameters":
-        if epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        if not (math.isfinite(epsilon) and epsilon > 0):
+            raise ValueError(f"epsilon must be positive and finite, got {epsilon!r}")
         return cls.from_k(math.ceil(2.0 / epsilon))
 
     @classmethod

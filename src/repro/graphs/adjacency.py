@@ -298,14 +298,42 @@ class Graph:
         The paper uses ``diam`` for sets of cliques (Section 2); this is
         the plain graph diameter used by Algorithm 5's small-component
         shortcut.
+
+        Exact, by eccentricity bounds (Takes & Kosters, CIKM 2011): a BFS
+        from ``s`` with eccentricity ``e`` gives every vertex ``w`` at
+        distance ``d`` the bounds ``max(e - d, d) <= ecc(w) <= e + d``.
+        A vertex whose upper bound is at most the largest eccentricity
+        found so far cannot raise the diameter and is dropped; the search
+        stops when none is left, so the result always equals the
+        all-pairs maximum.  Sources alternate between the live vertex with
+        the highest upper bound and the one with the lowest lower bound,
+        ties broken in insertion order, so the number of BFS runs is
+        reproducible: a path needs three, and long thin graphs a handful.
         """
+        live = list(self._adj)
+        lower = dict.fromkeys(live, 0)
+        upper = dict.fromkeys(live, len(live))
         best = 0
-        for v in self._adj:
-            dist = self.bfs_distances(v)
+        pick_upper = True
+        while live:
+            if pick_upper:
+                source = max(live, key=upper.__getitem__)
+            else:
+                source = min(live, key=lower.__getitem__)
+            pick_upper = not pick_upper
+            dist = self.bfs_distances(source)
             if len(dist) != len(self._adj):
                 raise ValueError("diameter of a disconnected graph is undefined")
-            if dist:
-                best = max(best, max(dist.values()))
+            ecc = max(dist.values())
+            best = max(best, ecc)
+            still = []
+            for w in live:
+                d = dist[w]
+                lower[w] = max(lower[w], ecc - d, d)
+                upper[w] = min(upper[w], ecc + d)
+                if upper[w] > best:
+                    still.append(w)
+            live = still
         return best
 
     def eccentricity_within(self, sources: Iterable[Vertex]) -> int:

@@ -127,14 +127,19 @@ def greedy_distance_k_selection(
     vertex at graph distance >= k from all previously taken.  The result is
     a maximal distance-k independent set of the induced graph on ``order``
     whenever ``order`` covers a whole component.
+
+    ``blocked`` is the union of the radius-(k-1) balls of the vertices
+    taken so far, so a vertex is taken iff it lies outside it: one BFS per
+    taken vertex, none for the others.
     """
     if k < 1:
         raise ValueError("spacing k must be >= 1")
     chosen: List[Vertex] = []
+    blocked: Set[Vertex] = set()
     for v in order:
-        ball = graph.bfs_distances(v, cutoff=k - 1)
-        if not any(u in ball for u in chosen):
+        if v not in blocked:
             chosen.append(v)
+            blocked.update(graph.bfs_distances(v, cutoff=k - 1))
     return chosen
 
 

@@ -59,7 +59,7 @@ class ChordalMISResult:
 def mis_peeling_parameters(epsilon: float) -> Tuple[int, int]:
     """(d, kappa) = (ceil(64/eps), ceil(log2(d/eps) + 2))."""
     if not 0 < epsilon < 0.5:
-        raise ValueError("epsilon must be in (0, 1/2)")
+        raise ValueError(f"epsilon must be in (0, 1/2), got {epsilon!r}")
     d = math.ceil(64.0 / epsilon)
     kappa = math.ceil(math.log2(d / epsilon) + 2)
     return d, kappa

@@ -28,6 +28,11 @@ class TestColoringParameters:
         with pytest.raises(ValueError):
             ColoringParameters.paper_constants(0)
 
+    @pytest.mark.parametrize("epsilon", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_epsilon_is_named(self, epsilon):
+        with pytest.raises(ValueError, match="epsilon must be positive and finite"):
+            ColoringParameters.from_epsilon(epsilon)
+
     def test_derived_distances_scale_linearly_in_k(self):
         p1 = ColoringParameters.from_k(1)
         p8 = ColoringParameters.from_k(8)

@@ -112,6 +112,14 @@ class TestCheck:
         assert "docs/faults.md: 'FaultPlan' is never mentioned" in text
         assert "docs/faults.md: 'self-healing' is never mentioned" in text
 
+    def test_kernels_doc_must_name_the_early_stopping_searches(self, broken_root):
+        docs = broken_root / "docs"
+        docs.mkdir()
+        (docs / "kernels.md").write_text("# GraphIndex only\n")
+        text = "\n".join(check_docs.check(broken_root))
+        for term in ("Graph.diameter", "compute_parent", "greedy_distance_k_selection"):
+            assert f"docs/kernels.md: {term!r} is never mentioned" in text
+
     def test_empty_extraction_is_itself_a_problem(self, tmp_path):
         (tmp_path / "src" / "repro").mkdir(parents=True)
         (tmp_path / "EXPERIMENTS.md").write_text("no headings here\n")

@@ -73,6 +73,15 @@ class TestColor:
         assert "triangulated:" in out
         assert "colors used:" in out
 
+    @pytest.mark.parametrize("epsilon", ["nan", "inf", "-1"])
+    def test_bad_epsilon_exits_2_with_one_line(self, tree_file, epsilon, capsys):
+        code, out = run_cli(["color", tree_file, "--epsilon", epsilon])
+        assert code == 2
+        assert out == ""
+        err = capsys.readouterr().err
+        assert err.startswith("repro color: epsilon must be positive and finite")
+        assert err.count("\n") == 1
+
 
 class TestMIS:
     def test_size_and_guarantee(self, tree_file):
@@ -86,6 +95,15 @@ class TestMIS:
         run_cli(["mis", tree_file, "--output", str(target)])
         members = json.loads(target.read_text())
         assert len(members) >= 10
+
+    @pytest.mark.parametrize("epsilon", ["nan", "inf", "-1"])
+    def test_bad_epsilon_exits_2_with_one_line(self, tree_file, epsilon, capsys):
+        code, out = run_cli(["mis", tree_file, "--epsilon", epsilon])
+        assert code == 2
+        assert out == ""
+        err = capsys.readouterr().err
+        assert err.startswith("repro mis: epsilon must be in (0, 1/2)")
+        assert err.count("\n") == 1
 
 
 class TestGenerate:

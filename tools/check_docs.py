@@ -24,7 +24,9 @@ instructions can never silently rot:
   ``MessageMeter``, ``shadow_check``);
 * ``docs/kernels.md`` must exist and document the kernel substrate
   (``GraphIndex``, the ``graph_index`` version-keyed cache,
-  ``bench_kernels`` / ``BENCH_kernels.json``);
+  ``bench_kernels`` / ``BENCH_kernels.json``) and the early-stopping
+  scale guards (``Graph.diameter``, ``compute_parent``,
+  ``greedy_distance_k_selection``);
 * ``docs/faults.md`` must exist and document the fault-injection and
   resilience surface (``FaultPlan``, the plan grammar including
   ``corrupt=``, the three classifications, ``ReliableProgram``,
@@ -379,6 +381,9 @@ def check(root: Path) -> List[str]:
             "neighbors_view",
             "bench_kernels",
             "BENCH_kernels.json",
+            "Graph.diameter",
+            "compute_parent",
+            "greedy_distance_k_selection",
         ):
             if term not in text:
                 problems.append(
