@@ -9,9 +9,9 @@ appear for LexBFS:
                    (``head.pop(0)`` plus a full rescan of every block per
                    visited vertex, i.e. O(n^2); reproduced verbatim below
                    as the baseline),
-* ``reference`` -- the retained ``_reference_*`` label-space
-                   implementation (itself repaired to near-linear in this
-                   PR, so it understates the win),
+* ``reference`` -- the label-space implementation kept as a test
+                   oracle in ``tests/oracles.py`` (itself repaired to
+                   near-linear, so it understates the win),
 * the kernel dispatch through the public API.
 
 Unlike the rest of ``benchmarks/`` this is a standalone script, not a
@@ -40,15 +40,18 @@ import time
 from pathlib import Path
 from typing import Callable, Dict, List, Optional
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT))
 
 from repro.coloring.prune import diameter_rule, peel_chordal_graph, peeling_layers
 from repro.graphs import chordal
 from repro.graphs.adjacency import Graph
 from repro.graphs.generators import path_graph, random_k_tree, unit_interval_chain
 from repro.graphs.index import GraphIndex, graph_index
+from tests import oracles
 
-OUT_PATH = Path(__file__).resolve().parent.parent / "BENCH_kernels.json"
+OUT_PATH = ROOT / "BENCH_kernels.json"
 
 #: sizes where legacy and kernel are both run and compared
 COMPARE_NS = (1000, 3000, 10000)
@@ -157,7 +160,7 @@ def _compare_cell(rows: List[dict], family: str, g: Graph, seed_baseline: bool) 
     if seed_baseline:
         seed_order, t_seed = _timed(seed_lex_bfs, g)
     k_order, t_k = _timed(chordal.lex_bfs, g)
-    ref_order, t_ref = _timed(chordal._reference_lex_bfs, g)
+    ref_order, t_ref = _timed(oracles.reference_lex_bfs, g)
     assert ref_order == k_order
     _row(rows, family, n, m, "lexbfs", "reference", t_ref, t_k, ref_order == k_order)
     if seed_baseline:
@@ -165,18 +168,18 @@ def _compare_cell(rows: List[dict], family: str, g: Graph, seed_baseline: bool) 
         _row(rows, family, n, m, "lexbfs", "seed", t_seed, t_k, seed_order == k_order)
 
     k_mcs, t_k = _timed(chordal.maximum_cardinality_search, g)
-    ref_mcs, t_ref = _timed(chordal._reference_maximum_cardinality_search, g)
+    ref_mcs, t_ref = _timed(oracles.reference_maximum_cardinality_search, g)
     assert ref_mcs == k_mcs
     _row(rows, family, n, m, "mcs", "reference", t_ref, t_k, ref_mcs == k_mcs)
 
     peo = list(reversed(k_order))
     k_bad, t_k = _timed(chordal.check_peo, g, peo)
-    ref_bad, t_ref = _timed(chordal._reference_check_peo, g, peo)
+    ref_bad, t_ref = _timed(oracles.reference_check_peo, g, peo)
     assert ref_bad == k_bad is None
     _row(rows, family, n, m, "peo_check", "reference", t_ref, t_k, ref_bad == k_bad)
 
     k_cl, t_k = _timed(chordal.maximal_cliques, g)
-    ref_cl, t_ref = _timed(chordal._reference_maximal_cliques, g)
+    ref_cl, t_ref = _timed(oracles.reference_maximal_cliques, g)
     assert ref_cl == k_cl
     _row(
         rows, family, n, m, "maximal_cliques", "reference", t_ref, t_k, ref_cl == k_cl

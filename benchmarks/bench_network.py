@@ -32,9 +32,10 @@ pytest-benchmark module, because its artifact is the committed JSON:
     PYTHONPATH=src python benchmarks/bench_network.py --quick --check  # CI smoke
 
 ``--quick`` shrinks the sweep to two small cells; ``--executor`` limits
-which delta executors are timed (``--executor batch`` is the CI smoke
-proving kernel eligibility end to end -- ``gather_balls`` raises there
-if batch mode would have to fall back).  ``--check`` exits nonzero
+which delta paths are timed: ``node`` steps a plain ``SyncNetwork``,
+``batch`` calls ``gather_balls`` and asserts it took the kernel
+(``--executor batch`` is the CI smoke proving kernel eligibility end to
+end -- a silent fallback fails it).  ``--check`` exits nonzero
 unless every output pair matched and the acceptance gates held: on the
 full sweep, volume reduction >= 10x, ``time_speedup`` >= 3.0 *and*
 never < 1.0 (a volume win may not ship a seconds loss again), and the
@@ -45,11 +46,12 @@ volume reduction > 1x.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 import time
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
@@ -60,8 +62,13 @@ from repro.graphs.generators import (
     unit_interval_chain,
 )
 from repro.graphs.index import graph_index
-from repro.localmodel.gather import _reference_gather, gather_balls
-from repro.localmodel.network import WIRE_STATUSES, MessageRecord, TraceSink
+from repro.localmodel.gather import DeltaGatherProgram, _reference_gather, gather_balls
+from repro.localmodel.network import (
+    WIRE_STATUSES,
+    MessageRecord,
+    SyncNetwork,
+    TraceSink,
+)
 
 OUT_PATH = Path(__file__).resolve().parent.parent / "BENCH_network.json"
 
@@ -139,11 +146,41 @@ class FactVolumeSink(TraceSink):
             self.messages += 1
 
 
-def _timed_gather(gather: Callable, g: Graph, radius: int, repeats: int, **kwargs):
+def _node_gather(g: Graph, radius: int):
+    """The delta gather stepped node by node on a plain ``SyncNetwork``.
+
+    Collection is paused for the run, as ``gather_balls`` does, so the
+    node and batch timings differ only in dispatch.
+    """
+    index = graph_index(g)
+    net = SyncNetwork(
+        g, lambda v, nbrs: DeltaGatherProgram(v, nbrs, radius, None, index)
+    )
+    gc.disable()
+    try:
+        balls = net.run(max_rounds=radius + 1)
+    finally:
+        gc.enable()
+    return balls, net.stats.rounds
+
+
+def _batch_gather(g: Graph, radius: int):
+    """``gather_balls``, which must take the whole-round kernel."""
+    info: Dict[str, Any] = {}
+    balls, rounds = gather_balls(g, radius, info=info)
+    assert info["executed"] == "batch", info["fallback_reason"]
+    return balls, rounds
+
+
+#: the two delta-gather dispatch paths ``--executor`` chooses from
+DELTA_GATHERS: Dict[str, Callable] = {"node": _node_gather, "batch": _batch_gather}
+
+
+def _timed_gather(gather: Callable, g: Graph, radius: int, repeats: int):
     best = None
     for _ in range(repeats):
         start = time.perf_counter()
-        balls, rounds = gather(g, radius, **kwargs)
+        balls, rounds = gather(g, radius)
         elapsed = time.perf_counter() - start
         if best is None or elapsed < best:
             best = elapsed
@@ -173,9 +210,7 @@ def _cell(
     seconds: Dict[str, Optional[float]] = {"node": None, "batch": None}
     rounds = None
     for executor in executors:
-        balls, rounds, t = _timed_gather(
-            gather_balls, g, radius, repeats, executor=executor
-        )
+        balls, rounds, t = _timed_gather(DELTA_GATHERS[executor], g, radius, repeats)
         outputs[executor] = balls
         seconds[executor] = t
     flood_seconds = None
@@ -351,8 +386,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--executor",
         choices=("node", "batch", "all"),
         default="all",
-        help="which delta executors to time (batch forces the kernel path"
-        " and fails loudly if it would have to fall back)",
+        help="which delta paths to time (batch asserts that gather_balls"
+        " took the kernel, so a fallback fails loudly)",
     )
     parser.add_argument("--out", type=Path, default=None, help="JSON output path")
     args = parser.parse_args(argv)

@@ -9,14 +9,14 @@ Commands:
 * ``report [IDS...]``  -- regenerate the EXPERIMENTS.md tables (serial)
 * ``run``              -- the parallel cached experiment engine
   (``--list``, ``--ids``, ``--jobs``, ``--no-cache``, ``--clean-cache``,
-  ``--bench``, ``--executor``, ``--profile``; see :mod:`repro.runner`
+  ``--bench``, ``--profile``; see :mod:`repro.runner`
   and docs/runner.md)
 * ``lint [PATHS...]``  -- LOCAL-model conformance linter (see ``repro.lint``)
 * ``trace GRAPH``      -- run a stock message-passing program with trace
   sinks attached: per-round metrics, an optional ``--timeline``, and
   ``--jsonl`` export (schema in docs/tracing.md); ``--faults SPEC``
-  attaches a fault plan (grammar in docs/faults.md); ``--executor
-  batch|auto`` compiles the run to whole-round kernels (docs/executor.md)
+  attaches a fault plan (grammar in docs/faults.md).  Sinks observe
+  every message, so a trace always steps node by node (docs/executor.md)
 * ``faults``           -- fault-injection front-end: a single run under a
   ``--plan`` with validity monitoring (``--stock`` replays a plan on a
   program's generated sweep graph), or ``--sweep`` to classify every
@@ -129,9 +129,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="benchmark serial vs parallel vs warm cache")
     run.add_argument("--bench-output", default="BENCH_runner.json", metavar="PATH",
                      help="where --bench writes its summary")
-    run.add_argument("--executor", choices=("node", "batch", "auto"), default=None,
-                     help="override the executor mode of the executor-aware "
-                     "experiments (D1, K2); default: their registered plans")
     run.add_argument("--profile", action="store_true",
                      help="profile under cProfile (forces --jobs 1) and print "
                      "the top 15 functions by cumulative time")
@@ -150,11 +147,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="gathering radius for --program gather/gather-delta")
     trace.add_argument("--seed", type=int, default=0,
                        help="seed for the randomized programs (luby, coloring)")
-    trace.add_argument("--executor", choices=("node", "batch", "auto"),
-                       default="node",
-                       help="dispatch mode (default: node, the only mode that "
-                       "supports trace sinks; batch/auto compile the run to "
-                       "whole-round kernels, see docs/executor.md)")
     trace.add_argument("--profile", action="store_true",
                        help="profile under cProfile and print the top 15 "
                        "functions by cumulative time")
@@ -364,55 +356,6 @@ def _trace_factory(args, graph: Graph):
     return factory, describe
 
 
-def _trace_batch(args, graph, factory, describe, out) -> int:
-    """``repro trace --executor batch|auto``: whole-round kernel dispatch.
-
-    The batch executor replaces per-message dispatch with per-round
-    kernels, so there is nothing for trace sinks to observe; the
-    sink-dependent flags are rejected up front rather than silently
-    producing an empty trace (``batch``) or falling back (``auto``).
-    """
-    from .localmodel import BatchExecutor
-
-    for given, flag in (
-        (args.jsonl, "--jsonl"),
-        (args.timeline, "--timeline"),
-        (args.faults, "--faults"),
-    ):
-        if given:
-            raise SystemExit(
-                f"repro trace: {flag} needs per-round trace sinks, which "
-                "the batch executor bypasses; drop the flag or use "
-                "--executor node"
-            )
-    net = BatchExecutor(
-        graph,
-        factory,
-        sealed=args.sealed,
-        mode=args.executor,
-    )
-    try:
-        outputs = net.run(max_rounds=args.max_rounds)
-    except (RuntimeError, ValueError) as exc:
-        # blockers (a program without a kernel under --executor batch)
-        # or round-budget exhaustion
-        raise SystemExit(f"trace aborted: {exc}")
-    stats = net.stats
-    print(
-        f"{args.program} on {len(graph)} vertices "
-        f"({args.executor} executor -> {net.executed} path"
-        f"{', sealed' if args.sealed else ''})",
-        file=out,
-    )
-    print(
-        f"rounds: {stats.rounds}  messages: {stats.messages_sent}  "
-        f"max/round: {stats.max_messages_per_round}",
-        file=out,
-    )
-    print(describe(outputs), file=out)
-    return 0
-
-
 def _cmd_trace(args, out) -> int:
     """The ``repro trace`` front-end over the trace sinks."""
     from .localmodel import JSONLTraceSink, MetricsSink, TracedNetwork
@@ -422,8 +365,6 @@ def _cmd_trace(args, out) -> int:
         print("graph is empty; nothing to trace", file=out)
         return 0
     factory, describe = _trace_factory(args, graph)
-    if args.executor != "node":
-        return _trace_batch(args, graph, factory, describe, out)
 
     plan = None
     if args.faults:
@@ -884,19 +825,12 @@ def _cmd_run(args, out) -> int:
     if args.profile:
         # pool workers escape the profiler; keep every cell in-process
         jobs = 1
-    overrides = None
-    if args.executor:
-        overrides = {
-            "D1": {"executor": args.executor},
-            "K2": {"executors": (args.executor,)},
-        }
     cache = None if args.no_cache else runner.ResultCache(cache_dir)
     report, results, stats = runner.run_experiments(
         ids,
         jobs=jobs,
         cache=cache,
         timeout=args.timeout,
-        overrides=overrides,
         jsonl=args.jsonl,
     )
     print(report, file=out)

@@ -11,7 +11,7 @@ forest.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Set, Tuple
 
 from ..graphs.adjacency import Graph, Vertex
 from .spanning import maximum_weight_spanning_forest
@@ -153,27 +153,6 @@ class CliqueForest:
     def is_linear_forest(self) -> bool:
         """Whether every component is a path (Theorem 1: iff G is interval)."""
         return all(len(self._adj[c]) <= 2 for c in self._cliques)
-
-    def component_as_path(self, component: Sequence[Clique]) -> List[Clique]:
-        """Order a path component end-to-end; raises if it is not a path."""
-        comp = list(component)
-        if len(comp) == 1:
-            return comp
-        degrees = {c: len(self._adj[c] & set(comp)) for c in comp}
-        ends = [c for c in comp if degrees[c] == 1]
-        if any(d > 2 for d in degrees.values()) or len(ends) != 2:
-            raise ValueError("component is not a path")
-        start = min(ends, key=lambda c: tuple(sorted(c)))
-        path = [start]
-        prev: Optional[Clique] = None
-        cur = start
-        while len(path) < len(comp):
-            nxt = [d for d in self._adj[cur] if d != prev and d in set(comp)]
-            if len(nxt) != 1:
-                raise ValueError("component is not a path")
-            prev, cur = cur, nxt[0]
-            path.append(cur)
-        return path
 
     # ------------------------------------------------------------------
     # removal (the peeling step)

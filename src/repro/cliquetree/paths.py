@@ -28,6 +28,7 @@ from .wcig import Clique
 __all__ = [
     "ForestPath",
     "maximal_binary_paths",
+    "orient_binary_path",
     "path_vertices",
     "nodes_with_subtree_in",
     "path_diameter",
@@ -115,16 +116,20 @@ def maximal_binary_paths(forest: CliqueForest) -> List[ForestPath]:
                     comp.add(y)
                     stack.append(y)
         seen |= comp
-        paths.append(_orient(forest, comp))
+        paths.append(orient_binary_path(forest, comp))
     paths.sort(key=lambda p: tuple(sorted(p.cliques[0])))
     return paths
 
 
-def _orient(forest: CliqueForest, comp: Set[Clique]) -> ForestPath:
-    """Order a binary component end-to-end and record its attachments.
+def orient_binary_path(forest: CliqueForest, comp: Set[Clique]) -> ForestPath:
+    """Order a binary path of cliques end-to-end and record its attachments.
 
-    A path clique has degree <= 2 in T, so each end has at most one
-    outside neighbor.
+    ``comp`` must induce a path in ``forest`` whose cliques all have
+    degree <= 2 in it, so each end has at most one outside neighbor.  A
+    single clique orders its (at most two) neighbors by sorted members,
+    left first; a longer path starts at the end with the smaller sorted
+    members.  The peeling orients its maximal binary paths this way, and
+    Algorithm 3's local decision orients the subpath T(v).
     """
     if len(comp) == 1:
         (c,) = comp

@@ -17,7 +17,7 @@ making the maximum weight spanning forest unique.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Sequence, Tuple
 
 from ..graphs.adjacency import Graph, Vertex
 from ..graphs.chordal import maximal_cliques
@@ -54,9 +54,9 @@ def wcig_edges_among(cliques: Sequence[Clique]) -> List[WeightedEdge]:
 
     Output-sensitive: walks each vertex's clique-incidence list and counts
     shared members per clique pair, so the cost is the total intersection
-    weight rather than the O(q^2) all-pairs scan (retained as
-    :func:`_reference_wcig_edges_among`).  The result lists pairs in
-    ascending index order — exactly the reference's enumeration order.
+    weight rather than the O(q^2) all-pairs scan (the test oracle
+    ``reference_wcig_edges_among``).  The result lists pairs in
+    ascending index order — exactly the all-pairs enumeration order.
     """
     incidence: Dict[Vertex, List[int]] = {}
     weights: Dict[Tuple[int, int], int] = {}
@@ -71,17 +71,6 @@ def wcig_edges_among(cliques: Sequence[Clique]) -> List[WeightedEdge]:
                     weights[key] = weights.get(key, 0) + 1
                 lst.append(ci)
     return [(cliques[i], cliques[j], w) for (i, j), w in sorted(weights.items())]
-
-
-def _reference_wcig_edges_among(cliques: Sequence[Clique]) -> List[WeightedEdge]:
-    """Label-space all-pairs reference for :func:`wcig_edges_among`."""
-    edges: List[WeightedEdge] = []
-    for i, c1 in enumerate(cliques):
-        for c2 in cliques[i + 1:]:
-            inter = c1 & c2
-            if inter:
-                edges.append((c1, c2, len(inter)))
-    return edges
 
 
 def weighted_clique_intersection_edges(graph: Graph) -> Tuple[List[Clique], List[WeightedEdge]]:

@@ -32,7 +32,7 @@ are genuinely distributed:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..cliquetree.forest import CliqueForest
 from ..cliquetree.local_view import (
@@ -40,7 +40,9 @@ from ..cliquetree.local_view import (
     compute_local_view,
     local_view_from_ball,
 )
+from ..cliquetree.paths import orient_binary_path, path_diameter_at_least
 from ..graphs.adjacency import Graph, Vertex
+from ..graphs.chordal import NotChordalError, is_chordal
 from ..localmodel.gather import KnownBall, gather_balls
 from ..localmodel.rounds import NodeClocks
 from .chordal_mvc import ChordalColoringResult, color_chordal_graph, conflict_boundary
@@ -212,7 +214,6 @@ def message_level_layer_decisions(
     current_graph: Graph,
     params: ColoringParameters,
     sealed: bool = False,
-    executor: str = "auto",
 ) -> Tuple[Dict[Vertex, bool], int]:
     """Per-node layer decisions via real message-passing ball gathering.
 
@@ -221,16 +222,14 @@ def message_level_layer_decisions(
     its own ball alone.  Returns ``(decisions, rounds)`` where
     ``rounds`` is the simulator's round count
     (``collect_radius + 1``, one final round to detect quiescence).
-    ``executor`` passes through to :func:`gather_balls`: under the
-    default ``"auto"`` the gather compiles to the whole-round batch
-    kernel when eligible, with identical decisions and round counts.
+    The gather compiles to the whole-round batch kernel unless
+    ``sealed`` asks for per-node dispatch, with identical decisions and
+    round counts.  Raises :class:`~repro.graphs.chordal.NotChordalError`
+    on non-chordal input before any round runs.
     """
-    balls, rounds = gather_balls(
-        current_graph,
-        params.collect_radius,
-        sealed=sealed,
-        executor=executor,
-    )
+    if not is_chordal(current_graph):
+        raise NotChordalError("input graph is not chordal")
+    balls, rounds = gather_balls(current_graph, params.collect_radius, sealed=sealed)
     decisions = {
         v: local_layer_decision_from_ball(ball, params)
         for v, ball in balls.items()
@@ -253,38 +252,21 @@ def _decide_from_view(
             return False
 
     # Walk outwards from T(v)'s subpath in both directions.
-    path = _order_subpath(frag, phi_v)
-    if len(path) == 1:
-        outward = sorted(frag.neighbors(path[0]), key=lambda c: tuple(sorted(c)))
-        targets = [
-            (path[0], outward[0] if outward else None),
-            (path[0], outward[1] if len(outward) > 1 else None),
-        ]
-    else:
-        left_out = frag.neighbors(path[0]) - {path[1]}
-        right_out = frag.neighbors(path[-1]) - {path[-2]}
-        targets = [
-            (path[0], next(iter(left_out), None)),
-            (path[-1], next(iter(right_out), None)),
-        ]
-
-    statuses: List[str] = []
-    extensions: List[List] = []
-    for boundary, first_next in targets:
-        ext, status = _walk_binary(frag, view, boundary, first_next)
-        statuses.append(status)
-        extensions.append(ext)
-    full_path = list(reversed(extensions[0])) + path + extensions[1]
-
-    if "pendant" in statuses:
+    sub = orient_binary_path(frag, phi_v)
+    path = list(sub.cliques)
+    left, left_status = _walk_binary(frag, view, path[0], sub.left_attachment)
+    right, right_status = _walk_binary(frag, view, path[-1], sub.right_attachment)
+    if "pendant" in (left_status, right_status):
         # The true maximal binary path around T(v) has a free end, so it
         # is pendant and always peeled.
         return True
     # Internal (or horizon-truncated, in which case the true path is at
     # least as long as what we see): join iff the visible diameter clears
-    # the threshold.
-    visible_diameter = _path_diameter_within(ball_graph, full_path)
-    return visible_diameter >= params.internal_threshold
+    # the threshold.  Every clique on the walked path is confirmed, so it
+    # lies in the interior; distances are measured in the interior-induced
+    # ball, which is connected through the center.
+    full_path = list(reversed(left)) + path + right
+    return path_diameter_at_least(ball_graph, full_path, params.internal_threshold)
 
 
 def _walk_binary(
@@ -311,33 +293,3 @@ def _walk_binary(
         if not nbrs:
             return ext, "pendant"
         before, cur = cur, next(iter(nbrs))
-
-
-def _order_subpath(frag: CliqueForest, cliques: Set) -> List:
-    members = set(cliques)
-    if len(members) == 1:
-        return list(members)
-    ends = [c for c in members if len(frag.neighbors(c) & members) <= 1]
-    start = min(ends, key=lambda c: tuple(sorted(c)))
-    ordered = [start]
-    prev = None
-    cur = start
-    while len(ordered) < len(members):
-        nxt = [d for d in frag.neighbors(cur) if d in members and d != prev]
-        prev, cur = cur, nxt[0]
-        ordered.append(cur)
-    return ordered
-
-
-def _path_diameter_within(ball_graph: Graph, path: List) -> int:
-    verts = set()
-    for c in path:
-        verts |= c
-    verts &= set(ball_graph.vertices())
-    best = 0
-    for s in verts:
-        dist = ball_graph.bfs_distances(s)
-        for t in verts:
-            if t in dist:
-                best = max(best, dist[t])
-    return best

@@ -22,6 +22,15 @@ from dataclasses import dataclass
 __all__ = ["ColoringParameters", "morph_cut_budget", "required_morph_distance"]
 
 
+def _check_positive_int(name: str, value: int) -> None:
+    """Raise ``ValueError`` naming ``value`` unless it is an ``int`` >= 1.
+
+    Bools are ints to Python but not a valid k or d.
+    """
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ValueError(f"{name} must be >= 1 and an integer, got {value!r}")
+
+
 def morph_cut_budget(chi: int, spares: int) -> int:
     """Number of relay cuts the boundary morph may need.
 
@@ -79,8 +88,7 @@ class ColoringParameters:
         relay moves suffice for every chi; the distances below are sized
         for that worst case.
         """
-        if k < 1:
-            raise ValueError("k must be >= 1")
+        _check_positive_int("k", k)
         recolor = 2 * (4 * k + 5) + 6  # = required_morph_distance worst case
         threshold = 2 * recolor + 4  # both ends of an internal path morph
         return cls(
@@ -98,8 +106,7 @@ class ColoringParameters:
         with these in tests; the recoloring phase needs the larger
         :meth:`from_k` distances.
         """
-        if k < 1:
-            raise ValueError("k must be >= 1")
+        _check_positive_int("k", k)
         return cls(
             k=k,
             recolor_distance=k + 3,

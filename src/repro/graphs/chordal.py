@@ -19,17 +19,14 @@ The public functions dispatch to the O(n + m) integer kernels of
 :mod:`repro.graphs.kernels` through the cached
 :class:`~repro.graphs.index.GraphIndex` snapshot; ids are assigned in
 sorted label order, so the kernel outputs (translated back to labels) are
-byte-identical to the label-space paths retained here as ``_reference_*``
-functions.  The references are the cross-validation targets of
-``tests/graphs/test_kernels.py`` and the "legacy" timing baseline of
-``benchmarks/bench_kernels.py``; they favor clarity but avoid gratuitous
-quadratic behavior (the original ``lex_bfs`` rescanned every block per
-visited vertex -- the retained reference now refines only touched blocks).
+byte-identical to the label-space references in ``tests/oracles.py``,
+the cross-validation targets of ``tests/graphs/test_kernels.py`` and the
+"legacy" timing baseline of ``benchmarks/bench_kernels.py``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import FrozenSet, List, Optional
 
 from . import kernels
 from .adjacency import Graph, Vertex
@@ -98,86 +95,6 @@ def lex_bfs(
     return index.labels_of(kernels.lexbfs(index, start=start_id, plus=plus_ids))
 
 
-class _Block:
-    """A block of the reference LexBFS partition (insertion-ordered)."""
-
-    __slots__ = ("verts", "prev", "next")
-
-    def __init__(self) -> None:
-        self.verts: Dict[Vertex, None] = {}
-        self.prev: Optional["_Block"] = None
-        self.next: Optional["_Block"] = None
-
-
-def _reference_lex_bfs(
-    graph: Graph,
-    start: Optional[Vertex] = None,
-    plus: Optional[List[Vertex]] = None,
-) -> List[Vertex]:
-    """Label-space reference for :func:`lex_bfs` (same output, same rules).
-
-    Partition refinement over a doubly-linked list of insertion-ordered
-    blocks: a visited vertex moves each unvisited neighbor -- processed in
-    initial-rank order -- into a twin block just before the neighbor's old
-    block.  Because within-block order is always a subsequence of the
-    initial order, the per-neighbor moves reproduce the stable
-    (neighbors-first, order-preserving) split of the textbook formulation
-    without rescanning untouched blocks, replacing the original
-    O(n^2)-ish ``head.pop(0)`` + full-rescan loop.
-    """
-    if len(graph) == 0:
-        return []
-    if plus is not None:
-        if sorted(plus) != graph.vertices():
-            raise ValueError("plus order must enumerate every vertex exactly once")
-        verts = list(reversed(plus))
-        if start is None:
-            start = verts[0]
-    else:
-        verts = graph.vertices()
-    if start is not None:
-        if start not in graph:
-            raise KeyError(f"start vertex {start!r} not in graph")
-        verts = [start] + [v for v in verts if v != start]
-
-    rank = {v: i for i, v in enumerate(verts)}
-    head: Optional[_Block] = _Block()
-    head.verts = dict.fromkeys(verts)
-    block_of: Dict[Vertex, _Block] = {v: head for v in verts}
-    visited: Set[Vertex] = set()
-    order: List[Vertex] = []
-    while head is not None:
-        v = next(iter(head.verts))
-        del head.verts[v]
-        if not head.verts:
-            head = head.next
-            if head is not None:
-                head.prev = None
-        visited.add(v)
-        order.append(v)
-        twins: Dict[int, _Block] = {}
-        for u in sorted(graph.neighbors_view(v) - visited, key=rank.__getitem__):
-            b = block_of[u]
-            t = twins.get(id(b))
-            if t is None:
-                t = _Block()
-                t.prev, t.next = b.prev, b
-                if b.prev is None:
-                    head = t
-                else:
-                    b.prev.next = t
-                b.prev = t
-                twins[id(b)] = t
-            del b.verts[u]
-            if not b.verts:  # drained: unlink (its twin keeps the position)
-                t.next = b.next
-                if b.next is not None:
-                    b.next.prev = t
-            t.verts[u] = None
-            block_of[u] = t
-    return order
-
-
 def maximum_cardinality_search(graph: Graph) -> List[Vertex]:
     """Maximum cardinality search visit order.
 
@@ -188,21 +105,6 @@ def maximum_cardinality_search(graph: Graph) -> List[Vertex]:
     """
     index = graph_index(graph)
     return index.labels_of(kernels.mcs(index))
-
-
-def _reference_maximum_cardinality_search(graph: Graph) -> List[Vertex]:
-    """Label-space reference for :func:`maximum_cardinality_search`."""
-    weight: Dict[Vertex, int] = {v: 0 for v in graph.vertices()}
-    order: List[Vertex] = []
-    unvisited: Set[Vertex] = set(weight)
-    while unvisited:
-        v = max(sorted(unvisited), key=lambda u: weight[u])
-        order.append(v)
-        unvisited.remove(v)
-        for u in graph.neighbors_view(v):
-            if u in unvisited:
-                weight[u] += 1
-    return order
 
 
 def check_peo(graph: Graph, order: List[Vertex]) -> Optional[Vertex]:
@@ -218,22 +120,6 @@ def check_peo(graph: Graph, order: List[Vertex]) -> Optional[Vertex]:
     index = graph_index(graph)
     bad = kernels.check_peo(index, index.ids_of(order))
     return None if bad is None else index.verts[bad]
-
-
-def _reference_check_peo(graph: Graph, order: List[Vertex]) -> Optional[Vertex]:
-    """Label-space reference for :func:`check_peo` (the per-vertex parent test)."""
-    pos = {v: i for i, v in enumerate(order)}
-    if len(pos) != len(graph):
-        raise ValueError("order must enumerate every vertex exactly once")
-    for v in order:
-        later = [u for u in graph.neighbors_view(v) if pos[u] > pos[v]]
-        if not later:
-            continue
-        parent = min(later, key=lambda u: pos[u])
-        rest = set(later) - {parent}
-        if not rest <= graph.neighbors_view(parent):
-            return v
-    return None
 
 
 def perfect_elimination_ordering(graph: Graph) -> List[Vertex]:
@@ -287,33 +173,6 @@ def maximal_cliques(graph: Graph) -> List[FrozenSet[Vertex]]:
         frozenset(index.labels_of(c))
         for c in kernels.maximal_cliques_from_peo(index, order)
     ]
-
-
-def _reference_maximal_cliques(graph: Graph) -> List[FrozenSet[Vertex]]:
-    """Label-space reference for :func:`maximal_cliques` (subset filter).
-
-    Uses the quadratic-but-obviously-correct containment filter over the
-    PEO candidates; the kernel's parent-size criterion is validated against
-    this in the equivalence suite.
-    """
-    order = perfect_elimination_ordering(graph)
-    pos = {v: i for i, v in enumerate(order)}
-    candidates: List[Set[Vertex]] = []
-    for v in order:
-        cand = {u for u in graph.neighbors_view(v) if pos[u] > pos[v]}
-        cand.add(v)
-        candidates.append(cand)
-    cliques: List[FrozenSet[Vertex]] = []
-    candidates_fs = [frozenset(c) for c in candidates]
-    for i, c in enumerate(candidates_fs):
-        contained = False
-        for j, d in enumerate(candidates_fs):
-            if i != j and c <= d and (c != d or j < i):
-                contained = True
-                break
-        if not contained:
-            cliques.append(c)
-    return sorted(cliques, key=lambda c: (len(c), sorted(c)))
 
 
 def clique_number(graph: Graph) -> int:

@@ -23,8 +23,8 @@ kernel                                replaces                 cost
 The kernels are **tie-break exact**: ids are assigned in sorted label
 order (see :mod:`repro.graphs.index`), so comparing ints reproduces every
 label comparison the reference implementations make, and each kernel's
-output — translated back to labels — is byte-identical to the retained
-``_reference_*`` path.  The equivalence suite in
+output — translated back to labels — is byte-identical to the
+label-space references in ``tests/oracles.py``.  The equivalence suite in
 ``tests/graphs/test_kernels.py`` pins this across all generator families,
 adversarial non-chordal inputs, and the paper's 23-node example.
 

@@ -56,7 +56,6 @@ from .colorreduction import (
     three_color_path,
 )
 from .executor import (
-    EXECUTORS,
     BatchExecutor,
     BatchKernel,
     KernelIneligible,
@@ -157,7 +156,6 @@ __all__ = [
     "linial_new_color",
     "linial_parameters",
     "three_color_path",
-    "EXECUTORS",
     "BatchExecutor",
     "BatchKernel",
     "KernelIneligible",

@@ -317,7 +317,7 @@ def chaos_soak(
         base.run(max_rounds=max_rounds)
         horizons[name] = base.stats.rounds + horizon_slack
         probe = BatchExecutor(
-            graph, factory, mode="auto", faults=random_fault_plan(seed, list(graph.vertices()))
+            graph, factory, faults=random_fault_plan(seed, list(graph.vertices()))
         )
         path, blockers = probe.plan()
         report.executors[name] = {

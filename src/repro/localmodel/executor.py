@@ -25,34 +25,37 @@ Equivalence contract (pinned by ``tests/localmodel/test_executor.py``):
   :meth:`RunStats.record_round`, so ``rounds``, ``messages_sent``,
   ``messages_delivered`` and ``max_messages_per_round`` all match the
   per-node path exactly;
-* **matrix-invariant** -- the guarantee holds with and without
-  ``sealed``, and against the dense-stepping test oracle: both are
-  behavior-preserving for conforming programs (the per-node equivalence
-  suites assert that), so the kernel can ignore them.
+* **matrix-invariant** -- the per-node side of the guarantee may be
+  sealed or not, and stepped by the dense-stepping test oracle: both
+  are behavior-preserving for conforming programs (the per-node
+  equivalence suites assert that).
 
-What batch mode refuses (and why):
+What sends a run to the per-node path (and why):
 
 * a **non-empty** :class:`~repro.localmodel.faults.FaultPlan` -- fault
   decisions are per-(round, sender, receiver) and interleave with
   delivery; that is exactly the per-message machinery the kernel
-  compiles away.  ``mode="batch"`` raises :class:`ValueError`;
-  ``mode="auto"`` routes fault runs to the per-node path.  An *empty*
-  plan is inert by the fault layer's own contract and does not block.
+  compiles away.  An *empty* plan is inert by the fault layer's own
+  contract and does not block.
+* ``sealed=True`` -- sealed contexts are built per node and per
+  message; the kernel builds neither, so a sealed run must step node by
+  node for the sealing to apply at all.
 * attached **trace sinks** -- sinks observe per-message
   :class:`~repro.localmodel.network.MessageRecord` lists; building them
-  would reintroduce the per-message cost batch mode exists to remove.
+  would reintroduce the per-message cost the kernel exists to remove.
 * an **inbox_order** seed -- the determinism sanitizer permutes real
   inbox dicts, which the kernel never materializes.
 * a **heterogeneous** network -- mixed program classes, or one class
   constructed with mismatched parameters (kernels raise
   :class:`KernelIneligible` while validating).
 
-``mode`` selects the dispatch: ``"node"`` always runs the per-node
-scheduler, ``"batch"`` demands the kernel (raising ``ValueError`` with
-the blocking reason otherwise), and ``"auto"`` -- the default everywhere
-a caller does not care -- picks the kernel exactly when every condition
-above holds.  :meth:`BatchExecutor.plan` answers which path a run would
-take, and why, without running it.
+:meth:`BatchExecutor.run` takes the kernel exactly when none of these
+holds, and otherwise runs the per-node scheduler and records why in
+:attr:`BatchExecutor.fallback_reason`.  Outputs and stats are identical
+either way, so there is nothing to choose: code that needs the per-node
+path on purpose constructs :class:`SyncNetwork` directly.
+:meth:`BatchExecutor.plan` answers which path a run would take, and
+why, without running it.
 """
 
 from __future__ import annotations
@@ -64,24 +67,18 @@ from ..graphs.index import GraphIndex, graph_index
 from .network import NodeProgram, RunStats, SyncNetwork, TraceSink
 
 __all__ = [
-    "EXECUTORS",
     "BatchExecutor",
     "BatchKernel",
     "KernelIneligible",
 ]
 
-#: The executor modes accepted by :class:`BatchExecutor` and every
-#: ``executor=`` parameter threaded through the library.
-EXECUTORS = ("node", "batch", "auto")
-
-
 class KernelIneligible(Exception):
     """A kernel declined this network (mixed parameters, odd initial state).
 
     Raised by :class:`BatchKernel` constructors while validating the
-    program instances; :class:`BatchExecutor` turns it into a silent
-    per-node fallback under ``mode="auto"`` and a :class:`ValueError`
-    under ``mode="batch"``.
+    program instances; :class:`BatchExecutor` turns it into a per-node
+    fallback whose :attr:`~BatchExecutor.fallback_reason` is the
+    exception's message.
     """
 
 
@@ -132,10 +129,9 @@ class BatchExecutor:
 
     Drop-in front-end over :class:`SyncNetwork`: same constructor
     surface (graph, factory, ``sealed``, ``sinks``, ``inbox_order``,
-    ``faults``) plus ``mode`` in :data:`EXECUTORS`.
-    :meth:`run` returns the same outputs dict, :attr:`stats` the same
-    :class:`RunStats`, and :meth:`outputs` the same snapshot as the
-    underlying network -- whichever path executed.
+    ``faults``).  :meth:`run` returns the same outputs dict,
+    :attr:`stats` the same :class:`RunStats`, and :meth:`outputs` the
+    same snapshot as the underlying network -- whichever path executed.
     """
 
     def __init__(
@@ -146,14 +142,8 @@ class BatchExecutor:
         sinks: Optional[List[TraceSink]] = None,
         inbox_order: Optional[int] = None,
         faults: Optional[Any] = None,
-        mode: str = "auto",
     ):
-        """Build the underlying network; ``mode`` picks the dispatch."""
-        if mode not in EXECUTORS:
-            raise ValueError(
-                f"unknown executor mode {mode!r}; expected one of {EXECUTORS}"
-            )
-        self.mode = mode
+        """Build the underlying network; :meth:`run` picks the dispatch."""
         self.network = SyncNetwork(
             graph,
             program_factory,
@@ -166,10 +156,9 @@ class BatchExecutor:
         #: before any run.
         self.executed: Optional[str] = None
         #: why :meth:`run` fell back to the per-node path: the joined
-        #: blocker list (auto-mode plan fallback), the kernel's own
-        #: ineligibility message (:class:`KernelIneligible` at run
-        #: time), or None when the batch path ran or ``mode`` forced the
-        #: outcome without a fallback.
+        #: blocker list, or the kernel's own ineligibility message
+        #: (:class:`KernelIneligible` at run time); None when the batch
+        #: path ran or before any run.
         self.fallback_reason: Optional[str] = None
 
     # ------------------------------------------------------------------
@@ -185,7 +174,7 @@ class BatchExecutor:
         return self.network.outputs()
 
     def _batch_blockers(self) -> List[str]:
-        """Why batch mode cannot run this network ([] when it can)."""
+        """Why the kernel cannot run this network ([] when it can)."""
         net = self.network
         blockers: List[str] = []
         faults = net.faults
@@ -193,6 +182,11 @@ class BatchExecutor:
             blockers.append(
                 "fault plan is non-empty: fault injection is per-message "
                 "and requires the per-node path"
+            )
+        if net.sealed:
+            blockers.append(
+                "sealed=True: sealed contexts are built by per-node "
+                "dispatch only"
             )
         if net.sinks:
             blockers.append(
@@ -202,7 +196,7 @@ class BatchExecutor:
         if net.inbox_order is not None:
             blockers.append(
                 "inbox_order is set: the determinism sanitizer permutes "
-                "real inboxes, which batch mode never materializes"
+                "real inboxes, which the kernel never materializes"
             )
         if net.stats.rounds:
             blockers.append("the network has already executed rounds")
@@ -221,18 +215,11 @@ class BatchExecutor:
     def plan(self) -> Tuple[str, List[str]]:
         """Which path a run would take: ``("batch" | "node", blockers)``.
 
-        ``mode="node"`` always plans ``"node"``; ``mode="auto"`` plans
-        ``"batch"`` exactly when there are no blockers.  ``mode="batch"``
-        plans ``"batch"`` unconditionally -- :meth:`run` raises on the
-        returned blockers instead of falling back.  Kernel-side
+        ``"batch"`` exactly when there are no blockers.  Kernel-side
         validation (:class:`KernelIneligible`) happens at run time and
         is not visible here.
         """
-        if self.mode == "node":
-            return "node", []
         blockers = self._batch_blockers()
-        if self.mode == "batch":
-            return "batch", blockers
         return ("node" if blockers else "batch"), blockers
 
     def run(self, max_rounds: int = 10_000) -> Dict[Vertex, Any]:
@@ -241,38 +228,22 @@ class BatchExecutor:
         Returns the per-node outputs; raises ``RuntimeError`` when the
         round budget is exhausted with programs still running (the
         budget is exact on both paths: a run needing ``r`` rounds
-        succeeds with ``max_rounds=r``).  Under ``mode="batch"`` an
-        ineligible network raises :class:`ValueError` up front.
+        succeeds with ``max_rounds=r``).
         """
-        path, blockers = self.plan()
-        if path == "node":
-            self.executed = "node"
-            self.fallback_reason = "; ".join(blockers) or None
-            return self.network.run(max_rounds=max_rounds)
-        if blockers:  # mode == "batch" with unmet requirements
-            raise ValueError(
-                "batch executor cannot run this network: " + "; ".join(blockers)
-            )
         net = self.network
+        blockers = self._batch_blockers()
+        if blockers:
+            return self._run_per_node("; ".join(blockers), max_rounds)
+        self.executed = "batch"
+        self.fallback_reason = None
         if not net.programs:
             # an empty graph completes in zero rounds on both paths
-            self.executed = "batch"
-            self.fallback_reason = None
             return net.outputs()
         kernel_cls = next(iter(net.programs.values())).batch_kernel
-        assert kernel_cls is not None  # plan() checked
         try:
             kernel: BatchKernel = kernel_cls(net, graph_index(net.graph))
         except KernelIneligible as exc:
-            if self.mode == "batch":
-                raise ValueError(
-                    f"batch executor cannot run this network: {exc}"
-                ) from exc
-            self.executed = "node"
-            self.fallback_reason = str(exc)
-            return self.network.run(max_rounds=max_rounds)
-        self.executed = "batch"
-        self.fallback_reason = None
+            return self._run_per_node(str(exc), max_rounds)
         stats = net.stats
         for _round in range(max_rounds):
             if kernel.done:
@@ -286,3 +257,8 @@ class BatchExecutor:
             )
         kernel.finalize()
         return net.outputs()
+
+    def _run_per_node(self, reason: str, max_rounds: int) -> Dict[Vertex, Any]:
+        self.executed = "node"
+        self.fallback_reason = reason
+        return self.network.run(max_rounds=max_rounds)

@@ -60,7 +60,7 @@ from typing import (
 
 from ..graphs.adjacency import Graph, Vertex
 from ..graphs.index import GraphIndex, graph_index
-from .executor import EXECUTORS, BatchExecutor, BatchKernel, KernelIneligible
+from .executor import BatchExecutor, BatchKernel, KernelIneligible
 from .network import NodeContext, NodeProgram, SyncNetwork, TraceSink
 
 __all__ = [
@@ -462,23 +462,11 @@ def _run_gather(
     sealed: bool,
     sinks: Optional[List[TraceSink]],
     faults: Optional["FaultPlan"],
-    executor: str = "auto",
     info: Optional[Dict[str, Any]] = None,
 ) -> Tuple[Dict[Vertex, KnownBall], int]:
     if radius < 0:
         raise ValueError("radius must be non-negative")
-    if executor not in EXECUTORS:
-        raise ValueError(
-            f"unknown executor {executor!r}; expected one of {EXECUTORS}"
-        )
-    net = BatchExecutor(
-        graph,
-        factory,
-        sealed=sealed,
-        sinks=sinks,
-        faults=faults,
-        mode=executor,
-    )
+    net = BatchExecutor(graph, factory, sealed=sealed, sinks=sinks, faults=faults)
     # The bound is exact: rounds 0..radius inclusive (satellite of the
     # termination contract -- slack here would mask off-by-ones in the
     # programs' cutoff logic).
@@ -509,21 +497,19 @@ def gather_balls(
     sealed: bool = False,
     sinks: Optional[List[TraceSink]] = None,
     faults: Optional["FaultPlan"] = None,
-    executor: str = "auto",
     info: Optional[Dict[str, Any]] = None,
 ) -> Tuple[Dict[Vertex, KnownBall], int]:
     """Run delta gathering; returns per-node balls and rounds used.
 
     Every node runs :class:`DeltaGatherProgram`; outputs and round counts
     equal the full flood of :func:`_reference_gather` (the equivalence
-    suite asserts the full matrix).  ``sinks`` and ``faults`` pass
-    through to the network unchanged.  ``executor`` picks the dispatch
-    (:data:`~repro.localmodel.executor.EXECUTORS`): under the default
-    ``"auto"`` the run compiles to :class:`DeltaGatherKernel` whenever it
-    is batch-eligible (no faults, no sinks) and steps node by node
-    otherwise -- outputs and stats are identical either way.  A
-    caller-supplied ``info`` dict is populated with the dispatch
-    diagnostics (``executed``, ``fallback_reason``) after the run.
+    suite asserts the full matrix).  ``sealed``, ``sinks`` and ``faults``
+    pass through to the network unchanged.  The run compiles to
+    :class:`DeltaGatherKernel` unless one of them asks for per-node
+    dispatch (a sealed run, attached sinks, a non-empty fault plan), and
+    outputs and stats are identical either way.  A caller-supplied
+    ``info`` dict is populated with the dispatch diagnostics
+    (``executed``, ``fallback_reason``) after the run.
     """
     state_of = states or {}
     index = graph_index(graph)
@@ -531,7 +517,7 @@ def gather_balls(
     def factory(v: Vertex, nbrs: List[Vertex]) -> NodeProgram:
         return DeltaGatherProgram(v, nbrs, radius, state_of.get(v), index)
 
-    return _run_gather(graph, radius, factory, sealed, sinks, faults, executor, info)
+    return _run_gather(graph, radius, factory, sealed, sinks, faults, info)
 
 
 def _reference_gather(

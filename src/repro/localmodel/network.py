@@ -264,7 +264,7 @@ class NodeProgram:
     #: the CSR index, replacing per-node ``step`` dispatch.  ``None``
     #: (the default) means the program always runs on the per-node
     #: scheduler; :class:`~repro.localmodel.executor.BatchExecutor`
-    #: consults this attribute under ``mode="auto"``/``"batch"`` and is
+    #: consults this attribute when nothing blocks the kernel and is
     #: equivalence-bound to the per-node path (see ``docs/executor.md``).
     batch_kernel: ClassVar[Optional[type]] = None
 

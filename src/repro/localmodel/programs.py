@@ -17,11 +17,11 @@ behavior and as evidence the engine delivers/synchronizes correctly.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping, Optional, Set, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from ..graphs.adjacency import Graph, Vertex
 from ..graphs.index import GraphIndex
-from .executor import EXECUTORS, BatchExecutor, BatchKernel, KernelIneligible
+from .executor import BatchExecutor, BatchKernel, KernelIneligible
 from .network import NodeContext, NodeProgram, SyncNetwork
 
 __all__ = [
@@ -152,25 +152,18 @@ def bfs_layers(
     root: Vertex,
     budget: Optional[int] = None,
     sealed: bool = False,
-    executor: str = "auto",
 ) -> Dict[Vertex, Optional[int]]:
     """Distances from ``root`` computed by message passing.
 
-    ``executor`` picks the dispatch
-    (:data:`~repro.localmodel.executor.EXECUTORS`): under the default
-    ``"auto"`` the run compiles to :class:`BFSLayerKernel`; outputs and
-    round/message accounting are identical on both paths.
+    The run compiles to :class:`BFSLayerKernel` unless ``sealed`` asks
+    for per-node dispatch; outputs and round/message accounting are
+    identical on both paths.
     """
-    if executor not in EXECUTORS:
-        raise ValueError(
-            f"unknown executor {executor!r}; expected one of {EXECUTORS}"
-        )
     budget = budget if budget is not None else len(graph) + 1
     net = BatchExecutor(
         graph,
         lambda v, nbrs: BFSLayerProgram(v, nbrs, root, budget),
         sealed=sealed,
-        mode=executor,
     )
     return net.run(max_rounds=budget + 2)
 

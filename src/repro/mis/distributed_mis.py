@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..coloring.distributed_mvc import message_level_layer_decisions
-from ..coloring.parameters import ColoringParameters
+from ..coloring.parameters import ColoringParameters, _check_positive_int
 from ..graphs.adjacency import Graph, Vertex
 from ..localmodel.rounds import NodeClocks
 from ..localmodel.rulingset import charged_rounds_distance_k, log_star
@@ -77,8 +77,7 @@ def mis_local_parameters(d: int) -> ColoringParameters:
     correction phase).  Pass a scaled-down ``d`` (not ceil(64/eps)) to
     exercise the message-level machinery at tractable radii.
     """
-    if d < 1:
-        raise ValueError("d must be >= 1")
+    _check_positive_int("d", d)
     threshold = 2 * d + 3
     return ColoringParameters(
         k=d,
@@ -92,7 +91,6 @@ def message_level_mis_decisions(
     current_graph: Graph,
     d: int,
     sealed: bool = False,
-    executor: str = "auto",
 ) -> Tuple[Dict[Vertex, bool], int]:
     """Per-node MIS-peeling layer decisions via real ball gathering.
 
@@ -103,14 +101,11 @@ def message_level_mis_decisions(
     its own ball.  Matches the centralized peeling's non-final
     iterations (the final iteration's independence-number rule needs
     kappa-aware coordination and is accounted, not simulated).
-    Returns ``(decisions, rounds)``; ``executor`` passes through to the
-    gather (``"auto"`` compiles to the batch kernel when eligible).
+    Returns ``(decisions, rounds)``; raises
+    :class:`~repro.graphs.chordal.NotChordalError` on non-chordal input.
     """
     return message_level_layer_decisions(
-        current_graph,
-        mis_local_parameters(d),
-        sealed=sealed,
-        executor=executor,
+        current_graph, mis_local_parameters(d), sealed=sealed
     )
 
 

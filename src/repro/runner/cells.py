@@ -93,8 +93,8 @@ _CACHE_BUILDERS: Dict[str, Callable[[int, int], Any]] = {
 
 #: per-worker instance cache: (family, n, seed) -> Graph.  Pool workers
 #: are reused across cells, so sweeps that revisit an instance (the D1
-#: pipelines, K2's executor comparison) skip the generator — and the
-#: CSR/bitset :class:`~repro.graphs.index.GraphIndex` cached on the
+#: pipelines, K2's node/batch comparison) skip the generator — and the
+#: CSR :class:`~repro.graphs.index.GraphIndex` cached on the
 #: graph object (keyed by ``Graph.version``) comes along for free.
 _GRAPH_CACHE: Dict[Tuple[str, int, int], Any] = {}
 
@@ -263,29 +263,38 @@ def k1_cell(family: str, n: int, seed: int, threshold: int) -> Dict[str, Any]:
 
 
 def k2_cell(
-    family: str, n: int, radius: int, executor: str, seed: int, sample: int
+    family: str, n: int, radius: int, path: str, seed: int, sample: int
 ) -> Dict[str, Any]:
-    """K2: one whole-round batch-executor gather at large n.
+    """K2: one delta gather at large n, per node or as whole rounds.
 
-    Runs the delta gather under the requested executor mode and reports
-    the dispatch the :class:`~repro.localmodel.executor.BatchExecutor`
-    actually took plus the full message accounting — node-vs-batch rows
-    of the same cell must agree on rounds and messages, which is the
-    table-level witness of the executor equivalence contract.  ``sample``
-    evenly spaced balls are checked against the BFS ground truth.
-    Wall-clock comparisons live in ``BENCH_network.json``.
+    ``path="node"`` steps a :class:`~repro.localmodel.network.SyncNetwork`
+    node by node; ``path="batch"`` hands the same network to
+    :class:`~repro.localmodel.executor.BatchExecutor` and reports the
+    path it actually took.  Rows of the same cell must agree on rounds
+    and messages, which is the table-level witness of the executor
+    equivalence contract.  ``sample`` evenly spaced balls are checked
+    against the BFS ground truth.  Wall-clock comparisons live in
+    ``BENCH_network.json``.
     """
     from ..graphs.index import graph_index
-    from ..localmodel import BatchExecutor, DeltaGatherProgram
+    from ..localmodel import BatchExecutor, DeltaGatherProgram, SyncNetwork
 
+    if path not in ("node", "batch"):
+        raise ValueError(f"unknown K2 path {path!r}")
     g, cache_hit = _cached_graph(family, n, seed)
     index = graph_index(g)
-    net = BatchExecutor(
-        g,
-        lambda v, nbrs: DeltaGatherProgram(v, nbrs, radius, None, index),
-        mode=executor,
-    )
-    balls = net.run(max_rounds=radius + 1)
+
+    def factory(v, nbrs):
+        return DeltaGatherProgram(v, nbrs, radius, None, index)
+
+    if path == "node":
+        net = SyncNetwork(g, factory)
+        balls = net.run(max_rounds=radius + 1)
+        executed, fallback_reason = "node", None
+    else:
+        net = BatchExecutor(g, factory)
+        balls = net.run(max_rounds=radius + 1)
+        executed, fallback_reason = net.executed, net.fallback_reason
     stats = net.stats
     verts = sorted(g.vertices())
     step = max(1, len(verts) // sample)
@@ -300,15 +309,14 @@ def k2_cell(
         "n": len(g),
         "m": g.num_edges(),
         "radius": radius,
-        "executor": executor,
-        "path": net.executed,
+        "path": executed,
         "rounds": stats.rounds,
         "messages": stats.messages_sent,
         "max_messages_per_round": stats.max_messages_per_round,
         "sampled": len(sampled),
         "agree": agree,
         "graph_cache_hit": cache_hit,
-        "fallback_reason": net.fallback_reason,
+        "fallback_reason": fallback_reason,
     }
 
 
@@ -580,7 +588,6 @@ def d1_cell(
     n: int,
     seed: int,
     sample: int,
-    executor: str = "auto",
 ) -> Dict[str, Any]:
     """D1: message-level layer decisions at scale via delta gathering.
 
@@ -590,9 +597,8 @@ def d1_cell(
     rule on the global graph.  Feasibility is the point — these sizes
     were unreachable under the full flood — and the wall-clock /
     message-volume comparison against the flood lives in
-    ``BENCH_network.json``.  ``executor`` passes through to
-    :func:`~repro.localmodel.gather.gather_balls` (default ``"auto"``:
-    the whole-round batch kernel when eligible, identical outputs).
+    ``BENCH_network.json``.  The gather takes the whole-round batch
+    kernel; ``path`` reports the dispatch it actually took.
     """
     from ..coloring import local_layer_decision, local_layer_decision_from_ball
     from ..localmodel import gather_balls
@@ -602,9 +608,7 @@ def d1_cell(
     g, cache_hit = _cached_graph(family, n, seed)
     params = _d1_params(pipeline)
     info: Dict[str, Any] = {}
-    balls, rounds = gather_balls(
-        g, params.collect_radius, executor=executor, info=info
-    )
+    balls, rounds = gather_balls(g, params.collect_radius, info=info)
     verts = sorted(g.vertices())
     step = max(1, len(verts) // sample)
     sampled = verts[::step][:sample]
@@ -624,7 +628,6 @@ def d1_cell(
         "sampled": len(sampled),
         "agree": agree,
         "joined": joined,
-        "executor": executor,
         "path": info.get("executed"),
         "graph_cache_hit": cache_hit,
         "fallback_reason": info.get("fallback_reason"),

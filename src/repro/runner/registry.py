@@ -263,7 +263,6 @@ def _plan_d1(
     chordal_ns=(200, 500),
     sample=64,
     seed=0,
-    executor="auto",
 ):
     # paths scale to n = 2 * 10^4; interval chains have denser balls and
     # are capped where the per-node view reconstruction stays tractable;
@@ -279,7 +278,6 @@ def _plan_d1(
                 "n": n,
                 "seed": seed,
                 "sample": sample,
-                "executor": executor,
             },
         )
         for p in pipelines
@@ -309,8 +307,8 @@ def _plan_k1(
     ]
 
 
-#: the K2 sweep: (family, n, radius) cells run under BOTH executors so
-#: the table itself witnesses the rounds/messages equivalence, and
+#: the K2 sweep: (family, n, radius) cells run on BOTH paths so the
+#: table itself witnesses the rounds/messages equivalence, and
 #: batch-only cells at sizes where the per-node path is wasteful
 K2_PAIR_CELLS = (("path", 20000, 16), ("interval", 2000, 10))
 K2_LARGE_CELLS = (("path", 100000, 10), ("interval", 10000, 8))
@@ -319,7 +317,7 @@ K2_LARGE_CELLS = (("path", 100000, 10), ("interval", 10000, 8))
 def _plan_k2(
     pairs=K2_PAIR_CELLS,
     large=K2_LARGE_CELLS,
-    executors=("node", "batch"),
+    paths=("node", "batch"),
     sample=32,
     seed=0,
 ):
@@ -331,17 +329,17 @@ def _plan_k2(
                 "family": f,
                 "n": n,
                 "radius": r,
-                "executor": e,
+                "path": p,
                 "seed": seed,
                 "sample": sample,
             },
         )
         for f, n, r in pairs
-        for e in executors
+        for p in paths
     ]
     # the large cells exist to show whole-round kernel feasibility; they
-    # follow a forced executor only when batch is excluded outright
-    large_executor = "batch" if "batch" in executors else executors[-1]
+    # run per node only when batch is excluded outright
+    large_path = "batch" if "batch" in paths else paths[-1]
     cells += [
         CellSpec(
             "K2",
@@ -350,7 +348,7 @@ def _plan_k2(
                 "family": f,
                 "n": n,
                 "radius": r,
-                "executor": large_executor,
+                "path": large_path,
                 "seed": seed,
                 "sample": sample,
             },
@@ -752,7 +750,6 @@ def _render_k2(specs, values):
             v["n"],
             v["m"],
             s.params["radius"],
-            s.params["executor"],
             v["path"],
             v["rounds"],
             v["messages"],
@@ -763,14 +760,14 @@ def _render_k2(specs, values):
     ]
     table = format_table(
         [
-            "family", "n", "m", "radius", "executor", "path",
+            "family", "n", "m", "radius", "path",
             "rounds", "messages", "ball oracle",
         ],
         rows,
     )
     return (
-        "(whole-round batch kernels vs per-node dispatch; `path` is what"
-        " BatchExecutor actually ran, node/batch rows of the same cell"
+        "(whole-round batch kernels vs per-node dispatch; `path` is the"
+        " dispatch that actually ran, node/batch rows of the same cell"
         " must agree on rounds and messages, and `ball oracle` counts"
         " sampled balls equal to the BFS ground truth; wall-clock in"
         " BENCH_network.json)\n\n" + table
@@ -903,7 +900,6 @@ REGISTRY: Dict[str, Experiment] = {
                 "interval_ns": (500, 2000),
                 "chordal_ns": (200, 500),
                 "sample": 64,
-                "executor": "auto",
             },
         ),
         Experiment(
@@ -915,7 +911,7 @@ REGISTRY: Dict[str, Experiment] = {
             {
                 "pairs": K2_PAIR_CELLS,
                 "large": K2_LARGE_CELLS,
-                "executors": ("node", "batch"),
+                "paths": ("node", "batch"),
                 "sample": 32,
             },
         ),

@@ -17,7 +17,12 @@ from repro.coloring import (
     local_layer_decision_from_ball,
     message_level_layer_decisions,
 )
-from repro.graphs import paper_example_graph, random_chordal_graph
+from repro.graphs import (
+    NotChordalError,
+    cycle_graph,
+    paper_example_graph,
+    random_chordal_graph,
+)
 from repro.localmodel import gather_balls
 from repro.localmodel.gather import _reference_gather
 
@@ -68,6 +73,11 @@ def test_message_level_helper_matches_flooded_decisions(program):
     decisions, rounds = message_level_layer_decisions(g, params)
     assert rounds == params.collect_radius + 1
     assert decisions == expected
+
+
+def test_non_chordal_input_fails_before_the_gather():
+    with pytest.raises(NotChordalError, match="not chordal"):
+        message_level_layer_decisions(cycle_graph(4), ColoringParameters.from_k(1))
 
 
 def test_from_ball_decision_rejects_radius_mismatch():

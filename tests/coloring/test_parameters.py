@@ -28,6 +28,16 @@ class TestColoringParameters:
         with pytest.raises(ValueError):
             ColoringParameters.paper_constants(0)
 
+    @pytest.mark.parametrize("k", [1.5, 2.0, True, "2", None, 0, -3])
+    def test_from_k_rejects_non_integer_k_by_name(self, k):
+        with pytest.raises(ValueError, match=f"k must be >= 1 and an integer, got {k!r}"):
+            ColoringParameters.from_k(k)
+
+    @pytest.mark.parametrize("k", [1.5, 2.0, True, "2", None, 0, -3])
+    def test_paper_constants_rejects_non_integer_k_by_name(self, k):
+        with pytest.raises(ValueError, match=f"k must be >= 1 and an integer, got {k!r}"):
+            ColoringParameters.paper_constants(k)
+
     @pytest.mark.parametrize("epsilon", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_epsilon_is_named(self, epsilon):
         with pytest.raises(ValueError, match="epsilon must be positive and finite"):

@@ -2,11 +2,11 @@
 
 The public chordal API dispatches to the integer kernels of
 ``repro.graphs.kernels``; the promise is *byte-identical* outputs with the
-label-space ``_reference_*`` paths.  This suite pins that promise over
-every generator family, adversarial non-chordal inputs, shuffled orders,
-and the paper's 23-node example, with networkx as the independent oracle
-for chordality, cliques, simplicial vertices, greedy colorings, and
-chromatic numbers.
+label-space references of ``tests/oracles.py``.  This suite pins that
+promise over every generator family, adversarial non-chordal inputs,
+shuffled orders, and the paper's 23-node example, with networkx as the
+independent oracle for chordality, cliques, simplicial vertices, greedy
+colorings, and chromatic numbers.
 """
 
 import random
@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.coloring.greedy import peo_greedy_coloring
 from repro.coloring.prune import diameter_rule, peel_chordal_graph, peeling_layers
-from repro.cliquetree.wcig import _reference_wcig_edges_among, wcig_edges_among
+from repro.cliquetree.wcig import wcig_edges_among
 from repro.graphs import (
     Graph,
     NotChordalError,
@@ -38,9 +38,9 @@ from repro.graphs import (
     simplicial_vertices,
     unit_interval_chain,
 )
-from repro.graphs import chordal as chordal_mod
 from repro.graphs import kernels
 from repro.graphs.chordal import check_peo
+from tests import oracles
 from tests.conftest import to_networkx
 
 #: (family name, constructor) -> a diverse pool of graphs, chordal and not.
@@ -101,31 +101,31 @@ POOL_GRAPHS = [g for _, g in POOL]
 @pytest.mark.parametrize("g", POOL_GRAPHS, ids=POOL_IDS)
 class TestOrderEquivalence:
     def test_lexbfs_matches_reference(self, g):
-        assert lex_bfs(g) == chordal_mod._reference_lex_bfs(g)
+        assert lex_bfs(g) == oracles.reference_lex_bfs(g)
 
     def test_lexbfs_start_matches_reference(self, g):
         for v in g.vertices()[:3]:
-            assert lex_bfs(g, start=v) == chordal_mod._reference_lex_bfs(g, start=v)
+            assert lex_bfs(g, start=v) == oracles.reference_lex_bfs(g, start=v)
 
     def test_lbfs_plus_matches_reference(self, g):
         first = lex_bfs(g)
-        assert lex_bfs(g, plus=first) == chordal_mod._reference_lex_bfs(g, plus=first)
+        assert lex_bfs(g, plus=first) == oracles.reference_lex_bfs(g, plus=first)
 
     def test_mcs_matches_reference(self, g):
         assert (
             maximum_cardinality_search(g)
-            == chordal_mod._reference_maximum_cardinality_search(g)
+            == oracles.reference_maximum_cardinality_search(g)
         )
 
     def test_check_peo_matches_reference_on_lexbfs_order(self, g):
         order = list(reversed(lex_bfs(g)))
-        assert check_peo(g, order) == chordal_mod._reference_check_peo(g, order)
+        assert check_peo(g, order) == oracles.reference_check_peo(g, order)
 
     def test_check_peo_matches_reference_on_shuffled_orders(self, g):
         for seed in range(3):
             order = g.vertices()
             random.Random(seed).shuffle(order)
-            assert check_peo(g, order) == chordal_mod._reference_check_peo(g, order)
+            assert check_peo(g, order) == oracles.reference_check_peo(g, order)
 
     def test_simplicial_matches_reference(self, g):
         assert simplicial_vertices(g) == nx_simplicial_vertices(g)
@@ -144,7 +144,7 @@ class TestChordalOutputs:
                 maximal_cliques(g)
             return
         ours = maximal_cliques(g)
-        assert ours == chordal_mod._reference_maximal_cliques(g)
+        assert ours == oracles.reference_maximal_cliques(g)
         if len(g):
             oracle = {frozenset(c) for c in nx.chordal_graph_cliques(to_networkx(g))}
             assert set(ours) == oracle
@@ -153,7 +153,7 @@ class TestChordalOutputs:
         if not is_chordal(g):
             return
         cliques = maximal_cliques(g)
-        assert wcig_edges_among(cliques) == _reference_wcig_edges_among(cliques)
+        assert wcig_edges_among(cliques) == oracles.reference_wcig_edges_among(cliques)
 
     def test_greedy_coloring_matches_reference_and_is_optimal(self, g):
         if not is_chordal(g):
@@ -208,7 +208,7 @@ class TestLexBFSRegression:
     def test_paper_example_visit_order_pinned(self):
         g = paper_example_graph()
         assert lex_bfs(g) == self.PAPER_ORDER
-        assert chordal_mod._reference_lex_bfs(g) == self.PAPER_ORDER
+        assert oracles.reference_lex_bfs(g) == self.PAPER_ORDER
 
     def test_paper_example_reverse_is_peo(self):
         g = paper_example_graph()
@@ -218,9 +218,9 @@ class TestLexBFSRegression:
         for seed in range(10):
             g = random_chordal_graph(50, seed=seed)
             kernel_order = lex_bfs(g)
-            assert kernel_order == chordal_mod._reference_lex_bfs(g)
+            assert kernel_order == oracles.reference_lex_bfs(g)
             # multi-sweep (LBFS+) agreement as well
-            assert lex_bfs(g, plus=kernel_order) == chordal_mod._reference_lex_bfs(
+            assert lex_bfs(g, plus=kernel_order) == oracles.reference_lex_bfs(
                 g, plus=kernel_order
             )
 
@@ -229,7 +229,7 @@ class TestLexBFSRegression:
         # without ever materializing O(n) blocks per step -- sanity-check
         # by output only (the timing claim lives in benchmarks).
         g = path_graph(2000)
-        order = chordal_mod._reference_lex_bfs(g)
+        order = oracles.reference_lex_bfs(g)
         assert order[0] == 0 and len(order) == 2000
 
     def test_validation_errors_preserved(self):
@@ -249,7 +249,7 @@ class TestNotChordalReporting:
         for seed in range(6):
             g = _gnm(20, 50, seed)
             order = list(reversed(lex_bfs(g)))
-            assert check_peo(g, order) == chordal_mod._reference_check_peo(g, order)
+            assert check_peo(g, order) == oracles.reference_check_peo(g, order)
 
     def test_cycle_raises_with_vertex(self):
         with pytest.raises(NotChordalError) as exc:
@@ -262,7 +262,7 @@ class TestNotChordalReporting:
         order = kernels.lexbfs(idx)
         order.reverse()
         bad = kernels.check_peo(idx, order)
-        ref_bad = chordal_mod._reference_check_peo(g, idx.labels_of(order))
+        ref_bad = oracles.reference_check_peo(g, idx.labels_of(order))
         assert idx.verts[bad] == ref_bad
 
 
@@ -307,17 +307,17 @@ def test_property_random_graphs_agree_everywhere(seed, n):
     for _ in range(rng.randint(0, 3 * n)):
         u, v = rng.sample(range(n), 2)
         g.add_edge(u, v)
-    assert lex_bfs(g) == chordal_mod._reference_lex_bfs(g)
+    assert lex_bfs(g) == oracles.reference_lex_bfs(g)
     assert (
         maximum_cardinality_search(g)
-        == chordal_mod._reference_maximum_cardinality_search(g)
+        == oracles.reference_maximum_cardinality_search(g)
     )
     order = list(reversed(lex_bfs(g)))
-    assert check_peo(g, order) == chordal_mod._reference_check_peo(g, order)
+    assert check_peo(g, order) == oracles.reference_check_peo(g, order)
     assert simplicial_vertices(g) == nx_simplicial_vertices(g)
     nxg = to_networkx(g)
     chordal = len(g) == 0 or nx.is_chordal(nxg)
     assert is_chordal(g) == chordal
     if chordal:
-        assert maximal_cliques(g) == chordal_mod._reference_maximal_cliques(g)
+        assert maximal_cliques(g) == oracles.reference_maximal_cliques(g)
         assert peo_greedy_coloring(g) == nx_peo_greedy_coloring(g)

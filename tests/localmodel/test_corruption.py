@@ -196,15 +196,15 @@ class TestEmptyCorruptionByteIdentity:
             runs.append((outputs, net.stats, canonical_transcript(sink)))
         assert runs[0] == runs[1]
 
-    @pytest.mark.parametrize("mode", ["auto", "batch", "node"])
-    def test_executor_grid(self, mode):
+    @pytest.mark.parametrize("path", ["batch", "node"])
+    def test_executor_grid(self, path):
         g = path_graph(7)
         runs = []
         for faults in (None, FaultPlan()):
-            ex = BatchExecutor(g, bfs_factory(), mode=mode, faults=faults)
-            outputs = ex.run()
-            runs.append((outputs, ex.stats, ex.executed))
+            cls = SyncNetwork if path == "node" else BatchExecutor
+            net = cls(g, bfs_factory(), faults=faults)
+            runs.append((net.run(), net.stats))
+            if path == "batch":
+                # an empty plan is no blocker: the kernel still runs
+                assert net.executed == "batch"
         assert runs[0] == runs[1]
-        # an empty plan is no blocker: auto still takes the batch path
-        if mode == "auto":
-            assert runs[1][2] == "batch"

@@ -3,16 +3,22 @@
 The equivalence contract is strict and threefold, for every kernel-backed
 program family (delta gather, BFS layers, Linial path coloring):
 
-* byte-identical outputs vs the per-node scheduler,
+* byte-identical outputs vs a :class:`SyncNetwork` stepped node by node,
 * identical ``RunStats`` (rounds, messages sent/delivered, per-round max),
-* across the full scheduler{active,dense} x sealed{True,False} matrix
-  (dense stepping is the test oracle of ``tests/oracles.py``),
+* across the full scheduler{active,dense} x sealed{True,False} matrix on
+  the per-node side (dense stepping is the test oracle of
+  ``tests/oracles.py``); the batch side is unsealed and must actually
+  take the kernel,
 
-plus the refusal rules: batch mode raises ``ValueError`` on a non-empty
-fault plan (auto falls back to the per-node path instead), and the
+plus the selection rule: the executor takes the kernel exactly when
+nothing blocks it (a non-empty fault plan, ``sealed=True``, trace sinks,
+an inbox order, a kernel-less or heterogeneous network) and otherwise
+steps node by node and records why in ``fallback_reason``.  The
 ``max_rounds`` budget stays exact on the kernel path.  Hypothesis drives
 the matrix over generated path / interval / chordal families.
 """
+
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,12 +32,12 @@ from repro.graphs import (
 )
 from repro.graphs.index import graph_index
 from repro.localmodel import (
-    EXECUTORS,
     BatchExecutor,
+    BatchKernel,
     FaultPlan,
-    KernelIneligible,
     MetricsSink,
     NodeProgram,
+    SyncNetwork,
     gather_balls,
 )
 from repro.localmodel.colorreduction import LinialPathProgram
@@ -46,8 +52,8 @@ from tests.oracles import scheduling
 SCHEDULERS = ("active", "dense")
 
 
-def stats_tuple(executor):
-    s = executor.stats
+def stats_tuple(net):
+    s = net.stats
     return (
         s.rounds,
         s.messages_sent,
@@ -56,15 +62,14 @@ def stats_tuple(executor):
     )
 
 
-def run_both(graph, factory, max_rounds=10_000, scheduler="active", **kwargs):
-    """Run node and batch paths; assert outputs+stats agree; return them."""
+def run_both(graph, factory, max_rounds=10_000, scheduler="active", sealed=False):
+    """Step node by node, then run the kernel; assert outputs+stats agree."""
     with scheduling(scheduler):
-        node = BatchExecutor(graph, factory, mode="node", **kwargs)
+        node = SyncNetwork(graph, factory, sealed=sealed)
         out_node = node.run(max_rounds=max_rounds)
-    batch = BatchExecutor(graph, factory, mode="batch", **kwargs)
+    batch = BatchExecutor(graph, factory)
     out_batch = batch.run(max_rounds=max_rounds)
-    assert node.executed == "node"
-    assert batch.executed == "batch"
+    assert batch.executed == "batch", batch.fallback_reason
     assert out_node == out_batch
     assert stats_tuple(node) == stats_tuple(batch)
     return out_node, stats_tuple(node)
@@ -126,27 +131,36 @@ class TestDeltaGatherKernelEquivalence:
             reference, _ = _reference_gather(graph, radius, states)
             assert outputs == reference
 
-    def test_gather_balls_executor_parameter(self):
+    def test_gather_balls_matches_node_path(self):
         g = random_chordal_graph(25, seed=9)
-        balls_node, rounds_node = gather_balls(g, 3, executor="node")
-        balls_batch, rounds_batch = gather_balls(g, 3, executor="batch")
-        balls_auto, rounds_auto = gather_balls(g, 3, executor="auto")
-        assert balls_node == balls_batch == balls_auto
-        assert rounds_node == rounds_batch == rounds_auto
+        info = {}
+        balls, rounds = gather_balls(g, 3, info=info)
+        assert info == {"executed": "batch", "fallback_reason": None}
+        node = SyncNetwork(g, gather_factory(g, 3))
+        assert balls == node.run(max_rounds=4)
+        assert rounds == node.stats.rounds
 
     def test_gather_balls_rejects_unknown_executor(self):
-        with pytest.raises(ValueError, match="unknown executor"):
-            gather_balls(path_graph(4), 1, executor="warp")
+        # the executor picks its path itself; there is no knob to pass
+        with pytest.raises(TypeError, match="executor"):
+            gather_balls(path_graph(4), 1, executor="batch")
+
+    def test_sealed_gather_takes_the_node_path(self):
+        g = random_chordal_graph(25, seed=9)
+        info = {}
+        sealed_balls, rounds = gather_balls(g, 3, sealed=True, info=info)
+        assert info["executed"] == "node"
+        assert "sealed" in info["fallback_reason"]
+        assert (sealed_balls, rounds) == gather_balls(g, 3)
 
     def test_reference_program_has_no_kernel_and_falls_back(self):
         g = path_graph(6)
         balls, rounds = _reference_gather(g, 2)
         assert rounds == 3
-        ex = BatchExecutor(
-            g, lambda v, nbrs: BallGatherProgram(v, nbrs, 2, None), mode="batch"
-        )
-        with pytest.raises(ValueError, match="declares no batch kernel"):
-            ex.run()
+        ex = BatchExecutor(g, lambda v, nbrs: BallGatherProgram(v, nbrs, 2, None))
+        assert ex.run(max_rounds=3) == balls
+        assert ex.executed == "node"
+        assert "declares no batch kernel" in ex.fallback_reason
 
 
 class TestBFSLayerKernelEquivalence:
@@ -167,16 +181,34 @@ class TestBFSLayerKernelEquivalence:
             scheduler=scheduler,
         )
 
-    def test_bfs_layers_executor_parameter(self):
+    def test_bfs_layers_matches_node_path(self):
         g = random_chordal_graph(20, seed=3)
         root = g.vertices()[0]
-        assert bfs_layers(g, root, executor="batch") == bfs_layers(
-            g, root, executor="node"
-        )
+        budget = len(g) + 1
+        node = SyncNetwork(g, lambda v, nbrs: BFSLayerProgram(v, nbrs, root, budget))
+        assert bfs_layers(g, root) == node.run(max_rounds=budget + 2)
 
     def test_bfs_layers_rejects_unknown_executor(self):
-        with pytest.raises(ValueError, match="unknown executor"):
-            bfs_layers(path_graph(4), 0, executor="warp")
+        with pytest.raises(TypeError, match="executor"):
+            bfs_layers(path_graph(4), 0, executor="batch")
+
+    def test_sealed_bfs_layers_takes_the_node_path(self):
+        g = random_chordal_graph(20, seed=3)
+        root = g.vertices()[0]
+        runs = []
+        run = BatchExecutor.run
+
+        def spy(self, max_rounds=10_000):
+            out = run(self, max_rounds)
+            runs.append((self.executed, self.fallback_reason))
+            return out
+
+        with mock.patch.object(BatchExecutor, "run", spy):
+            sealed = bfs_layers(g, root, sealed=True)
+            plain = bfs_layers(g, root)
+        assert sealed == plain
+        assert runs[0][0] == "node" and "sealed" in runs[0][1]
+        assert runs[1] == ("batch", None)
 
     def test_multi_source_instances_compile(self):
         # two programs constructed with distance 0: a legitimate
@@ -202,9 +234,7 @@ class TestBFSLayerKernelEquivalence:
 
     def test_negative_budget_falls_back_to_node_path(self):
         g = path_graph(4)
-        ex = BatchExecutor(
-            g, lambda v, nbrs: BFSLayerProgram(v, nbrs, 0, -1), mode="auto"
-        )
+        ex = BatchExecutor(g, lambda v, nbrs: BFSLayerProgram(v, nbrs, 0, -1))
         ex.run(max_rounds=1)
         assert ex.executed == "node"
 
@@ -232,9 +262,7 @@ class TestLinialPathKernelEquivalence:
         # nearby bounds can legitimately share a schedule and compile
         g = path_graph(6)
         ex = BatchExecutor(
-            g,
-            lambda v, nbrs: LinialPathProgram(v, nbrs, 30 if v % 2 else 5000),
-            mode="auto",
+            g, lambda v, nbrs: LinialPathProgram(v, nbrs, 30 if v % 2 else 5000)
         )
         ex.run()
         assert ex.executed == "node"
@@ -294,12 +322,12 @@ def _generate(family, n, seed):
 
 
 # ---------------------------------------------------------------------------
-# edge cases and refusal rules
+# edge cases and the selection rule
 # ---------------------------------------------------------------------------
 class TestEdgeCases:
     def test_empty_graph_completes_in_zero_rounds(self):
         g = Graph(vertices=[], edges=[])
-        ex = BatchExecutor(g, gather_factory(g, 2), mode="batch")
+        ex = BatchExecutor(g, gather_factory(g, 2))
         assert ex.run(max_rounds=0) == {}
         assert ex.executed == "batch"
         assert ex.stats.rounds == 0
@@ -318,90 +346,91 @@ class TestEdgeCases:
 
     def test_max_rounds_exhaustion_mid_kernel(self):
         g = path_graph(8)
-        ex = BatchExecutor(g, gather_factory(g, 5), mode="batch")
+        ex = BatchExecutor(g, gather_factory(g, 5))
         with pytest.raises(RuntimeError, match="did not terminate within 3"):
             ex.run(max_rounds=3)
+        assert ex.executed == "batch"
 
     def test_max_rounds_budget_is_exact(self):
         g = path_graph(8)
-        ex = BatchExecutor(g, gather_factory(g, 5), mode="batch")
+        ex = BatchExecutor(g, gather_factory(g, 5))
         ex.run(max_rounds=6)  # exactly radius + 1: must succeed
+        assert ex.executed == "batch"
         assert ex.stats.rounds == 6
 
     def test_batch_refuses_nonempty_fault_plan(self):
         g = path_graph(6)
         plan = FaultPlan(drop=0.2, seed=7)
-        ex = BatchExecutor(g, gather_factory(g, 2), faults=plan, mode="batch")
-        with pytest.raises(ValueError, match="fault plan is non-empty"):
-            ex.run()
+        ex = BatchExecutor(g, gather_factory(g, 2), faults=plan)
+        path, blockers = ex.plan()
+        assert path == "node"
+        assert any("fault plan is non-empty" in b for b in blockers)
 
     def test_auto_routes_fault_runs_to_node_path(self):
         g = path_graph(6)
         plan = FaultPlan(duplicate=0.4, seed=13)
-        ex = BatchExecutor(g, gather_factory(g, 2), faults=plan, mode="auto")
+        ex = BatchExecutor(g, gather_factory(g, 2), faults=plan)
         ex.run(max_rounds=3)
         assert ex.executed == "node"
 
     def test_empty_fault_plan_does_not_block_batch(self):
         g = path_graph(6)
-        ex = BatchExecutor(g, gather_factory(g, 2), faults=FaultPlan(), mode="batch")
+        ex = BatchExecutor(g, gather_factory(g, 2), faults=FaultPlan())
         ex.run(max_rounds=3)
         assert ex.executed == "batch"
 
     def test_batch_refuses_trace_sinks(self):
         g = path_graph(6)
-        ex = BatchExecutor(
-            g, gather_factory(g, 2), sinks=[MetricsSink()], mode="batch"
-        )
-        with pytest.raises(ValueError, match="trace sinks"):
-            ex.run()
+        ex = BatchExecutor(g, gather_factory(g, 2), sinks=[MetricsSink()])
+        ex.run(max_rounds=3)
+        assert ex.executed == "node"
+        assert "trace sinks" in ex.fallback_reason
 
     def test_batch_refuses_inbox_order(self):
         g = path_graph(6)
-        ex = BatchExecutor(g, gather_factory(g, 2), inbox_order=3, mode="batch")
-        with pytest.raises(ValueError, match="inbox_order"):
-            ex.run()
+        ex = BatchExecutor(g, gather_factory(g, 2), inbox_order=3)
+        ex.run(max_rounds=3)
+        assert ex.executed == "node"
+        assert "inbox_order" in ex.fallback_reason
 
     def test_batch_refuses_kernel_less_programs(self):
         g = path_graph(4)
-        ex = BatchExecutor(
-            g, lambda v, nbrs: _KernelLessProgram(v, nbrs), mode="batch"
-        )
-        with pytest.raises(ValueError, match="declares no batch kernel"):
-            ex.run()
+        ex = BatchExecutor(g, lambda v, nbrs: _KernelLessProgram(v, nbrs))
+        assert ex.plan() == ("node", ["_KernelLessProgram declares no batch kernel"])
 
     def test_auto_falls_back_for_kernel_less_programs(self):
         g = path_graph(4)
-        ex = BatchExecutor(
-            g, lambda v, nbrs: _KernelLessProgram(v, nbrs), mode="auto"
-        )
-        ex.run(max_rounds=2)
+        ex = BatchExecutor(g, lambda v, nbrs: _KernelLessProgram(v, nbrs))
+        assert ex.run(max_rounds=2) == {v: "ok" for v in g.vertices()}
         assert ex.executed == "node"
 
     def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError, match="unknown executor mode"):
-            BatchExecutor(path_graph(3), gather_factory(path_graph(3), 1), mode="warp")
+        g = path_graph(3)
+        with pytest.raises(TypeError, match="mode"):
+            BatchExecutor(g, gather_factory(g, 1), mode="batch")
+
+    def test_mode_node_never_consults_kernels(self):
+        # the node side of every equivalence test is a plain SyncNetwork
+        class Exploding(BatchKernel):
+            def __init__(self, net, index):
+                raise AssertionError("the per-node path consulted a kernel")
+
+        g = path_graph(5)
+        with mock.patch.object(DeltaGatherProgram, "batch_kernel", Exploding):
+            SyncNetwork(g, gather_factory(g, 1)).run(max_rounds=2)
+            with pytest.raises(AssertionError, match="consulted a kernel"):
+                BatchExecutor(g, gather_factory(g, 1)).run(max_rounds=2)
 
     def test_plan_reports_path_and_blockers(self):
         g = path_graph(5)
-        ex = BatchExecutor(g, gather_factory(g, 1), mode="auto")
+        ex = BatchExecutor(g, gather_factory(g, 1))
         path, blockers = ex.plan()
         assert path == "batch" and blockers == []
         ex2 = BatchExecutor(
-            g, gather_factory(g, 1), faults=FaultPlan(drop=0.5, seed=1), mode="auto"
+            g, gather_factory(g, 1), faults=FaultPlan(drop=0.5, seed=1)
         )
         path2, blockers2 = ex2.plan()
         assert path2 == "node" and blockers2
-
-    def test_mode_node_never_consults_kernels(self):
-        g = path_graph(5)
-        ex = BatchExecutor(g, gather_factory(g, 1), mode="node")
-        assert ex.plan() == ("node", [])
-        ex.run(max_rounds=2)
-        assert ex.executed == "node"
-
-    def test_executors_tuple(self):
-        assert EXECUTORS == ("node", "batch", "auto")
 
 
 class TestFallbackReason:
@@ -409,12 +438,13 @@ class TestFallbackReason:
 
     def test_none_before_any_run(self):
         g = path_graph(4)
-        ex = BatchExecutor(g, gather_factory(g, 1), mode="auto")
+        ex = BatchExecutor(g, gather_factory(g, 1))
+        assert ex.executed is None
         assert ex.fallback_reason is None
 
     def test_batch_path_leaves_reason_none(self):
         g = path_graph(4)
-        ex = BatchExecutor(g, gather_factory(g, 1), mode="auto")
+        ex = BatchExecutor(g, gather_factory(g, 1))
         ex.run(max_rounds=3)
         assert ex.executed == "batch"
         assert ex.fallback_reason is None
@@ -426,36 +456,33 @@ class TestFallbackReason:
             gather_factory(g, 1),
             faults=FaultPlan(drop=0.5, seed=1),
             sinks=[MetricsSink()],
-            mode="auto",
         )
         ex.run(max_rounds=4)
         assert ex.executed == "node"
         assert "fault plan is non-empty" in ex.fallback_reason
         assert "trace sinks" in ex.fallback_reason
 
+    def test_sealed_fallback_names_sealing(self):
+        g = path_graph(4)
+        ex = BatchExecutor(g, gather_factory(g, 1), sealed=True)
+        ex.run(max_rounds=3)
+        assert ex.executed == "node"
+        assert ex.fallback_reason == (
+            "sealed=True: sealed contexts are built by per-node dispatch only"
+        )
+
     def test_kernel_less_fallback_names_the_class(self):
         g = path_graph(4)
-        ex = BatchExecutor(
-            g, lambda v, nbrs: _KernelLessProgram(v, nbrs), mode="auto"
-        )
+        ex = BatchExecutor(g, lambda v, nbrs: _KernelLessProgram(v, nbrs))
         ex.run(max_rounds=2)
         assert "_KernelLessProgram declares no batch kernel" in ex.fallback_reason
 
-    def test_forced_node_mode_is_not_a_fallback(self):
-        g = path_graph(4)
-        ex = BatchExecutor(g, gather_factory(g, 1), mode="node")
-        ex.run(max_rounds=3)
-        assert ex.executed == "node"
-        assert ex.fallback_reason is None
-
     def test_kernel_ineligibility_message_recorded(self):
         # mismatched id bounds make the Linial kernel refuse at compile
-        # time; auto mode records the KernelIneligible text verbatim
+        # time; the KernelIneligible text is recorded verbatim
         g = path_graph(6)
         ex = BatchExecutor(
-            g,
-            lambda v, nbrs: LinialPathProgram(v, nbrs, 30 if v % 2 else 5000),
-            mode="auto",
+            g, lambda v, nbrs: LinialPathProgram(v, nbrs, 30 if v % 2 else 5000)
         )
         ex.run()
         assert ex.executed == "node"

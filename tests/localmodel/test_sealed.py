@@ -177,7 +177,10 @@ class TestSealingIsBehaviorPreserving:
     def test_ball_gathering(self, scheduler):
         g = random_chordal_graph(25, seed=2)
         plain, rounds_plain = gather_balls(g, 2)
-        sealed, rounds_sealed = gather_balls(g, 2, sealed=True)
+        info = {}
+        sealed, rounds_sealed = gather_balls(g, 2, sealed=True, info=info)
+        # only per-node dispatch builds sealed contexts
+        assert info["executed"] == "node"
         assert rounds_plain == rounds_sealed
         for v in plain:
             assert plain[v].states == sealed[v].states

@@ -12,7 +12,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.coloring.prune import diameter_rule, peel_chordal_graph
-from repro.graphs import paper_example_graph, random_chordal_graph
+from repro.graphs import (
+    NotChordalError,
+    cycle_graph,
+    paper_example_graph,
+    path_graph,
+    random_chordal_graph,
+)
 from repro.mis import message_level_mis_decisions, mis_local_parameters
 
 
@@ -26,6 +32,18 @@ class TestParameters:
     def test_d_must_be_positive(self):
         with pytest.raises(ValueError, match="d must be >= 1"):
             mis_local_parameters(0)
+
+    @pytest.mark.parametrize("d", [1.5, 2.0, True, "2", None])
+    def test_non_integer_d_is_rejected_by_name(self, d):
+        with pytest.raises(ValueError, match=f"d must be >= 1 and an integer, got {d!r}"):
+            mis_local_parameters(d)
+        with pytest.raises(ValueError, match="d must be >= 1 and an integer"):
+            message_level_mis_decisions(path_graph(4), d)
+
+
+def test_non_chordal_input_fails_before_the_gather():
+    with pytest.raises(NotChordalError, match="not chordal"):
+        message_level_mis_decisions(cycle_graph(4), 1)
 
 
 @settings(max_examples=8, deadline=None)

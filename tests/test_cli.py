@@ -152,6 +152,13 @@ class TestRun:
         assert code_run == code_rep == 0
         assert out_run == out_rep
 
+    def test_executor_flag_removed(self, capsys):
+        # the executor picks its path itself; K2 sweeps node and batch
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["run", "--ids", "K2", "--executor", "batch"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_second_invocation_hits_the_cache(self, tmp_path, capsys):
         argv = ["run", "--ids", "L6", "--jobs", "1",
                 "--cache-dir", str(tmp_path / "cache")]
@@ -285,6 +292,13 @@ class TestTrace:
         # dense stepping is a test oracle now, not a CLI choice
         with pytest.raises(SystemExit) as exc:
             run_cli(["trace", tree_file, "--scheduler", "dense"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_executor_flag_removed(self, tree_file, capsys):
+        # a trace attaches sinks, so it always steps node by node
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["trace", tree_file, "--executor", "batch"])
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 

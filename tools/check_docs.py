@@ -42,8 +42,9 @@ instructions can never silently rot:
   contract's status sets, ``bench_network`` / ``BENCH_network.json``);
 * ``docs/executor.md`` must exist and document the whole-round batch
   executor (``BatchExecutor``, ``BatchKernel``, ``KernelIneligible``,
-  the three stock kernels, the mode set, the eligibility blockers, the
-  ``--executor`` CLI knob).
+  the three stock kernels, the blockers that select the per-node path
+  including ``sealed=True``, and the ``fallback_reason`` that records
+  the selection).
 
 Usage::
 
@@ -355,9 +356,9 @@ def check(root: Path) -> List[str]:
             "BFSLayerKernel",
             "LinialPathKernel",
             "batch_kernel",
-            "EXECUTORS",
+            "sealed=True",
             "FaultPlan",
-            "--executor",
+            "fallback_reason",
             "--profile",
             "RunStats",
             "bench_network",
