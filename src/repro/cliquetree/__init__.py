@@ -18,6 +18,7 @@ from .cliquepath import (
 from .forest import CliqueForest, build_clique_forest
 from .local_view import (
     LocalView,
+    SubtreeTable,
     compute_local_view,
     local_cliques_of,
     local_view_from_ball,
@@ -49,6 +50,7 @@ __all__ = [
     "consecutive_clique_arrangement",
     "is_interval_graph",
     "LocalView",
+    "SubtreeTable",
     "compute_local_view",
     "local_cliques_of",
     "local_view_from_ball",

@@ -15,7 +15,7 @@ from typing import Dict, Iterable, List, Set, Tuple
 
 from ..graphs.adjacency import Graph, Vertex
 from .spanning import maximum_weight_spanning_forest
-from .wcig import Clique, wcig_edges_among, weighted_clique_intersection_edges
+from .wcig import Clique, weighted_clique_intersection_edges
 
 __all__ = ["CliqueForest", "build_clique_forest"]
 

@@ -17,24 +17,30 @@ part of the *global* clique forest around itself:
 *certify* about it: a clique C's degree in T is fully visible only when all
 of C lies within Gamma^{d-1}[v] (every T-edge at C is witnessed by a shared
 node, which then computes it in step 2).
+
+Step 2's pair (phi(u), T(u)) depends only on G[Gamma[u]], so every ball
+holding u in its interior rebuilds the same pair.  A :data:`SubtreeTable`
+lets the views of one graph share it: the first view whose interior holds
+u fills the entry, and every later view reads it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
 from ..graphs.adjacency import Graph, Vertex
-from ..graphs.chordal import maximal_cliques
+from ..graphs.chordal import NotChordalError, maximal_cliques
 from .forest import CliqueForest
 from .spanning import maximum_weight_spanning_forest
-from .wcig import Clique, wcig_edges_among
+from .wcig import Clique, sigma, wcig_edges_among
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from ..localmodel.gather import KnownBall
 
 __all__ = [
     "LocalView",
+    "SubtreeTable",
     "local_cliques_of",
     "compute_local_view",
     "local_view_from_ball",
@@ -53,6 +59,26 @@ def local_cliques_of(ball: Graph, u: Vertex) -> List[Clique]:
     return [c for c in maximal_cliques(sub) if u in c]
 
 
+#: T(u) as a view merges it: phi(u) and its forest edges, each edge a
+#: (lower-sigma, higher-sigma) clique pair
+Subtree = Tuple[List[Clique], List[Tuple[Clique, Clique]]]
+
+#: interior vertex u -> its :data:`Subtree`.  Valid only for balls of one
+#: graph: an entry is G[Gamma[u]]'s, and another graph over the same
+#: labels may have a different Gamma[u].
+SubtreeTable = Dict[Vertex, Subtree]
+
+
+def _subtree_of(ball: Graph, u: Vertex) -> Subtree:
+    """phi(u) and T(u), the maximum weight spanning forest of W_G[phi(u)]."""
+    phi_u = local_cliques_of(ball, u)
+    chosen = maximum_weight_spanning_forest(
+        sorted(phi_u, key=sigma), wcig_edges_among(phi_u)
+    )
+    edges = [(c1, c2) if sigma(c1) <= sigma(c2) else (c2, c1) for c1, c2 in chosen]
+    return phi_u, edges
+
+
 @dataclass
 class LocalView:
     """What node ``center`` sees of the global clique forest.
@@ -61,7 +87,8 @@ class LocalView:
     cliques whose T-degree is fully visible in the fragment; the degree of
     an unconfirmed clique in ``forest`` is only a lower bound on its true
     degree.  ``interior`` holds the nodes u whose complete subtree T(u) is
-    part of the fragment (those in Gamma^{d-1}[center]).
+    part of the fragment (those in Gamma^{d-1}[center]).  ``ball`` is the
+    graph the view was built from, G[Gamma^d[center]].
     """
 
     center: Vertex
@@ -69,27 +96,39 @@ class LocalView:
     forest: CliqueForest
     confirmed: Set[Clique]
     interior: Set[Vertex]
+    ball: Graph
 
     def degree_is_exact(self, clique: Clique) -> bool:
         return frozenset(clique) in self.confirmed
 
 
-def compute_local_view(graph: Graph, center: Vertex, radius: int) -> LocalView:
+def compute_local_view(
+    graph: Graph,
+    center: Vertex,
+    radius: int,
+    subtrees: Optional[SubtreeTable] = None,
+) -> LocalView:
     """Simulate node ``center`` building its local view from Gamma^radius.
 
     ``graph`` plays the role of the current graph (G, or G[U_i] during
     peeling); the function only ever inspects the induced ball, mirroring
     what the LOCAL model makes available after ``radius`` rounds.
+    ``subtrees`` is a :data:`SubtreeTable` shared by views of ``graph``;
+    ``None`` gives the call a fresh one.  Raises
+    :class:`~repro.graphs.chordal.NotChordalError` naming ``center`` when
+    the ball has no clique forest.
     """
     if radius < 1:
         raise ValueError("a local view needs radius >= 1")
     dist = graph.bfs_distances(center, cutoff=radius)
     ball = graph.induced_subgraph(set(dist))
     interior = {u for u, d in dist.items() if d <= radius - 1}
-    return _view_from_ball_graph(center, radius, ball, interior)
+    return _view_from_ball_graph(center, radius, ball, interior, subtrees)
 
 
-def local_view_from_ball(ball: "KnownBall") -> LocalView:
+def local_view_from_ball(
+    ball: "KnownBall", subtrees: Optional[SubtreeTable] = None
+) -> LocalView:
     """Build the local view from a gathered :class:`KnownBall`.
 
     ``ball.as_graph()`` is exactly ``G[Gamma^radius[center]]`` (the
@@ -99,33 +138,50 @@ def local_view_from_ball(ball: "KnownBall") -> LocalView:
     therefore identical to ``compute_local_view(G, center, radius)`` --
     this is the message-level entry point used after a real
     :func:`~repro.localmodel.gather.gather_balls` run, where the global
-    graph is no longer available.
+    graph is no longer available.  ``subtrees`` may be shared by the
+    balls of one gather; ``None`` gives the call a fresh table.
     """
     if ball.radius < 1:
         raise ValueError("a local view needs radius >= 1")
     ball_graph = ball.as_graph()
     dist = ball_graph.bfs_distances(ball.center, cutoff=ball.radius)
     interior = {u for u, d in dist.items() if d <= ball.radius - 1}
-    return _view_from_ball_graph(ball.center, ball.radius, ball_graph, interior)
+    return _view_from_ball_graph(
+        ball.center, ball.radius, ball_graph, interior, subtrees
+    )
 
 
 def _view_from_ball_graph(
-    center: Vertex, radius: int, ball: Graph, interior: Set[Vertex]
+    center: Vertex,
+    radius: int,
+    ball: Graph,
+    interior: Set[Vertex],
+    subtrees: Optional[SubtreeTable],
 ) -> LocalView:
-    """Shared reconstruction: phi(u) subtrees over the interior, merged."""
+    """Shared reconstruction: phi(u) subtrees over the interior, merged.
+
+    Gamma[u] lies inside the ball for every interior u, so the subtree
+    built here is G[Gamma[u]]'s and any later ball of the same graph may
+    reuse it from ``subtrees``.
+    """
+    if subtrees is None:
+        subtrees = {}
     cliques: Set[Clique] = set()
     edges: Set[Tuple[Clique, Clique]] = set()
-    for u in sorted(interior):
-        phi_u = local_cliques_of(ball, u)
-        cliques.update(phi_u)
-        forest_edges = maximum_weight_spanning_forest(
-            sorted(phi_u, key=lambda c: tuple(sorted(c))), wcig_edges_among(phi_u)
-        )
-        for c1, c2 in forest_edges:
-            key = tuple(sorted((tuple(sorted(c1)), tuple(sorted(c2)))))
-            edges.add((frozenset(key[0]), frozenset(key[1])))
-
-    forest = CliqueForest(cliques, edges)
+    try:
+        for u in sorted(interior):
+            subtree = subtrees.get(u)
+            if subtree is None:
+                subtree = subtrees[u] = _subtree_of(ball, u)
+            cliques.update(subtree[0])
+            edges.update(subtree[1])
+        # On a chordal ball the subtrees merge into a fragment of the
+        # global forest (Lemma 2), so a cycle here also means not chordal.
+        forest = CliqueForest(cliques, edges)
+    except ValueError as exc:
+        raise NotChordalError(
+            f"the radius-{radius} ball of {center!r} is not chordal"
+        ) from exc
     confirmed = {c for c in cliques if c <= interior}
     return LocalView(
         center=center,
@@ -133,4 +189,5 @@ def _view_from_ball_graph(
         forest=forest,
         confirmed=confirmed,
         interior=interior,
+        ball=ball,
     )

@@ -8,7 +8,7 @@ construction of Section 3 relies on).
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Hashable, Iterable, List, Sequence, Set, Tuple
+from typing import Dict, Hashable, Iterable, List, Sequence, Tuple
 
 from .wcig import Clique, WeightedEdge, edge_key
 

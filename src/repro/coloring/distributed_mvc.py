@@ -37,6 +37,7 @@ from typing import Dict, List, Optional, Tuple
 from ..cliquetree.forest import CliqueForest
 from ..cliquetree.local_view import (
     LocalView,
+    SubtreeTable,
     compute_local_view,
     local_view_from_ball,
 )
@@ -175,7 +176,10 @@ def compute_parent(
 
 
 def local_layer_decision(
-    current_graph: Graph, v: Vertex, params: ColoringParameters
+    current_graph: Graph,
+    v: Vertex,
+    params: ColoringParameters,
+    subtrees: Optional[SubtreeTable] = None,
 ) -> bool:
     """Algorithm 3, step 3: should v join the current layer?
 
@@ -183,14 +187,19 @@ def local_layer_decision(
     (not yet peeled) graph: reconstruct the local view of the clique
     forest, walk the maximal binary path around T(v), and join if the path
     is pendant, long enough, or provably extends beyond the horizon.
+    ``subtrees`` may be shared by decisions on the same ``current_graph``
+    (see :func:`~repro.cliquetree.local_view.compute_local_view`).
+    Raises :class:`~repro.graphs.chordal.NotChordalError` naming ``v``
+    when its ball is not chordal.
     """
-    view = compute_local_view(current_graph, v, params.collect_radius)
-    ball_graph = current_graph.induced_subgraph(set(view.interior))
-    return _decide_from_view(view, ball_graph, params)
+    view = compute_local_view(current_graph, v, params.collect_radius, subtrees)
+    return _decide_from_view(view, params)
 
 
 def local_layer_decision_from_ball(
-    ball: KnownBall, params: ColoringParameters
+    ball: KnownBall,
+    params: ColoringParameters,
+    subtrees: Optional[SubtreeTable] = None,
 ) -> bool:
     """Algorithm 3's layer decision, consuming only a gathered ball.
 
@@ -198,16 +207,17 @@ def local_layer_decision_from_ball(
     knowledge is a :class:`~repro.localmodel.gather.KnownBall` obtained
     by actually running the gather program, not a slice of the global
     graph.  Identical decisions by the gather contract
-    (``ball.as_graph()`` equals the induced radius ball).
+    (``ball.as_graph()`` equals the induced radius ball).  ``subtrees``
+    may be shared by the balls of one gather; raises
+    :class:`~repro.graphs.chordal.NotChordalError` naming the ball's
+    center when the ball is not chordal.
     """
     if ball.radius != params.collect_radius:
         raise ValueError(
             f"ball radius {ball.radius} != collect_radius "
             f"{params.collect_radius}"
         )
-    view = local_view_from_ball(ball)
-    ball_graph = ball.as_graph().induced_subgraph(set(view.interior))
-    return _decide_from_view(view, ball_graph, params)
+    return _decide_from_view(local_view_from_ball(ball, subtrees), params)
 
 
 def message_level_layer_decisions(
@@ -225,22 +235,31 @@ def message_level_layer_decisions(
     The gather compiles to the whole-round batch kernel unless
     ``sealed`` asks for per-node dispatch, with identical decisions and
     round counts.  Raises :class:`~repro.graphs.chordal.NotChordalError`
-    on non-chordal input before any round runs.
+    on non-chordal input before any round runs, and ``TypeError`` when
+    ``params`` is not a :class:`ColoringParameters`.
+
+    The balls share one :data:`~repro.cliquetree.local_view.SubtreeTable`,
+    so each interior vertex's subtree T(u) is built once per call rather
+    than once per ball holding it.  The table lives only for this call:
+    its entries are ``current_graph``'s.
     """
+    if not isinstance(params, ColoringParameters):
+        raise TypeError(
+            f"params must be ColoringParameters, got {type(params).__name__}"
+        )
     if not is_chordal(current_graph):
         raise NotChordalError("input graph is not chordal")
     balls, rounds = gather_balls(current_graph, params.collect_radius, sealed=sealed)
+    subtrees: SubtreeTable = {}
     decisions = {
-        v: local_layer_decision_from_ball(ball, params)
+        v: local_layer_decision_from_ball(ball, params, subtrees)
         for v, ball in balls.items()
     }
     return decisions, rounds
 
 
-def _decide_from_view(
-    view: LocalView, ball_graph: Graph, params: ColoringParameters
-) -> bool:
-    """The decision rule, given the reconstructed view and interior graph."""
+def _decide_from_view(view: LocalView, params: ColoringParameters) -> bool:
+    """The decision rule, given the reconstructed view."""
     frag = view.forest
     phi_v = frag.phi(view.center)
 
@@ -266,7 +285,8 @@ def _decide_from_view(
     # lies in the interior; distances are measured in the interior-induced
     # ball, which is connected through the center.
     full_path = list(reversed(left)) + path + right
-    return path_diameter_at_least(ball_graph, full_path, params.internal_threshold)
+    interior_graph = view.ball.induced_subgraph(view.interior)
+    return path_diameter_at_least(interior_graph, full_path, params.internal_threshold)
 
 
 def _walk_binary(

@@ -24,15 +24,15 @@ the full cost profile.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
+from ..cliquetree.paths import path_independence_number
 from ..coloring.distributed_mvc import message_level_layer_decisions
 from ..coloring.parameters import ColoringParameters, _check_positive_int
 from ..graphs.adjacency import Graph, Vertex
 from ..localmodel.rounds import NodeClocks
-from ..localmodel.rulingset import charged_rounds_distance_k, log_star
+from ..localmodel.rulingset import charged_rounds_distance_k
 from .chordal_mis import ChordalMISResult, chordal_mis, mis_peeling_parameters
 from .interval_mis import mis_parameters
 
@@ -141,8 +141,6 @@ def distributed_chordal_mis(graph: Graph, epsilon: float) -> DistributedMISRepor
         for peeled in layer_paths:
             # A path needs the large-component machinery only when its
             # independence number reaches d; its diameter tells which.
-            from ..cliquetree.paths import path_independence_number
-
             alpha_path = path_independence_number(peeled.cliques)
             solve = max(solve, large_cost if alpha_path >= d else small_cost)
         layer_solve.append(solve)

@@ -599,7 +599,12 @@ def d1_cell(
     message-volume comparison against the flood lives in
     ``BENCH_network.json``.  The gather takes the whole-round batch
     kernel; ``path`` reports the dispatch it actually took.
+
+    The from-ball decisions share one subtree table, and the global-graph
+    validations another: filling the oracle's table from ``g`` rather
+    than from the gathered balls keeps it independent of the gather.
     """
+    from ..cliquetree import SubtreeTable
     from ..coloring import local_layer_decision, local_layer_decision_from_ball
     from ..localmodel import gather_balls
 
@@ -612,12 +617,14 @@ def d1_cell(
     verts = sorted(g.vertices())
     step = max(1, len(verts) // sample)
     sampled = verts[::step][:sample]
+    ball_subtrees: SubtreeTable = {}
+    global_subtrees: SubtreeTable = {}
     agree = 0
     joined = 0
     for v in sampled:
-        from_ball = local_layer_decision_from_ball(balls[v], params)
+        from_ball = local_layer_decision_from_ball(balls[v], params, ball_subtrees)
         joined += 1 if from_ball else 0
-        if from_ball == local_layer_decision(g, v, params):
+        if from_ball == local_layer_decision(g, v, params, global_subtrees):
             agree += 1
     return {
         "pipeline": pipeline,

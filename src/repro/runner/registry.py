@@ -265,9 +265,10 @@ def _plan_d1(
     seed=0,
 ):
     # paths scale to n = 2 * 10^4; interval chains have denser balls and
-    # are capped where the per-node view reconstruction stays tractable;
-    # random chordal graphs peel in several layers (mixed decisions) but
-    # their balls cover most of the graph, so they stay smaller still
+    # random chordal graphs peel in several layers (mixed decisions) with
+    # balls covering most of the graph.  Both keep their published sizes;
+    # with the shared subtree table the gather, not the decisions, is the
+    # largest part of their cells, so view reconstruction no longer caps them
     return [
         CellSpec(
             "D1",

@@ -18,6 +18,7 @@ from repro.coloring import (
     message_level_layer_decisions,
 )
 from repro.graphs import (
+    Graph,
     NotChordalError,
     cycle_graph,
     paper_example_graph,
@@ -78,6 +79,41 @@ def test_message_level_helper_matches_flooded_decisions(program):
 def test_non_chordal_input_fails_before_the_gather():
     with pytest.raises(NotChordalError, match="not chordal"):
         message_level_layer_decisions(cycle_graph(4), ColoringParameters.from_k(1))
+
+
+def test_message_level_decisions_reject_a_non_parameter():
+    with pytest.raises(TypeError, match="ColoringParameters, got int"):
+        message_level_layer_decisions(random_chordal_graph(6, seed=1), 1)
+
+
+def _wheel(rim):
+    """Hub 0 joined to every vertex of the cycle 1..rim (not chordal)."""
+    edges = [(0, i) for i in range(1, rim + 1)]
+    edges += [(i, i % rim + 1) for i in range(1, rim + 1)]
+    return Graph(vertices=range(rim + 1), edges=edges)
+
+
+def test_cyclic_ball_names_its_center():
+    """Each Gamma[u] of a 6-cycle is chordal, but their subtrees close a
+    cycle; the error names the ball, not the forest."""
+    params = ColoringParameters.paper_constants(1)
+    cycle = cycle_graph(6)
+    balls, _ = gather_balls(cycle, params.collect_radius)
+    with pytest.raises(NotChordalError, match="ball of 2 is not chordal"):
+        local_layer_decision_from_ball(balls[2], params)
+    with pytest.raises(NotChordalError, match="ball of 2 is not chordal"):
+        local_layer_decision(cycle, 2, params)
+
+
+def test_wheel_ball_names_its_center_not_an_inner_vertex():
+    """Gamma[hub] is the whole wheel; the error still names the center."""
+    params = ColoringParameters.paper_constants(1)
+    wheel = _wheel(5)
+    balls, _ = gather_balls(wheel, params.collect_radius)
+    with pytest.raises(NotChordalError, match="ball of 3 is not chordal"):
+        local_layer_decision_from_ball(balls[3], params)
+    with pytest.raises(NotChordalError, match="ball of 3 is not chordal"):
+        local_layer_decision(wheel, 3, params)
 
 
 def test_from_ball_decision_rejects_radius_mismatch():

@@ -120,6 +120,14 @@ class TestCheck:
         for term in ("Graph.diameter", "compute_parent", "greedy_distance_k_selection"):
             assert f"docs/kernels.md: {term!r} is never mentioned" in text
 
+    def test_gather_doc_must_name_the_subtree_table(self, broken_root):
+        docs = broken_root / "docs"
+        docs.mkdir()
+        (docs / "gather.md").write_text("# KnownBall and local_view_from_ball\n")
+        text = "\n".join(check_docs.check(broken_root))
+        assert "docs/gather.md: 'SubtreeTable' is never mentioned" in text
+        assert "docs/gather.md: 'local_view_from_ball' is never mentioned" not in text
+
     def test_empty_extraction_is_itself_a_problem(self, tmp_path):
         (tmp_path / "src" / "repro").mkdir(parents=True)
         (tmp_path / "EXPERIMENTS.md").write_text("no headings here\n")

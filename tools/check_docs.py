@@ -38,8 +38,9 @@ instructions can never silently rot:
   minimize/reproduce gate, ``repro chaos``, the recovery modes,
   ``BENCH_chaos.json``);
 * ``docs/gather.md`` must exist and document the ball-gathering surface
-  (``KnownBall``, the delta/reference program pair, the counting
-  contract's status sets, ``bench_network`` / ``BENCH_network.json``);
+  (``KnownBall``, the delta/reference program pair, the shared
+  ``SubtreeTable`` of the local views, the counting contract's status
+  sets, ``bench_network`` / ``BENCH_network.json``);
 * ``docs/executor.md`` must exist and document the whole-round batch
   executor (``BatchExecutor``, ``BatchKernel``, ``KernelIneligible``,
   the three stock kernels, the blockers that select the per-node path
@@ -305,6 +306,7 @@ def check(root: Path) -> List[str]:
             "DeltaGatherProgram",
             "as_graph",
             "local_view_from_ball",
+            "SubtreeTable",
             "DELIVERY_STATUSES",
             "WIRE_STATUSES",
             "radius + 1",
