@@ -3,7 +3,7 @@
 import pytest
 
 from benchmarks.conftest import run_once
-from repro.analysis import GRAPH_FAMILIES
+from repro.runner.cells import GRAPH_FAMILIES
 from repro.graphs import is_independent_set
 from repro.mis import chordal_mis, independence_number_chordal
 

@@ -8,7 +8,7 @@ eps > 2/chi.
 import pytest
 
 from benchmarks.conftest import run_once
-from repro.analysis import GRAPH_FAMILIES
+from repro.runner.cells import GRAPH_FAMILIES
 from repro.coloring import color_chordal_graph
 from repro.graphs import is_proper_coloring
 

@@ -4,7 +4,7 @@ Produces ``BENCH_network.json``: for every (family, n, radius) cell the
 output-sensitive :class:`~repro.localmodel.gather.DeltaGatherProgram` is
 run under both executors (per-node scheduler and the whole-round
 :class:`~repro.localmodel.gather.DeltaGatherKernel`) together with the
-retained full-flood reference; all per-node
+full-flood oracle ``reference_gather`` of ``tests/oracles.py``; all per-node
 :class:`~repro.localmodel.gather.KnownBall` outputs are asserted
 identical and three figures are recorded per cell --
 
@@ -53,7 +53,9 @@ import time
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT))
 
 from repro.graphs.adjacency import Graph, Vertex
 from repro.graphs.generators import (
@@ -62,15 +64,16 @@ from repro.graphs.generators import (
     unit_interval_chain,
 )
 from repro.graphs.index import graph_index
-from repro.localmodel.gather import DeltaGatherProgram, _reference_gather, gather_balls
+from repro.localmodel.gather import DeltaGatherProgram, gather_balls
 from repro.localmodel.network import (
     WIRE_STATUSES,
     MessageRecord,
     SyncNetwork,
     TraceSink,
 )
+from tests.oracles import reference_gather
 
-OUT_PATH = Path(__file__).resolve().parent.parent / "BENCH_network.json"
+OUT_PATH = ROOT / "BENCH_network.json"
 
 #: (family, n, radius, time_flood, measure_volume) cells of the full
 #: sweep; radii mirror the pipeline (collect_radius = 10 for MVC at
@@ -217,7 +220,7 @@ def _cell(
     if time_flood:
         # the flood has no batch kernel: it always steps node by node
         balls, flood_rounds, flood_seconds = _timed_gather(
-            _reference_gather, g, radius, repeats
+            reference_gather, g, radius, repeats
         )
         outputs["flood"] = balls
         assert flood_rounds == rounds, f"round count diverged on {family} n={n}"
@@ -239,7 +242,7 @@ def _cell(
     volume_reduction = None
     if measure_volume:
         delta_vol = _measured_volume(gather_balls, g, radius)
-        flood_vol = _measured_volume(_reference_gather, g, radius)
+        flood_vol = _measured_volume(reference_gather, g, radius)
         delta_facts, delta_messages = delta_vol.facts, delta_vol.messages
         flood_facts, flood_messages = flood_vol.facts, flood_vol.messages
         if delta_facts:

@@ -5,7 +5,7 @@ import math
 import pytest
 
 from benchmarks.conftest import run_once
-from repro.analysis import GRAPH_FAMILIES
+from repro.runner.cells import GRAPH_FAMILIES
 from repro.coloring import diameter_rule, peel_chordal_graph
 
 

@@ -16,7 +16,9 @@ announcement / arXiv:1805.04544), as a standalone Python library:
   Independent Set algorithms (Sections 6-7);
 * :mod:`repro.baselines` -- Luby's MIS and (Delta + 1) colorings;
 * :mod:`repro.lowerbounds` -- the Theorem 9 experiment (Section 8);
-* :mod:`repro.analysis` -- experiment runners behind EXPERIMENTS.md.
+* :mod:`repro.runner` -- the experiment registry and cells behind
+  EXPERIMENTS.md (``repro run``);
+* :mod:`repro.analysis` -- table formatting and scaling-law fits.
 
 Quickstart::
 

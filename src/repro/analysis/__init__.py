@@ -1,28 +1,8 @@
-"""Experiment runners and table formatting (see EXPERIMENTS.md)."""
+"""Table formatting and scaling-law fits shared by examples and benchmarks.
 
-from .experiments import (
-    GRAPH_FAMILIES,
-    baseline_rows,
-    chordal_mis_rows,
-    interval_mis_rows,
-    lower_bound_rows,
-    mvc_approximation_rows,
-    mvc_rounds_rows,
-    mvc_rounds_vs_epsilon_rows,
-    pruning_rows,
-)
+Experiments themselves live in :mod:`repro.runner` (registry + cells).
+"""
+
 from .tables import format_table, format_value
 
-__all__ = [
-    "GRAPH_FAMILIES",
-    "baseline_rows",
-    "chordal_mis_rows",
-    "interval_mis_rows",
-    "lower_bound_rows",
-    "mvc_approximation_rows",
-    "mvc_rounds_rows",
-    "mvc_rounds_vs_epsilon_rows",
-    "pruning_rows",
-    "format_table",
-    "format_value",
-]
+__all__ = ["format_table", "format_value"]

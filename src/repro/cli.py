@@ -6,7 +6,7 @@ Commands:
 * ``color GRAPH``      -- run Algorithm 1/2, print or save the coloring
 * ``mis GRAPH``        -- run Algorithm 6, print or save the set
 * ``generate FAMILY``  -- write a seeded random instance as an edge list
-* ``report [IDS...]``  -- regenerate the EXPERIMENTS.md tables (serial)
+* ``report [IDS...]``  -- alias of ``run --jobs 1 --no-cache --ids IDS``
 * ``run``              -- the parallel cached experiment engine
   (``--list``, ``--ids``, ``--jobs``, ``--no-cache``, ``--clean-cache``,
   ``--bench``, ``--profile``; see :mod:`repro.runner`
@@ -30,6 +30,9 @@ stdin.  Non-chordal inputs are rejected unless ``--triangulate`` is given,
 in which case the min-fill completion is used (colorings remain valid for
 the original graph; independent sets too, with the guarantee referring to
 the completion).
+
+Bad input (an unreadable or malformed ``GRAPH``, an out-of-range option)
+exits 2 with one ``repro <command>: ...`` line on stderr.
 """
 
 from __future__ import annotations
@@ -39,7 +42,6 @@ import json
 import sys
 from typing import Optional
 
-from .analysis.report import EXPERIMENTS, run_report
 from .coloring import ColoringParameters, color_chordal_graph, distributed_color_chordal
 from .graphs import (
     Graph,
@@ -102,7 +104,9 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--output", help="file to write (default stdout)")
 
-    rep = sub.add_parser("report", help="regenerate experiment tables")
+    rep = sub.add_parser(
+        "report", help="regenerate experiment tables (run --jobs 1 --no-cache)"
+    )
     rep.add_argument("ids", nargs="*",
                      help="experiment ids (default: all; aliases like T5 ok)")
 
@@ -243,9 +247,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class _BadInput(Exception):
+    """Bad input at the CLI boundary: :func:`main` prints it and exits 2."""
+
+
 def _read_graph(path: str) -> Graph:
-    text = sys.stdin.read() if path == "-" else open(path).read()
-    return from_edge_list(text)
+    try:
+        if path == "-":
+            return from_edge_list(sys.stdin.read())
+        with open(path) as handle:
+            return from_edge_list(handle.read())
+    except OSError as exc:
+        raise _BadInput(f"{path}: {exc.strerror or exc}") from None
+    except ValueError as exc:
+        raise _BadInput(f"{path}: {exc}") from None
 
 
 def _epsilon_error(command: str, check, epsilon: float) -> Optional[int]:
@@ -291,6 +306,10 @@ def _trace_factory(args, graph: Graph):
         from .localmodel import vertex_key
 
         root = min(graph.vertices(), key=vertex_key)
+    elif root not in graph:
+        raise _BadInput(f"--root {root} is not a vertex of the graph")
+    if args.radius < 0:
+        raise _BadInput(f"--radius must be >= 0, got {args.radius}")
     if args.program == "bfs":
         from .localmodel import BFSLayerProgram
 
@@ -402,8 +421,8 @@ def _cmd_trace(args, out) -> int:
 
     summary = metrics.summary()
     print(
-        f"{args.program} on {len(graph)} vertices "
-        f"(active scheduler{', sealed' if args.sealed else ''})",
+        f"{args.program} on {len(graph)} vertices"
+        f"{' (sealed)' if args.sealed else ''}",
         file=out,
     )
     print(
@@ -609,7 +628,7 @@ def _cmd_faults(args, out) -> int:
             checkpoint_every=args.checkpoint_every,
         )
     except ValueError as exc:
-        raise SystemExit(str(exc))
+        raise _BadInput(str(exc)) from None
     monitor = ValidityMonitor(traced.network, validator)
     traced.network.add_sink(monitor)
 
@@ -682,6 +701,8 @@ def _cmd_chaos(args, out) -> int:
     from .analysis.tables import format_table
     from .localmodel.chaos import chaos_soak
 
+    if args.trials < 1:
+        raise _BadInput(f"--trials must be >= 1, got {args.trials}")
     suite = _faults_suite()
     if args.quick:
         suite = [e for e in suite if e[0] in CHAOS_QUICK_PROGRAMS]
@@ -694,8 +715,6 @@ def _cmd_chaos(args, out) -> int:
                 f"(have: {', '.join(e[0] for e in suite)})"
             )
         suite = [e for e in suite if e[0] in wanted]
-    if args.trials < 1:
-        raise SystemExit("repro chaos: --trials must be >= 1")
 
     report = chaos_soak(
         suite,
@@ -768,9 +787,9 @@ def _cmd_chaos(args, out) -> int:
 def _cmd_run(args, out) -> int:
     """The ``repro run`` front-end over :mod:`repro.runner`.
 
-    Tables go to ``out`` (byte-identical to ``repro report`` for the
-    same ids); progress and cache statistics go to stderr so stdout
-    stays diffable.
+    Tables go to ``out`` (byte-identical at any ``--jobs`` and cache
+    state); progress and cache statistics go to stderr so stdout stays
+    diffable.
     """
     import json as _json
 
@@ -876,7 +895,18 @@ def _with_profile(args, command, out) -> int:
 def main(argv: Optional[list] = None, out=None) -> int:
     out = out or sys.stdout
     args = build_parser().parse_args(argv)
+    if args.command == "report":
+        args = build_parser().parse_args(
+            ["run", "--jobs", "1", "--no-cache", "--ids", *args.ids]
+        )
+    try:
+        return _run_command(args, out)
+    except _BadInput as exc:
+        print(f"repro {args.command}: {exc}", file=sys.stderr)
+        return 2
 
+
+def _run_command(args, out) -> int:
     if args.command == "info":
         g = _read_graph(args.graph)
         chordal = is_chordal(g)
@@ -936,16 +966,6 @@ def main(argv: Optional[list] = None, out=None) -> int:
                   file=out)
         else:
             out.write(text)
-        return 0
-
-    if args.command == "report":
-        from .runner import UnknownExperimentError
-
-        try:
-            print(run_report(list(args.ids)), file=out)
-        except UnknownExperimentError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
         return 0
 
     if args.command == "run":

@@ -52,8 +52,11 @@ def interval_graph_from_intervals(
             raise ValueError(f"interval for {v!r} is reversed: ({lo}, {hi})")
     g = Graph(vertices=intervals)
     items = sorted(intervals.items(), key=lambda kv: (kv[1][0], kv[1][1]))
-    for i, (u, (lo_u, hi_u)) in enumerate(items):
-        for v, (lo_v, hi_v) in items[i + 1:]:
+    # index the sorted list: slicing its tail per vertex is O(n^2) copying
+    # even though each scan stops at the first non-overlapping interval
+    for i, (u, (_, hi_u)) in enumerate(items):
+        for j in range(i + 1, len(items)):
+            v, (lo_v, _) = items[j]
             if lo_v > hi_u:
                 break
             g.add_edge(u, v)

@@ -4,8 +4,8 @@ A :class:`Finding` pins a rule violation to ``path:line:col`` plus the
 enclosing ``Class.method`` so it is actionable from a terminal or CI log.
 Formatting mirrors the two consumers: ``format_text`` for humans (the
 ``repro lint`` default) and ``format_json`` for tooling, following the
-table/report idiom of :mod:`repro.analysis.report` (plain strings, no
-third-party dependencies).
+plain-text table idiom of :mod:`repro.analysis.tables` (plain strings,
+no third-party dependencies).
 """
 
 from __future__ import annotations

@@ -36,9 +36,10 @@ programs, so outputs *and* round counts are identical.
 
 :func:`gather_balls` packages a full run; the equivalence tests check its
 output against direct BFS, which is what entitles the layered algorithms
-to use the cheaper accounting of :mod:`repro.localmodel.rounds`.
-:func:`_reference_gather` runs the retained full flood, the oracle of the
-equivalence tests and ``benchmarks/bench_network.py``.
+to use the cheaper accounting of :mod:`repro.localmodel.rounds`.  A
+full-flood gather, ``reference_gather`` in ``tests/oracles.py``, is the
+oracle of the equivalence tests and the flood side of
+``benchmarks/bench_network.py``.
 """
 
 from __future__ import annotations
@@ -502,9 +503,9 @@ def gather_balls(
     """Run delta gathering; returns per-node balls and rounds used.
 
     Every node runs :class:`DeltaGatherProgram`; outputs and round counts
-    equal the full flood of :func:`_reference_gather` (the equivalence
-    suite asserts the full matrix).  ``sealed``, ``sinks`` and ``faults``
-    pass through to the network unchanged.  The run compiles to
+    equal those of the full flood (the equivalence suite asserts the full
+    matrix).  ``sealed``, ``sinks`` and ``faults`` pass through to the
+    network unchanged.  The run compiles to
     :class:`DeltaGatherKernel` unless one of them asks for per-node
     dispatch (a sealed run, attached sinks, a non-empty fault plan), and
     outputs and stats are identical either way.  A caller-supplied
@@ -518,20 +519,3 @@ def gather_balls(
         return DeltaGatherProgram(v, nbrs, radius, state_of.get(v), index)
 
     return _run_gather(graph, radius, factory, sealed, sinks, faults, info)
-
-
-def _reference_gather(
-    graph: Graph,
-    radius: int,
-    states: Optional[Dict[Vertex, Any]] = None,
-    sealed: bool = False,
-    sinks: Optional[List[TraceSink]] = None,
-    faults: Optional["FaultPlan"] = None,
-) -> Tuple[Dict[Vertex, KnownBall], int]:
-    """The retained full-flood gather (equivalence tests, benchmarks)."""
-    state_of = states or {}
-
-    def factory(v: Vertex, nbrs: List[Vertex]) -> NodeProgram:
-        return BallGatherProgram(v, nbrs, radius, state_of.get(v))
-
-    return _run_gather(graph, radius, factory, sealed, sinks, faults)

@@ -1,10 +1,11 @@
 """Parallel, cached experiment engine behind ``repro run``.
 
 The sweeps that verify every quantitative claim of EXPERIMENTS.md are
-embarrassingly parallel across graph instances.  This package registers
-each of them as a named, parameterized experiment (ids ``T3``, ``T4``,
-``T5/T6``, ``T7/T8``, ``T9``, ``L6``, ``B1``, ``F1-F6``, ``X1``), fans
-the individual cells out over a process pool with per-cell timeouts and
+embarrassingly parallel across graph instances.  This package is the one
+place they are implemented: it registers each of them as a named,
+parameterized experiment (ids ``T3`` through ``S1``, see
+:mod:`repro.runner.registry`; the cells live in :mod:`repro.runner.cells`),
+fans the individual cells out over a process pool with per-cell timeouts and
 crash isolation, caches successful cell results on disk under
 content-addressed keys, and folds the payloads back into byte-identical
 EXPERIMENTS.md tables regardless of completion order.
@@ -99,8 +100,8 @@ def run_bench(
 ) -> Dict[str, Any]:
     """Serial vs parallel vs warm-cache comparison (``BENCH_runner.json``).
 
-    Three runs over the same cells: jobs=1 without cache (the legacy
-    serial baseline), jobs=N against a fresh cache (cold parallel), and
+    Three runs over the same cells: jobs=1 without cache (the serial
+    baseline), jobs=N against a fresh cache (cold parallel), and
     jobs=N again (warm — measures pure cache-hit latency).  Also asserts
     the three reports are byte-identical and records the verdict and the
     machine's CPU count (see :func:`~repro.runner.results.bench_summary`

@@ -2,12 +2,12 @@
 
 A cell's key is the SHA-256 of its experiment id, its cell function, its
 canonicalised parameters, and the :mod:`repro.runner.sourcehash` digest
-of the modules the experiment depends on.  The value is the cell's
-JSON-serialisable payload.  Consequences:
+of the modules the experiment depends on and of the cell module.  The
+value is the cell's JSON-serialisable payload.  Consequences:
 
-* re-running a report is a cache hit unless the parameters or the
-  *relevant* source changed — editing an unrelated module keeps every
-  entry valid;
+* re-running a report is a cache hit unless the parameters, the cell
+  bodies or the *relevant* library source changed — editing an
+  unrelated module keeps every entry valid;
 * there is no invalidation logic to get wrong: stale entries are simply
   never addressed again (``clean`` removes them wholesale);
 * only **successful** cells are cached — failures and timeouts always

@@ -21,9 +21,12 @@ per-cell JSONL log only — no render consumes them — so reports stay
 byte-identical across ``--jobs`` counts and cache states.
 
 The reduction from cell payloads back to EXPERIMENTS.md rows lives in
-:mod:`repro.runner.registry`; it replicates the fold order of
-:mod:`repro.analysis.experiments` so tables are byte-identical to the
-serial path.
+:mod:`repro.runner.registry`.  Its folds replicate the nested serial
+loops the tables were first computed with (kept as test oracles in
+``tests/oracles.py``), so the tables are byte-identical to them.
+
+This module is the only place an experiment is implemented, so every
+cache key hashes its bytes (see :mod:`repro.runner.sourcehash`).
 """
 
 from __future__ import annotations
@@ -31,7 +34,6 @@ from __future__ import annotations
 import math
 from typing import Any, Callable, Dict, List, Tuple
 
-from ..analysis.experiments import GRAPH_FAMILIES
 from ..baselines import luby_mis, sequential_greedy_coloring
 from ..coloring import (
     color_chordal_graph,
@@ -42,12 +44,15 @@ from ..coloring import (
 )
 from ..coloring.greedy import peo_greedy_coloring
 from ..graphs import (
+    Graph,
     clique_number,
     maximal_cliques,
     num_colors,
     path_graph,
     random_chordal_graph,
+    random_interval_graph,
     random_k_tree,
+    random_tree,
     simplicial_vertices,
     unit_interval_chain,
 )
@@ -55,6 +60,7 @@ from ..lowerbounds import measure_r_round_mis
 from ..mis import chordal_mis, independence_number_chordal, interval_mis
 
 __all__ = [
+    "GRAPH_FAMILIES",
     "a1_cell",
     "a2_cell",
     "a3_cell",
@@ -76,6 +82,15 @@ __all__ = [
     "s1_cell",
     "s1_chaos_cell",
 ]
+
+#: name -> generator(n, seed); the families the T3, T7/T8 and B1 sweeps
+#: run over, and the ``family`` choices of T4 and L6
+GRAPH_FAMILIES: Dict[str, Callable[[int, int], Graph]] = {
+    "tree": lambda n, seed: random_tree(n, seed=seed),
+    "interval": lambda n, seed: random_interval_graph(n, seed=seed, max_length=0.05),
+    "k-tree(3)": lambda n, seed: random_k_tree(n, 3, seed=seed),
+    "chordal": lambda n, seed: random_chordal_graph(n, seed=seed, tree_size=n),
+}
 
 
 def _family_graph(family: str, n: int, seed: int):

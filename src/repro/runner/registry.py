@@ -7,10 +7,11 @@ Each :class:`Experiment` knows how to
   instance / one measurement each);
 * **render** — fold the cell payloads back into the exact table text of
   ``EXPERIMENTS.md``.  The folds replicate the loop order and tie-break
-  rules of :mod:`repro.analysis.experiments` (e.g. T3's ``>=`` lets the
-  *latest* worst seed win), so a ``--jobs 8`` run is byte-identical to
-  the legacy serial report;
-* **deps** — the root modules whose source feeds the cache key (see
+  rules of the serial loops kept as oracles in ``tests/oracles.py``
+  (e.g. T3's ``>=`` lets the *latest* worst seed win), so a ``--jobs 8``
+  run is byte-identical to a serial one;
+* **deps** — the root modules whose import closure feeds the cache key,
+  next to the bytes of :mod:`repro.runner.cells` (see
   :mod:`repro.runner.sourcehash`).
 
 Ids accept the aliases used across the docs: ``T5``, ``T6``, ``T5-6``
@@ -25,8 +26,8 @@ from dataclasses import dataclass, field
 from itertools import groupby
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from ..analysis.experiments import GRAPH_FAMILIES
 from ..analysis.tables import format_table
+from .cells import GRAPH_FAMILIES
 
 __all__ = [
     "CellSpec",
@@ -74,7 +75,7 @@ class Experiment:
 
 
 # --------------------------------------------------------------------------
-# plans: expand sweeps into cells (loop order mirrors analysis.experiments)
+# plans: expand sweeps into cells (loop order mirrors the serial oracles)
 
 def _plan_t3(eps_values=(1.0, 0.5, 0.25), n=150, seeds=(0, 1, 2)):
     return [
@@ -778,7 +779,7 @@ def _render_k2(specs, values):
 # --------------------------------------------------------------------------
 # the registry itself (order = report order; legacy ids first)
 
-_GENERATOR_DEPS = ("repro.graphs.generators", "repro.analysis.experiments")
+_GENERATOR_DEPS = ("repro.graphs.generators",)
 
 REGISTRY: Dict[str, Experiment] = {
     exp.id: exp
@@ -858,7 +859,11 @@ REGISTRY: Dict[str, Experiment] = {
         Experiment(
             "A1-A3",
             "Ablations: threshold / spare colors / domination removal",
-            ("repro.analysis.ablations",),
+            (
+                "repro.coloring.parameters",
+                "repro.coloring.prune",
+                "repro.graphs.interval",
+            ) + _GENERATOR_DEPS,
             _plan_a13,
             _render_a13,
             {"multipliers": (0.25, 0.5, 1.0, 2.0), "chi_values": (4, 16, 64)},
@@ -1020,7 +1025,7 @@ def plan_cells(
 def render_report(
     specs: List[CellSpec], values: List[Any], ids: Optional[Iterable[str]] = None
 ) -> str:
-    """The full report text — same framing as ``repro.analysis.report``."""
+    """The full report text: one ``== id: title ==`` section per experiment."""
     selected = resolve_ids(ids or [])
     chunks = []
     for experiment_id in selected:

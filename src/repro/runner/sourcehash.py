@@ -7,6 +7,12 @@ modules it depends on and the cache key incorporates a hash of the
 transitive intra-package import closure of those roots: editing
 ``repro.lowerbounds`` invalidates T9 but leaves T3's cached cells alive.
 
+Every key also hashes the bytes of :mod:`repro.runner.cells`, where the
+cell bodies live: no experiment's closure reaches that module, so
+without it an edited cell would keep serving its old cached payload.
+The file alone is hashed, not its import closure, which spans the whole
+package and would tie every experiment to every module.
+
 The closure is computed statically — ``ast``-parsing ``import`` statements
 — so building a cache key never imports (or executes) the modules it
 hashes.  Only imports that resolve inside the ``repro`` package are
@@ -18,11 +24,14 @@ from __future__ import annotations
 import ast
 import hashlib
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Set
+from typing import Dict, List, Optional, Sequence, Set
 
 __all__ = ["module_file", "module_closure", "source_hash"]
 
 PACKAGE = "repro"
+
+#: the module every cache key hashes by its file bytes alone
+CELLS_MODULE = "repro.runner.cells"
 
 #: package root directory (src/repro); overridable for tests.
 _PACKAGE_ROOT = Path(__file__).resolve().parent.parent
@@ -89,10 +98,6 @@ def _imports_of(path: Path, module_name: str) -> Set[str]:
     return found
 
 
-def _is_package_init(path: Path, root: Path) -> bool:
-    return path.name == "__init__.py"
-
-
 def module_closure(
     roots: Sequence[str], root: Optional[Path] = None
 ) -> Dict[str, Path]:
@@ -128,12 +133,15 @@ def module_closure(
 
 
 def source_hash(roots: Sequence[str], root: Optional[Path] = None) -> str:
-    """Hex digest over the sources of the import closure of ``roots``.
+    """Hex digest over the import closure of ``roots`` plus the cell module.
 
     Stable across runs and machines; changes iff a file in the closure
-    changes (or joins/leaves the closure).
+    or :data:`CELLS_MODULE` changes (or a file joins/leaves the closure).
     """
     closure = module_closure(roots, root)
+    cells = module_file(CELLS_MODULE, root)
+    if cells is not None:
+        closure[CELLS_MODULE] = cells
     digest = hashlib.sha256()
     for name in sorted(closure):
         digest.update(name.encode())

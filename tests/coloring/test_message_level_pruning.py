@@ -25,10 +25,10 @@ from repro.graphs import (
     random_chordal_graph,
 )
 from repro.localmodel import gather_balls
-from repro.localmodel.gather import _reference_gather
+from tests.oracles import reference_gather
 
 #: the shipped delta gather and the full-flood oracle, by test id
-GATHERS = {"delta": gather_balls, "reference": _reference_gather}
+GATHERS = {"delta": gather_balls, "reference": reference_gather}
 
 
 def decisions_from_flooded_balls(current, params, gather=gather_balls):

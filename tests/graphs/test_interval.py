@@ -21,6 +21,26 @@ from repro.graphs import (
     star_graph,
     unit_interval_chain,
 )
+from tests.oracles import interval_graph_by_slicing
+
+
+def _same_graph(a, b):
+    """Same vertices and per-vertex neighbour lists, insertion order included."""
+    return list(a.vertices()) == list(b.vertices()) and all(
+        list(a.neighbors_view(v)) == list(b.neighbors_view(v)) for v in a.vertices()
+    )
+
+
+# small integer endpoints make touching endpoints and equal intervals common
+_INTERVALS = st.lists(
+    st.tuples(st.integers(0, 30), st.integers(0, 6)), max_size=40
+).flatmap(
+    lambda spans: st.permutations(range(len(spans))).map(
+        lambda labels: {
+            label: (lo, lo + length) for label, (lo, length) in zip(labels, spans)
+        }
+    )
+)
 
 
 class TestIntervalConstruction:
@@ -43,6 +63,20 @@ class TestIntervalConstruction:
 
     def test_empty(self):
         assert len(interval_graph_from_intervals({})) == 0
+
+    def test_touching_and_equal_intervals_match_the_slicing_builder(self):
+        intervals = {5: (0, 1), 3: (1, 2), 9: (0, 1), 1: (2, 2), 7: (3, 4)}
+        g = interval_graph_from_intervals(intervals)
+        assert g.has_edge(5, 9) and g.has_edge(3, 1) and not g.has_edge(1, 7)
+        assert _same_graph(g, interval_graph_by_slicing(intervals))
+
+    @settings(max_examples=200, deadline=None)
+    @given(_INTERVALS)
+    def test_matches_the_slicing_builder(self, intervals):
+        assert _same_graph(
+            interval_graph_from_intervals(intervals),
+            interval_graph_by_slicing(intervals),
+        )
 
 
 class TestDomination:

@@ -41,13 +41,9 @@ from repro.localmodel import (
     gather_balls,
 )
 from repro.localmodel.colorreduction import LinialPathProgram
-from repro.localmodel.gather import (
-    BallGatherProgram,
-    DeltaGatherProgram,
-    _reference_gather,
-)
+from repro.localmodel.gather import BallGatherProgram, DeltaGatherProgram
 from repro.localmodel.programs import BFSLayerProgram, bfs_layers
-from tests.oracles import scheduling
+from tests.oracles import reference_gather, scheduling
 
 SCHEDULERS = ("active", "dense")
 
@@ -128,7 +124,7 @@ class TestDeltaGatherKernelEquivalence:
             scheduler=scheduler,
         )
         if len(graph):
-            reference, _ = _reference_gather(graph, radius, states)
+            reference, _ = reference_gather(graph, radius, states)
             assert outputs == reference
 
     def test_gather_balls_matches_node_path(self):
@@ -155,7 +151,7 @@ class TestDeltaGatherKernelEquivalence:
 
     def test_reference_program_has_no_kernel_and_falls_back(self):
         g = path_graph(6)
-        balls, rounds = _reference_gather(g, 2)
+        balls, rounds = reference_gather(g, 2)
         assert rounds == 3
         ex = BatchExecutor(g, lambda v, nbrs: BallGatherProgram(v, nbrs, 2, None))
         assert ex.run(max_rounds=3) == balls

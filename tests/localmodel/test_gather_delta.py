@@ -22,12 +22,11 @@ from repro.graphs import (
     star_graph,
 )
 from repro.localmodel import FaultPlan, MessageMeter, gather_balls
-from repro.localmodel.gather import _reference_gather
-from tests.oracles import scheduling
+from tests.oracles import reference_gather, scheduling
 
 SCHEDULERS = ("active", "dense")
 #: the shipped delta gather and the full-flood oracle, by test id
-GATHERS = {"delta": gather_balls, "reference": _reference_gather}
+GATHERS = {"delta": gather_balls, "reference": reference_gather}
 # fault plans under which delta == reference holds (drop/delay diverge)
 EQUIVALENT_FAULTS = {
     "none": None,
@@ -88,7 +87,7 @@ class TestEquivalenceMatrix:
                         sealed=sealed,
                         faults=EQUIVALENT_FAULTS[fault_name],
                     )
-                    ref, r_rounds = _reference_gather(
+                    ref, r_rounds = reference_gather(
                         g,
                         radius,
                         states,
@@ -117,7 +116,7 @@ class TestEquivalenceMatrix:
             assert rounds == radius + 1
 
     def test_unknown_program_rejected(self):
-        # one gather ships; the full flood is the _reference_gather oracle
+        # one gather ships; the full flood is the reference_gather oracle
         with pytest.raises(TypeError, match="program"):
             gather_balls(path_graph(3), 1, program="reference")
 
@@ -209,7 +208,7 @@ def test_delta_sends_fewer_messages_than_reference():
     meter_d = MessageMeter()
     meter_r = MessageMeter()
     gather_balls(g, 8, sinks=[meter_d])
-    _reference_gather(g, 8, sinks=[meter_r])
+    reference_gather(g, 8, sinks=[meter_r])
     assert (
         meter_d.total_payload_words < meter_r.total_payload_words
     ), "delta gathering must move strictly fewer payload words"

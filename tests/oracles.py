@@ -26,14 +26,42 @@ as the legacy side.
 as first written: its own orientation of T(v) and an all-pairs BFS
 diameter.  The library's decision reuses the peeling's path code and
 must decide identically.
+
+:func:`reference_gather` is the full-flood ball gather (every node
+re-broadcasts everything it knows, every round).  The library's delta
+gather must return the same balls in the same number of rounds, and
+``benchmarks/bench_network.py`` times it as the flood side.
+
+:func:`interval_graph_by_slicing` is the interval-graph builder that
+copied the sorted tail once per vertex; the index loop of
+:func:`~repro.graphs.interval.interval_graph_from_intervals` must build
+the same graph, neighbour insertion order included.
+
+The ``*_rows`` functions are the nested serial loops the experiment
+tables were first computed with, before :mod:`repro.runner` planned them
+as cells.  ``tests/runner/test_report_compat.py`` formats their rows as
+the ground truth the engine's tables must match byte for byte.
 """
 
+import math
 from contextlib import contextmanager, nullcontext
 from unittest import mock
 
+from repro.baselines import luby_mis, sequential_greedy_coloring
+from repro.coloring import (
+    color_chordal_graph,
+    diameter_rule,
+    distributed_color_chordal,
+    peel_chordal_graph,
+)
 from repro.coloring.distributed_mvc import _walk_binary
+from repro.graphs import Graph, clique_number, num_colors, unit_interval_chain
 from repro.graphs.chordal import perfect_elimination_ordering
+from repro.localmodel.gather import BallGatherProgram, _run_gather
 from repro.localmodel.network import SyncNetwork
+from repro.lowerbounds import measure_r_round_mis
+from repro.mis import chordal_mis, independence_number_chordal, interval_mis
+from repro.runner.cells import GRAPH_FAMILIES
 
 
 def _dense_scheduled(self):
@@ -303,3 +331,145 @@ def _path_diameter_within(ball_graph, path):
             if t in dist:
                 best = max(best, dist[t])
     return best
+
+
+def reference_gather(graph, radius, states=None, sealed=False, sinks=None, faults=None):
+    """Full-flood gathering: per-node balls and rounds, like ``gather_balls``."""
+    state_of = states or {}
+
+    def factory(v, nbrs):
+        return BallGatherProgram(v, nbrs, radius, state_of.get(v))
+
+    return _run_gather(graph, radius, factory, sealed, sinks, faults)
+
+
+def interval_graph_by_slicing(intervals):
+    """Intersection graph of closed intervals, scanning a copied tail per vertex."""
+    for v, (lo, hi) in intervals.items():
+        if lo > hi:
+            raise ValueError(f"interval for {v!r} is reversed: ({lo}, {hi})")
+    g = Graph(vertices=intervals)
+    items = sorted(intervals.items(), key=lambda kv: (kv[1][0], kv[1][1]))
+    for i, (u, (lo_u, hi_u)) in enumerate(items):
+        for v, (lo_v, hi_v) in items[i + 1:]:
+            if lo_v > hi_u:
+                break
+            g.add_edge(u, v)
+    return g
+
+
+def mvc_approximation_rows(eps_values=(1.0, 0.5, 0.25), n=150, seeds=(0, 1, 2)):
+    """T3: measured colors vs the (1 + eps) chi bound, per family."""
+    rows = []
+    for family, make in GRAPH_FAMILIES.items():
+        for eps in eps_values:
+            worst = 0.0
+            chi = 0
+            colors = 0
+            for seed in seeds:
+                g = make(n, seed)
+                result = color_chordal_graph(g, epsilon=eps)
+                ratio = result.approximation_ratio()
+                if ratio >= worst:
+                    worst, chi, colors = ratio, result.chi, result.num_colors()
+            rows.append((family, eps, chi, colors, worst, 1.0 + eps))
+    return rows
+
+
+def mvc_rounds_rows(ns=(100, 200, 400, 800), epsilon=1.0, family="tree", seed=0):
+    """T4: distributed rounds vs n at fixed eps."""
+    make = GRAPH_FAMILIES[family]
+    rows = []
+    for n in ns:
+        report = distributed_color_chordal(make(n, seed), epsilon=epsilon)
+        layers = report.result.peeling.num_layers()
+        rows.append((n, layers, report.pruning_rounds, report.total_rounds))
+    return rows
+
+
+def mvc_rounds_vs_epsilon_rows(
+    eps_values=(2.0, 1.0, 0.5, 0.25), n=300, family="tree", seed=0
+):
+    """T4, other axis: rounds vs 1/eps at fixed n."""
+    g = GRAPH_FAMILIES[family](n, seed)
+    rows = []
+    for eps in eps_values:
+        report = distributed_color_chordal(g, epsilon=eps)
+        rows.append(
+            (eps, report.result.parameters.k, report.total_rounds, report.num_colors())
+        )
+    return rows
+
+
+def interval_mis_rows(eps_values=(0.8, 0.4, 0.2), n=300, seeds=(0, 1, 2)):
+    """T5/T6: interval MIS size vs alpha, and rounds."""
+    rows = []
+    for eps in eps_values:
+        worst_ratio = 1.0
+        rounds = 0
+        for seed in seeds:
+            g = unit_interval_chain(n, seed=seed)
+            result = interval_mis(g, eps)
+            alpha = independence_number_chordal(g)
+            worst_ratio = max(worst_ratio, alpha / max(1, result.size()))
+            rounds = max(rounds, result.rounds)
+        rows.append((eps, worst_ratio, 1.0 + eps, rounds))
+    return rows
+
+
+def chordal_mis_rows(eps_values=(0.45, 0.3, 0.2), n=150, seeds=(0, 1)):
+    """T7/T8: chordal MIS size vs alpha, per family."""
+    rows = []
+    for family, make in GRAPH_FAMILIES.items():
+        for eps in eps_values:
+            worst_ratio = 1.0
+            rounds = 0
+            for seed in seeds:
+                g = make(n, seed)
+                result = chordal_mis(g, eps)
+                alpha = independence_number_chordal(g)
+                worst_ratio = max(worst_ratio, alpha / max(1, result.size()))
+                rounds = max(rounds, result.rounds)
+            rows.append((family, eps, worst_ratio, 1.0 + eps, rounds))
+    return rows
+
+
+def lower_bound_rows(r_values=(4, 8, 16, 32, 64), n=4000, trials=8, seed=0):
+    """T9: density gap of the r-round rule."""
+    rows = []
+    for r in r_values:
+        sample = measure_r_round_mis(n, r, trials=trials, seed=seed)
+        rows.append(
+            (r, sample.mean_size, sample.optimum, sample.density_gap,
+             r * sample.density_gap)
+        )
+    return rows
+
+
+def baseline_rows(n=200, seeds=(0, 1, 2)):
+    """B1: the (1 + eps) algorithms vs greedy coloring and Luby."""
+    rows = []
+    for family, make in GRAPH_FAMILIES.items():
+        for seed in seeds[:1]:
+            g = make(n, seed)
+            chi = clique_number(g)
+            alpha = independence_number_chordal(g)
+            greedy = num_colors(sequential_greedy_coloring(g))
+            ours_col = color_chordal_graph(g, epsilon=0.5).num_colors()
+            luby_size = len(luby_mis(g, seed=seed)[0])
+            ours_mis = chordal_mis(g, 0.45).size()
+            rows.append((family, chi, greedy, ours_col, alpha, luby_size, ours_mis))
+    return rows
+
+
+def pruning_rows(ns=(50, 100, 200, 400, 800), family="chordal", seed=0):
+    """L6: number of peeling layers vs the ceil(log2 n) + 1 bound."""
+    make = GRAPH_FAMILIES[family]
+    rows = []
+    for n in ns:
+        g = make(n, seed)
+        peeling = peel_chordal_graph(g, internal_rule=diameter_rule(4))
+        rows.append(
+            (n, peeling.num_layers(), math.ceil(math.log2(max(2, len(g)))) + 1)
+        )
+    return rows

@@ -1,9 +1,14 @@
 """Content-addressed cache and the source-hash closure."""
 
 import json
+import shutil
 from pathlib import Path
 
+import pytest
+
+from repro.runner import plan_cells, run_cells, sourcehash
 from repro.runner.cache import ResultCache, cell_key
+from repro.runner.registry import REGISTRY
 from repro.runner.sourcehash import module_closure, module_file, source_hash
 
 
@@ -116,3 +121,59 @@ class TestSourceHash:
         assert not any(name.startswith("repro.lowerbounds") for name in t3)
         t9 = module_closure(["repro.lowerbounds"])
         assert not any(name.startswith("repro.coloring") for name in t9)
+
+
+@pytest.fixture
+def package_copy(tmp_path):
+    """A copy of the ``repro`` sources to edit; ``source_hash(..., root=)`` reads it."""
+    root = tmp_path / "repro"
+    shutil.copytree(
+        module_file("repro").parent, root,
+        ignore=shutil.ignore_patterns("__pycache__"),
+    )
+    return root
+
+
+def _edit_a2_cell(package: Path) -> None:
+    """Change the value ``a2_cell`` reports, as a cell-body edit would."""
+    cells = package / "runner" / "cells.py"
+    old = '"cuts": morph_cut_budget(chi, spares),'
+    text = cells.read_text()
+    assert old in text
+    cells.write_text(text.replace(old, '"cuts": morph_cut_budget(chi, spares) + 1,'))
+
+
+class TestCellModuleInKeys:
+    """Cell bodies live in ``repro.runner.cells``, which no deps closure reaches."""
+
+    def test_no_deps_closure_reaches_the_cell_module(self):
+        for exp in REGISTRY.values():
+            assert "repro.runner.cells" not in module_closure(exp.deps)
+
+    def test_cell_body_edit_changes_the_key(self, package_copy):
+        params = {"chi": 4, "k": 1}
+        deps = REGISTRY["A1-A3"].deps
+        before = cell_key("A1-A3", "a2_cell", params, source_hash(deps, root=package_copy))
+        _edit_a2_cell(package_copy)
+        after = cell_key("A1-A3", "a2_cell", params, source_hash(deps, root=package_copy))
+        assert after != before
+
+    def test_lowerbounds_edit_leaves_t3_alone(self, package_copy):
+        t3 = REGISTRY["T3"].deps
+        t9 = REGISTRY["T9"].deps
+        before = source_hash(t3, root=package_copy), source_hash(t9, root=package_copy)
+        for path in (package_copy / "lowerbounds").glob("*.py"):
+            path.write_text(path.read_text() + "\n# edited\n")
+        assert source_hash(t3, root=package_copy) == before[0]
+        assert source_hash(t9, root=package_copy) != before[1]
+
+    def test_cell_body_edit_misses_the_cache(self, package_copy, tmp_path, monkeypatch):
+        specs = [s for s in plan_cells(["A1-A3"]) if s.fn == "a2_cell"]
+        cache = ResultCache(tmp_path / "cache")
+        monkeypatch.setattr(sourcehash, "_PACKAGE_ROOT", package_copy)
+        run_cells(specs, cache=cache)
+        _, warm = run_cells(specs, cache=cache)
+        assert warm.cache_hits == len(specs)
+        _edit_a2_cell(package_copy)
+        _, edited = run_cells(specs, cache=cache)
+        assert edited.cache_hits == 0

@@ -1,15 +1,21 @@
 """Byte-compatibility: the engine reproduces the serial tables exactly.
 
-Ground truth is :mod:`repro.analysis.experiments` — the original nested
-serial loops, untouched by the runner — formatted the way the legacy
-report formatted them.  The runner must match byte for byte at any job
-count, including fold tie-breaks (T3's ``>=`` lets the latest worst seed
-win) and the max-over-seeds reductions.
+Ground truth is the ``*_rows`` oracles of ``tests/oracles.py`` — the
+original nested serial loops, untouched by the runner — formatted the
+way the first serial report formatted them.  The runner must match byte
+for byte at any job count, including fold tie-breaks (T3's ``>=`` lets
+the latest worst seed win) and the max-over-seeds reductions.
 """
+
+import io
 
 import pytest
 
-from repro.analysis.experiments import (
+from repro.analysis.tables import format_table
+from repro.cli import main as cli_main
+from repro.runner import run_experiments
+from repro.runner.registry import REGISTRY
+from tests.oracles import (
     baseline_rows,
     chordal_mis_rows,
     interval_mis_rows,
@@ -19,10 +25,6 @@ from repro.analysis.experiments import (
     mvc_rounds_vs_epsilon_rows,
     pruning_rows,
 )
-from repro.analysis.report import main as report_main
-from repro.analysis.tables import format_table
-from repro.runner import run_experiments
-from repro.runner.registry import REGISTRY
 
 # small parameterizations, applied identically to both sides
 T3_ARGS = {"eps_values": (1.0, 0.5), "n": 40, "seeds": (0, 1)}
@@ -109,23 +111,31 @@ def test_full_report_framing_matches_legacy_shape():
     assert report.endswith("\n")
 
 
+def report_main(ids):
+    """``repro report IDS``: exit code and stdout."""
+    out = io.StringIO()
+    return cli_main(["report", *ids], out=out), out.getvalue()
+
+
 class TestUnknownIdExit:
-    """Bugfix: ``python -m repro.analysis.report BOGUS`` must fail loudly."""
+    """Bugfix: ``repro report BOGUS`` must fail loudly."""
 
     def test_unknown_id_exits_nonzero_listing_known_ids(self, capsys):
-        code = report_main(["BOGUS"])
+        code, out = report_main(["BOGUS"])
         assert code == 2
+        assert out == ""
         err = capsys.readouterr().err
         assert "unknown experiment id" in err
         assert "known ids are" in err
         assert "T5/T6" in err
+        assert err.count("\n") == 1
 
-    def test_known_subset_still_works(self, capsys):
-        code = report_main(["L6"])
+    def test_known_subset_still_works(self):
+        code, out = report_main(["L6"])
         assert code == 0
-        assert "Lemma 6" in capsys.readouterr().out
+        assert "Lemma 6" in out
 
-    def test_alias_accepted(self, capsys):
-        code = report_main(["T5"])
+    def test_alias_accepted(self):
+        code, out = report_main(["T5"])
         assert code == 0
-        assert "Theorems 5-6" in capsys.readouterr().out
+        assert "Theorems 5-6" in out

@@ -128,6 +128,21 @@ class TestCheck:
         assert "docs/gather.md: 'SubtreeTable' is never mentioned" in text
         assert "docs/gather.md: 'local_view_from_ball' is never mentioned" not in text
 
+    def test_retired_experiment_paths_are_flagged(self, broken_root):
+        (broken_root / "README.md").write_text(
+            "run `python -m repro.analysis.report T4`\n"
+        )
+        docs = broken_root / "docs"
+        docs.mkdir()
+        (docs / "runner.md").write_text(
+            "sweeps from repro.analysis.experiments and repro.analysis.ablations\n"
+        )
+        text = "\n".join(check_docs.check(broken_root))
+        assert "README.md: names the retired 'repro.analysis.report'" in text
+        for retired in ("repro.analysis.experiments", "repro.analysis.ablations"):
+            assert f"docs/runner.md: names the retired {retired!r}" in text
+        assert "DESIGN.md: names the retired" not in text
+
     def test_empty_extraction_is_itself_a_problem(self, tmp_path):
         (tmp_path / "src" / "repro").mkdir(parents=True)
         (tmp_path / "EXPERIMENTS.md").write_text("no headings here\n")

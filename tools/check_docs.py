@@ -45,7 +45,9 @@ instructions can never silently rot:
   executor (``BatchExecutor``, ``BatchKernel``, ``KernelIneligible``,
   the three stock kernels, the blockers that select the per-node path
   including ``sealed=True``, and the ``fallback_reason`` that records
-  the selection).
+  the selection);
+* no page names a retired experiment path (:data:`RETIRED_PATHS`):
+  experiments live only in ``repro.runner``.
 
 Usage::
 
@@ -63,6 +65,14 @@ from pathlib import Path
 from typing import List
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+
+#: module paths that no longer exist: every experiment is implemented once,
+#: in ``repro.runner`` (registry + cells); ``repro report`` is a ``run`` alias
+RETIRED_PATHS = (
+    "repro.analysis.report",
+    "repro.analysis.experiments",
+    "repro.analysis.ablations",
+)
 
 
 def _normalize(raw: str) -> str:
@@ -392,6 +402,20 @@ def check(root: Path) -> List[str]:
                 problems.append(
                     f"docs/kernels.md: {term!r} is never mentioned (the "
                     "kernel-substrate contract must stay documented)"
+                )
+
+    # 5. no page sends readers to a retired experiment path
+    pages = [root / name for name in ("README.md", "DESIGN.md", "EXPERIMENTS.md")]
+    pages += sorted((root / "docs").glob("*.md"))
+    for page in pages:
+        if not page.is_file():
+            continue
+        text = page.read_text()
+        for retired in RETIRED_PATHS:
+            if retired in text:
+                problems.append(
+                    f"{page.relative_to(root)}: names the retired "
+                    f"{retired!r} (experiments live in repro.runner)"
                 )
 
     return problems
