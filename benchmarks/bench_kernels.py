@@ -14,21 +14,28 @@ appear for LexBFS:
                    near-linear, so it understates the win),
 * the kernel dispatch through the public API.
 
+The ``clique_forest`` rows time :func:`repro.graphs.kernels.clique_forest_from_peo`
+against the reference pair it replaced: maximal cliques, then every edge of
+W_G (``tests.oracles.clique_intersection_edges``) and Kruskal over all of
+them (``tests.oracles.maximum_weight_spanning_forest_ids``).  Both forests
+are asserted identical before the row is written, and each side is the
+best of three runs.
+
 Unlike the rest of ``benchmarks/`` this is a standalone script, not a
 pytest-benchmark module, because its artifact is the committed JSON:
 
     PYTHONPATH=src python benchmarks/bench_kernels.py                  # full sweep
     PYTHONPATH=src python benchmarks/bench_kernels.py --quick --check  # CI smoke
 
-``--quick`` shrinks the sweep to one medium workload; ``--check`` exits
-nonzero unless every output pair matched and the kernel's total
-wall-clock (index build included) beat the legacy total.
+``--quick`` shrinks the sweep to one medium size per family; ``--check``
+exits nonzero unless every output pair matched, the kernel's total
+wall-clock (index build included) beat the legacy total, and every
+``clique_forest`` row's builder beat its reference pair.
 
-Family scoping mirrors the structure of the inputs, not kernel
-limitations: random k-trees have hub vertices lying in Theta(n) maximal
-cliques, so their weighted clique-intersection graph is superlinearly
-dense and the peeling rows use the bounded-degree interval/path families
-at large n instead.
+The large-n peeling rows use the interval and path families only.  On a
+random k-tree most of a peeling's time goes to the depth-capped diameter
+BFSes (``_RestrictedBFS.eccentricity_capped``): the graph's diameter is
+small, so each one covers most of the graph.
 """
 
 from __future__ import annotations
@@ -45,7 +52,7 @@ sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT))
 
 from repro.coloring.prune import diameter_rule, peel_chordal_graph, peeling_layers
-from repro.graphs import chordal
+from repro.graphs import chordal, kernels
 from repro.graphs.adjacency import Graph
 from repro.graphs.generators import path_graph, random_k_tree, unit_interval_chain
 from repro.graphs.index import GraphIndex, graph_index
@@ -70,8 +77,10 @@ FAMILIES: Dict[str, Callable[[int], Graph]] = {
     "path": path_graph,
 }
 
-#: families whose clique-intersection graphs stay sparse at large n
+#: families whose large-n peeling stays within seconds (see the docstring)
 PEEL_LARGE_FAMILIES = ("interval", "path")
+#: timed runs per side of a ``clique_forest`` row (the best one counts)
+FOREST_REPEATS = 3
 
 
 def seed_lex_bfs(graph: Graph) -> List:
@@ -104,6 +113,22 @@ def _timed(fn, *args, **kwargs):
     start = time.perf_counter()
     out = fn(*args, **kwargs)
     return out, time.perf_counter() - start
+
+
+def _best_seconds(repeats: int, fn, *args) -> float:
+    return min(_timed(fn, *args)[1] for _ in range(repeats))
+
+
+def oracle_clique_forest(index: GraphIndex, peo: List[int]):
+    """Maximal cliques, then Kruskal under ``<`` over all of W_G."""
+    cliques = kernels.maximal_cliques_from_peo(index, peo)
+    wg = oracles.clique_intersection_edges(cliques)
+    return cliques, oracles.maximum_weight_spanning_forest_ids(cliques, wg)
+
+
+def forest_pairs(cliques, edges) -> List[tuple]:
+    """A forest as its sorted (lower-sigma, higher-sigma) clique pairs."""
+    return sorted(tuple(sorted((cliques[i], cliques[j]))) for i, j in edges)
 
 
 def _row(
@@ -185,6 +210,15 @@ def _compare_cell(rows: List[dict], family: str, g: Graph, seed_baseline: bool) 
         rows, family, n, m, "maximal_cliques", "reference", t_ref, t_k, ref_cl == k_cl
     )
 
+    peo_ids = idx.ids_of(peo)
+    same = forest_pairs(*kernels.clique_forest_from_peo(idx, peo_ids)) == (
+        forest_pairs(*oracle_clique_forest(idx, peo_ids))
+    )
+    assert same
+    t_k = _best_seconds(FOREST_REPEATS, kernels.clique_forest_from_peo, idx, peo_ids)
+    t_ref = _best_seconds(FOREST_REPEATS, oracle_clique_forest, idx, peo_ids)
+    _row(rows, family, n, m, "clique_forest", "reference", t_ref, t_k, same)
+
 
 def _peel_compare_cell(
     rows: List[dict], family: str, g: Graph, threshold: int
@@ -200,8 +234,6 @@ def _peel_compare_cell(
 
 
 def _kernel_only_cell(rows: List[dict], family: str, g: Graph) -> None:
-    from repro.graphs import kernels
-
     n = len(g)
     _, t_index = _timed(GraphIndex, g)
     idx = graph_index(g)
@@ -231,10 +263,7 @@ def run(quick: bool) -> dict:
     compare_ns = (2000,) if quick else COMPARE_NS
     peel_ns = (400,) if quick else PEEL_COMPARE_NS
     peel_threshold = 4 if quick else PEEL_THRESHOLD
-    families = ("ktree3", "interval") if quick else tuple(FAMILIES)
-
-    for family in families:
-        build = FAMILIES[family]
+    for family, build in FAMILIES.items():
         for n in compare_ns:
             print(f"== compare {family} n={n}")
             _compare_cell(rows, family, build(n), n <= SEED_LEXBFS_MAX_N)
@@ -257,6 +286,7 @@ def run(quick: bool) -> dict:
         ]
         return max(cells) if cells else None
 
+    forest_speedups = [r["speedup"] for r in compared if r["op"] == "clique_forest"]
     return {
         "benchmark": "repro.graphs.kernels",
         "quick": quick,
@@ -268,6 +298,8 @@ def run(quick: bool) -> dict:
             "lexbfs_speedup_vs_seed_at_1e4": _best("lexbfs", "seed"),
             "lexbfs_speedup_vs_reference_at_1e4": _best("lexbfs", "reference"),
             "maximal_cliques_speedup_at_1e4": _best("maximal_cliques", "reference"),
+            "clique_forest_speedup_at_1e4": _best("clique_forest", "reference"),
+            "clique_forest_min_speedup": min(forest_speedups, default=None),
         },
     }
 
@@ -278,7 +310,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--check",
         action="store_true",
-        help="exit nonzero unless outputs matched and the kernel total won",
+        help="exit nonzero unless outputs matched, the kernel total won and "
+        "no clique_forest row lost",
     )
     parser.add_argument("--out", type=Path, default=None, help="JSON output path")
     args = parser.parse_args(argv)
@@ -296,7 +329,14 @@ def main(argv: Optional[List[str]] = None) -> int:
         if payload["kernel_total_seconds"] > payload["legacy_total_seconds"]:
             print("FAIL: kernel total wall-clock did not beat legacy")
             return 1
-        print("check passed: outputs identical, kernel total beat legacy")
+        slowest = payload["acceptance"]["clique_forest_min_speedup"]
+        if slowest is None or slowest < 1:
+            print(f"FAIL: a clique_forest row lost to its reference ({slowest}x)")
+            return 1
+        print(
+            "check passed: outputs identical, kernel total beat legacy,"
+            f" every clique_forest row won (min {slowest}x)"
+        )
 
     out = args.out
     if out is None and not args.quick:

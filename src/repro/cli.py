@@ -31,8 +31,10 @@ in which case the min-fill completion is used (colorings remain valid for
 the original graph; independent sets too, with the guarantee referring to
 the completion).
 
-Bad input (an unreadable or malformed ``GRAPH``, an out-of-range option)
-exits 2 with one ``repro <command>: ...`` line on stderr.
+Bad input (an unreadable, malformed or, without ``--triangulate``,
+non-chordal ``GRAPH``; a missing one; an out-of-range option; a bad
+``--plan`` / ``--faults`` spec; an unknown ``--programs`` name) exits 2
+with one ``repro <command>: ...`` line on stderr.
 """
 
 from __future__ import annotations
@@ -277,7 +279,7 @@ def _prepare(graph: Graph, allow_triangulate: bool, out) -> Graph:
     if is_chordal(graph):
         return graph
     if not allow_triangulate:
-        raise SystemExit(
+        raise _BadInput(
             "input graph is not chordal; pass --triangulate to use its "
             "min-fill completion"
         )
@@ -392,7 +394,7 @@ def _cmd_trace(args, out) -> int:
         try:
             plan = FaultPlan.parse(args.faults)
         except FaultPlanError as exc:
-            raise SystemExit(f"bad --faults spec: {exc}")
+            raise _BadInput(f"bad --faults spec: {exc}") from None
 
     metrics = MetricsSink()
     sinks = [metrics]
@@ -580,7 +582,7 @@ def _cmd_faults(args, out) -> int:
     try:
         plan = FaultPlan.parse(args.plan)
     except FaultPlanError as exc:
-        raise SystemExit(f"bad --plan spec: {exc}")
+        raise _BadInput(f"bad --plan spec: {exc}") from None
 
     if args.stock:
         # the generated sweep graph + seeded factory: the environment
@@ -599,9 +601,7 @@ def _cmd_faults(args, out) -> int:
             return f"committed outputs: {committed}/{len(graph)}"
     else:
         if not args.graph:
-            raise SystemExit(
-                "repro faults: provide a GRAPH file or use --stock / --sweep"
-            )
+            raise _BadInput("provide a GRAPH file or use --stock / --sweep")
         graph = _read_graph(args.graph)
         if len(graph) == 0:
             print("graph is empty; nothing to run", file=out)
@@ -710,7 +710,7 @@ def _cmd_chaos(args, out) -> int:
         wanted = {tok for tok in args.programs.split(",") if tok}
         unknown = wanted - {e[0] for e in suite}
         if unknown:
-            raise SystemExit(
+            raise _BadInput(
                 f"unknown chaos programs: {', '.join(sorted(unknown))} "
                 f"(have: {', '.join(e[0] for e in suite)})"
             )

@@ -1,9 +1,10 @@
 """Clique forests of chordal graphs (Section 3 of the paper).
 
-Provides the weighted clique intersection graph W_G, the canonical maximum
-weight spanning forest under the paper's deterministic edge order ``<``
-(Theorem 2), the resulting :class:`~repro.cliquetree.forest.CliqueForest`
-with subtree queries, binary/pendant/internal path machinery for the
+Provides the canonical clique forest (the maximum weight spanning forest of
+W_G under the paper's edge order ``<``, Theorem 2, built from one clique
+tree's separators) as a :class:`~repro.cliquetree.forest.CliqueForest`
+with subtree queries, W_G edges and Kruskal under ``<`` for the local
+views' small W_G[phi(u)], binary/pendant/internal path machinery for the
 peeling process (Section 2, Lemmas 3-6), and the local-view construction
 that lets simulated network nodes reconstruct coherent fragments of the
 global forest (Lemma 2, Figures 3-4).
@@ -39,7 +40,6 @@ from .wcig import (
     edge_key,
     sigma,
     wcig_edges_among,
-    weighted_clique_intersection_edges,
 )
 
 __all__ = [
@@ -68,5 +68,4 @@ __all__ = [
     "edge_key",
     "sigma",
     "wcig_edges_among",
-    "weighted_clique_intersection_edges",
 ]

@@ -13,9 +13,11 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Set, Tuple
 
+from ..graphs import kernels
 from ..graphs.adjacency import Graph, Vertex
-from .spanning import maximum_weight_spanning_forest
-from .wcig import Clique, weighted_clique_intersection_edges
+from ..graphs.chordal import _not_chordal
+from ..graphs.index import graph_index
+from .wcig import Clique
 
 __all__ = ["CliqueForest", "build_clique_forest"]
 
@@ -187,7 +189,15 @@ class CliqueForest:
 
 
 def build_clique_forest(graph: Graph) -> CliqueForest:
-    """The canonical clique forest of a chordal graph (Theorem 2 + order <)."""
-    cliques, edges = weighted_clique_intersection_edges(graph)
-    chosen = maximum_weight_spanning_forest(cliques, edges)
-    return CliqueForest(cliques, chosen)
+    """The canonical clique forest of a chordal graph (Theorem 2 + order <).
+
+    Built by :func:`repro.graphs.kernels.clique_forest_from_peo` without W_G;
+    raises :class:`~repro.graphs.chordal.NotChordalError` if not chordal.
+    """
+    index = graph_index(graph)
+    order, bad = kernels.peo_and_violation(index)
+    if bad is not None:
+        raise _not_chordal(index.verts[bad])
+    id_cliques, id_edges = kernels.clique_forest_from_peo(index, order)
+    cliques = [frozenset(index.labels_of(c)) for c in id_cliques]
+    return CliqueForest(cliques, [(cliques[i], cliques[j]) for i, j in id_edges])

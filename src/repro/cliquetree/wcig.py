@@ -12,21 +12,22 @@ sigma(C) = its members in increasing order, every edge e = C_i C_j gets the
 triple (w_e, l_e, h_e) with w_e = |C_i cap C_j|,
 l_e = lexmin(sigma(C_i), sigma(C_j)), h_e = lexmax(...), and e < f iff the
 triples compare lexicographically.  Edges larger under ``<`` are preferred,
-making the maximum weight spanning forest unique.
+making the maximum weight spanning forest unique.  The whole graph's forest
+is built without W_G (:func:`repro.graphs.kernels.clique_forest_from_peo`);
+the edges here serve the local views' small W_G[phi(u)].
 """
 
 from __future__ import annotations
 
 from typing import Dict, FrozenSet, List, Sequence, Tuple
 
-from ..graphs.adjacency import Graph, Vertex
-from ..graphs.chordal import maximal_cliques
+from ..graphs.adjacency import Vertex
 
 Clique = FrozenSet[Vertex]
 #: An edge of W_G: the two cliques plus its weight.
 WeightedEdge = Tuple[Clique, Clique, int]
 
-__all__ = ["Clique", "WeightedEdge", "sigma", "edge_key", "weighted_clique_intersection_edges", "wcig_edges_among"]
+__all__ = ["Clique", "WeightedEdge", "sigma", "edge_key", "wcig_edges_among"]
 
 
 def sigma(clique: Clique) -> Tuple[Vertex, ...]:
@@ -71,9 +72,3 @@ def wcig_edges_among(cliques: Sequence[Clique]) -> List[WeightedEdge]:
                     weights[key] = weights.get(key, 0) + 1
                 lst.append(ci)
     return [(cliques[i], cliques[j], w) for (i, j), w in sorted(weights.items())]
-
-
-def weighted_clique_intersection_edges(graph: Graph) -> Tuple[List[Clique], List[WeightedEdge]]:
-    """Maximal cliques of a chordal graph and the edges of its W_G."""
-    cliques = maximal_cliques(graph)
-    return cliques, wcig_edges_among(cliques)

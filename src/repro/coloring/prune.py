@@ -158,9 +158,10 @@ def peeling_layers(
     """Layer map of ``peel_chordal_graph(graph, diameter_rule(threshold))``.
 
     Runs entirely in the integer kernels
-    (:func:`repro.graphs.kernels.peeling_layers`): canonical clique forest
-    via the Blair-Peyton clique kernel and incidence-counted W_G edges,
-    per-iteration path decisions with early-exit diameter bounds.  When
+    (:func:`repro.graphs.kernels.peeling_layers`): the clique forest both
+    peelings share, then per-iteration path decisions with early-exit
+    diameter bounds, which beat the rich peeling at K1 sizes (measured in
+    ``docs/kernels.md``).  When
     ``max_iterations`` is given the process stops after that many layers,
     optionally switching to ``last_threshold`` for the final iteration
     (the Algorithm 6 shape).  Raises

@@ -15,8 +15,9 @@ kernel                                replaces                 cost
                                       elimination_ordering``
 :func:`maximal_cliques_from_peo`      ``chordal.maximal_-      O(n + m)
                                       cliques``
-:func:`clique_intersection_edges`     ``cliquetree.wcig``      output-sensitive
-:func:`peeling_layers`                layer map of             forest O(n + m) +
+:func:`clique_forest_from_peo`        Kruskal over all of      O(n + m + p log p),
+                                      W_G (test oracle)        p separator pairs
+:func:`peeling_layers`                layer map of             forest +
                                       ``coloring.prune``       diameter BFSes
 ====================================  =======================  ==================
 
@@ -38,7 +39,9 @@ Golumbic's deferred "parent accumulation" test; on failure a per-vertex
 rescan recovers the reference's *first* violating vertex.  Maximal cliques use
 the Blair–Peyton criterion (``C(v)`` is non-maximal iff some vertex whose
 parent is ``v`` has a later-neighborhood one larger), which is equivalent
-to — and replaces — the reference's quadratic subset filter.
+to — and replaces — the reference's quadratic subset filter.  The same
+pass yields one clique tree, whose separators are all the canonical
+clique forest needs (see :func:`clique_forest_from_peo`).
 """
 
 from __future__ import annotations
@@ -55,8 +58,7 @@ __all__ = [
     "check_peo",
     "peo_and_violation",
     "maximal_cliques_from_peo",
-    "clique_intersection_edges",
-    "maximum_weight_spanning_forest_ids",
+    "clique_forest_from_peo",
     "peeling_layers",
 ]
 
@@ -331,19 +333,19 @@ def peo_and_violation(index: GraphIndex) -> Tuple[List[int], Optional[int]]:
 
 
 # ---------------------------------------------------------------------------
-# Maximal cliques (Blair–Peyton)
+# Maximal cliques and the canonical clique forest (Blair–Peyton)
 # ---------------------------------------------------------------------------
 
-def maximal_cliques_from_peo(
+def _peo_pass(
     index: GraphIndex, order: Sequence[int]
-) -> List[Tuple[int, ...]]:
-    """The maximal cliques of a chordal graph from a verified PEO.
+) -> Tuple[List[List[int]], List[int], List[int]]:
+    """``(later, parent, absorber)`` per id, from one pass over a PEO.
 
-    Returns sorted id-tuples ordered by (size, members) — the reference's
-    determinism contract.  ``C(v) = {v} + later-neighbors(v)`` is maximal
-    iff no vertex ``w`` with parent ``v`` has ``|madj(w)| = |madj(v)| + 1``
-    (Blair & Peyton); candidates are pairwise distinct because ``v`` is
-    the earliest member of ``C(v)``.
+    ``later[v]`` is madj(v) in ascending id order and ``parent[v]`` its
+    earliest member (-1 if none).  ``C(v) = {v} + madj(v)`` is a maximal
+    clique iff ``absorber[v] == -1``; otherwise ``absorber[v]`` is a w with
+    parent v and ``madj(w) = C(v)``, whose clique swallows v (Blair &
+    Peyton).
     """
     n = index.n
     indptr, indices = index.indptr, index.indices
@@ -352,7 +354,6 @@ def maximal_cliques_from_peo(
         pos[v] = i
     later_of: List[List[int]] = [[] for _ in range(n)]
     parent = [-1] * n
-    msize = [0] * n
     for v in range(n):
         pv = pos[v]
         best = n + 1
@@ -367,88 +368,121 @@ def maximal_cliques_from_peo(
                     best = pu
                     par = u
         parent[v] = par
-        msize[v] = len(later)
-    non_maximal = bytearray(n)
+    absorber = [-1] * n
     for w in range(n):
         p = parent[w]
-        if p != -1 and msize[w] == msize[p] + 1:
-            non_maximal[p] = 1
-    cliques: List[Tuple[int, ...]] = []
-    for v in range(n):
-        if not non_maximal[v]:
-            members = later_of[v] + [v]
-            members.sort()
-            cliques.append(tuple(members))
+        if p != -1 and len(later_of[w]) == len(later_of[p]) + 1:
+            absorber[p] = w
+    return later_of, parent, absorber
+
+
+def maximal_cliques_from_peo(
+    index: GraphIndex, order: Sequence[int]
+) -> List[Tuple[int, ...]]:
+    """The maximal cliques of a chordal graph from a verified PEO.
+
+    Returns sorted id-tuples ordered by (size, members) — the reference's
+    determinism contract.  Blair–Peyton's criterion (see :func:`_peo_pass`)
+    replaces the reference's quadratic subset filter.
+    """
+    later_of, _parent, absorber = _peo_pass(index, order)
+    cliques = [
+        tuple(sorted(later_of[v] + [v])) for v in range(index.n) if absorber[v] == -1
+    ]
     cliques.sort(key=lambda c: (len(c), c))
     return cliques
 
 
-# ---------------------------------------------------------------------------
-# Weighted clique intersection graph + canonical spanning forest (id space)
-# ---------------------------------------------------------------------------
+def _separator_pairs(
+    entries: Sequence[Tuple[Tuple[int, ...], List[int]]], n: int
+) -> Tuple[List[int], int]:
+    """Kruskal keys of the clique pairs that share a separator, plus roots.
 
-def clique_intersection_edges(
-    cliques: Sequence[Tuple[int, ...]]
-) -> List[Tuple[int, int, int]]:
-    """W_G edges among ``cliques`` as ``(i, j, weight)`` with ``i < j``.
-
-    Output-sensitive: instead of intersecting all O(q²) pairs, walk each
-    vertex's clique-incidence list and count shared members per pair, so
-    the cost is the total intersection weight.  The result is sorted by
-    (i, j) — exactly the reference's nested-loop enumeration order.
+    ``entries`` holds ``(members, separator)`` per clique in sigma order; a
+    pair ``a < b`` of their indices from separator S gets the key
+    ``(|S| * q + a) * q + b``.
     """
-    incidence: Dict[int, List[int]] = {}
-    weights: Dict[Tuple[int, int], int] = {}
-    for ci, members in enumerate(cliques):
+    q = len(entries)
+    holders: List[List[int]] = [[] for _ in range(n)]
+    for r, (members, _sep) in enumerate(entries):
         for v in members:
-            lst = incidence.get(v)
-            if lst is None:
-                incidence[v] = [ci]
-            else:
-                for cj in lst:
-                    key = (cj, ci)
-                    weights[key] = weights.get(key, 0) + 1
-                lst.append(ci)
-    return [(i, j, w) for (i, j), w in sorted(weights.items())]
-
-
-def maximum_weight_spanning_forest_ids(
-    cliques: Sequence[Tuple[int, ...]],
-    edges: Sequence[Tuple[int, int, int]],
-) -> List[Tuple[int, int]]:
-    """Kruskal under the paper's canonical order ``<``, over clique indices.
-
-    The key of edge (i, j) is ``(w, sigma_lo, sigma_hi)`` with the sigma
-    words compared as id tuples — order-isomorphic to the label-space
-    reference, hence the same unique forest.
-    """
-    def key(e: Tuple[int, int, int]):
-        i, j, w = e
-        si, sj = cliques[i], cliques[j]
-        return (w, si, sj) if si <= sj else (w, sj, si)
-
-    parent = list(range(len(cliques)))
-
-    def find(x: int) -> int:
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    chosen: List[Tuple[int, int]] = []
-    size = [1] * len(cliques)
-    for i, j, _w in sorted(edges, key=key, reverse=True):
-        ri, rj = find(i), find(j)
-        if ri == rj:
+            holders[v].append(r)
+    keys: List[int] = []
+    expanded = set()
+    roots = 0
+    qq = q * q
+    for _members, sep in entries:
+        if not sep:
+            roots += 1
             continue
-        if size[ri] < size[rj]:
-            ri, rj = rj, ri
-        parent[rj] = ri
-        size[ri] += size[rj]
-        chosen.append((i, j))
-    return chosen
+        rarest = holders[sep[0]]
+        for s in sep:
+            if len(holders[s]) < len(rarest):
+                rarest = holders[s]
+        base = len(sep) * qq
+        if len(rarest) == 2:
+            keys.append(base + rarest[0] * q + rarest[1])
+            continue
+        sep_key = tuple(sep)
+        if sep_key in expanded:
+            continue
+        expanded.add(sep_key)
+        sep_set = set(sep)
+        held = [r for r in rarest if sep_set.issubset(entries[r][0])]
+        for i, a in enumerate(held):
+            for b in held[i + 1:]:
+                keys.append(base + a * q + b)
+    return keys, roots
+
+
+def clique_forest_from_peo(
+    index: GraphIndex, order: Sequence[int]
+) -> Tuple[List[Tuple[int, ...]], List[Tuple[int, int]]]:
+    """The maximal cliques and the canonical clique forest, from a PEO.
+
+    Returns the cliques as sorted id-tuples in sigma (lexicographic) order
+    and the forest's edges as sorted index pairs ``(i, j)``, ``i < j``: the
+    unique maximum-weight spanning forest of W_G under ``<`` (Theorem 2),
+    found without building W_G.  The pass yields one clique tree: a
+    maximal ``C(v)`` absorbs the chain ``v, parent(v), ...`` while each
+    next id's absorber is the previous one, and its separator is the later
+    neighbourhood of the chain's *last* id (empty for a root).  Every
+    clique tree has the same separators (Blair & Peyton), so each forest
+    edge joins two cliques that hold one.  Kruskal runs over those pairs
+    only, each weighted |S| (exact on forest edges, never too high
+    elsewhere), with clique indices breaking ties, and stops at q - c edges
+    (c roots).  A separator whose rarest vertex lies in two cliques is one
+    pair with no set intersection.
+    """
+    later_of, parent, absorber = _peo_pass(index, order)
+    entries: List[Tuple[Tuple[int, ...], List[int]]] = []
+    for v in range(index.n):
+        if absorber[v] == -1:
+            u, p = v, parent[v]
+            while p != -1 and absorber[p] == u:
+                u, p = p, parent[p]
+            entries.append((tuple(sorted(later_of[v] + [v])), later_of[u]))
+    entries.sort(key=lambda e: e[0])
+    q = len(entries)
+    keys, roots = _separator_pairs(entries, index.n)
+    keys.sort(reverse=True)
+    qq = q * q
+    uf = list(range(q))
+    edges: List[Tuple[int, int]] = []
+    for key in keys:
+        if len(edges) == q - roots:
+            break
+        lo, hi = divmod(key % qq, q)
+        a, b = lo, hi
+        while uf[a] != a:
+            uf[a] = a = uf[uf[a]]
+        while uf[b] != b:
+            uf[b] = b = uf[uf[b]]
+        if a != b:
+            uf[b] = a
+            edges.append((lo, hi))
+    edges.sort()
+    return [members for members, _ in entries], edges
 
 
 # ---------------------------------------------------------------------------
@@ -550,10 +584,8 @@ def peeling_layers(
         order, bad = peo_and_violation(index)
         if bad is not None:
             raise ValueError(f"graph is not chordal (violating id {bad})")
-    cliques = maximal_cliques_from_peo(index, order)
+    cliques, forest_edges = clique_forest_from_peo(index, order)
     ncliq = len(cliques)
-    edges = clique_intersection_edges(cliques)
-    forest_edges = maximum_weight_spanning_forest_ids(cliques, edges)
 
     fadj: List[List[int]] = [[] for _ in range(ncliq)]
     for i, j in forest_edges:

@@ -237,10 +237,10 @@ def l6_cell(n: int, family: str, seed: int) -> Dict[str, Any]:
 #: the K1/K2 graph families that scale to n = 10^5 (cache-builder keys)
 _K1_FAMILIES = ("ktree3", "interval", "path")
 
-#: families whose weighted clique-intersection graph stays sparse at
-#: large n; random k-trees have hub vertices in Theta(n) maximal
-#: cliques, so their WCIG is superlinearly dense and the peeling
-#: column is skipped for them
+#: families whose peeling fits the cell budget at n = 10^5.  On a random
+#: 3-tree nearly all of it goes to the depth-capped diameter BFSes, each
+#: covering most of a small-diameter graph (docs/kernels.md), so the
+#: peeling column is skipped there
 _K1_PEEL_FAMILIES = ("interval", "path")
 
 
@@ -249,7 +249,7 @@ def k1_cell(family: str, n: int, seed: int, threshold: int) -> Dict[str, Any]:
 
     Runs the kernel-dispatched public API end to end — PEO via LexBFS,
     maximal cliques, greedy coloring, simplicial vertices, and (on the
-    sparse-WCIG families) the Lemma 6 peeling — and reports structural
+    :data:`_K1_PEEL_FAMILIES`) the Lemma 6 peeling — and reports structural
     invariants.  The speedup shows as feasibility: these cells sat far
     beyond the per-cell timeout on the pre-kernel substrate; wall-clock
     comparisons live in ``BENCH_kernels.json``.

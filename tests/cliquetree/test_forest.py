@@ -9,7 +9,6 @@ from repro.cliquetree import (
     edge_key,
     is_interval_graph,
     sigma,
-    weighted_clique_intersection_edges,
 )
 from repro.graphs import (
     PAPER_CLIQUES,
@@ -23,6 +22,7 @@ from repro.graphs import (
     random_tree,
     star_graph,
 )
+from tests.oracles import weighted_clique_intersection_edges
 
 
 class TestWCIG:

@@ -4,13 +4,9 @@ import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.cliquetree import (
-    UnionFind,
-    maximum_weight_spanning_forest,
-    wcig_edges_among,
-    weighted_clique_intersection_edges,
-)
+from repro.cliquetree import UnionFind, maximum_weight_spanning_forest
 from repro.graphs import random_chordal_graph
+from tests.oracles import weighted_clique_intersection_edges
 
 
 class TestUnionFind:

@@ -276,8 +276,8 @@ class TestKernelUnits:
         assert bad is None
         cliques = kernels.maximal_cliques_from_peo(idx, order)
         assert len(cliques) == len(paper_example_cliques())
-        edges = kernels.clique_intersection_edges(cliques)
-        forest = kernels.maximum_weight_spanning_forest_ids(cliques, edges)
+        edges = oracles.clique_intersection_edges(cliques)
+        forest = oracles.maximum_weight_spanning_forest_ids(cliques, edges)
         assert len(forest) <= len(cliques) - 1
         # compare against the label-space canonical forest
         from repro.cliquetree.forest import build_clique_forest

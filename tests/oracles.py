@@ -22,6 +22,14 @@ the CSR kernels of :mod:`repro.graphs.kernels` replaced; the kernels must
 be byte-identical to them, and ``benchmarks/bench_kernels.py`` times them
 as the legacy side.
 
+:func:`reference_clique_forest` builds the canonical clique forest the
+way the paper states it: Kruskal under ``<`` over every edge of W_G
+(:func:`weighted_clique_intersection_edges`).  Its id-space twin is
+:func:`clique_intersection_edges` + :func:`maximum_weight_spanning_forest_ids`.
+:func:`~repro.graphs.kernels.clique_forest_from_peo` never builds W_G and
+must return the same forest; ``benchmarks/bench_kernels.py`` times the
+id-space pair as its reference side.
+
 :func:`decide_from_view_all_pairs` is Algorithm 3's local layer decision
 as first written: its own orientation of T(v) and an all-pairs BFS
 diameter.  The library's decision reuses the peeling's path code and
@@ -55,8 +63,14 @@ from repro.coloring import (
     peel_chordal_graph,
 )
 from repro.coloring.distributed_mvc import _walk_binary
+from repro.cliquetree import (
+    CliqueForest,
+    UnionFind,
+    maximum_weight_spanning_forest,
+    wcig_edges_among,
+)
 from repro.graphs import Graph, clique_number, num_colors, unit_interval_chain
-from repro.graphs.chordal import perfect_elimination_ordering
+from repro.graphs.chordal import maximal_cliques, perfect_elimination_ordering
 from repro.localmodel.gather import BallGatherProgram, _run_gather
 from repro.localmodel.network import SyncNetwork
 from repro.lowerbounds import measure_r_round_mis
@@ -265,6 +279,50 @@ def reference_wcig_edges_among(cliques):
             if inter:
                 edges.append((c1, c2, len(inter)))
     return edges
+
+
+def weighted_clique_intersection_edges(graph):
+    """Maximal cliques of a chordal graph and every edge of its W_G."""
+    cliques = maximal_cliques(graph)
+    return cliques, wcig_edges_among(cliques)
+
+
+def reference_clique_forest(graph):
+    """The canonical clique forest by Kruskal under ``<`` over all of W_G."""
+    cliques, edges = weighted_clique_intersection_edges(graph)
+    return CliqueForest(cliques, maximum_weight_spanning_forest(cliques, edges))
+
+
+def clique_intersection_edges(cliques):
+    """W_G edges among id-tuple ``cliques`` as ``(i, j, weight)``, ``i < j``.
+
+    Walks each vertex's clique-incidence list and counts shared members
+    per pair; sorted by (i, j), the all-pairs enumeration order.
+    """
+    incidence = {}
+    weights = {}
+    for ci, members in enumerate(cliques):
+        for v in members:
+            lst = incidence.setdefault(v, [])
+            for cj in lst:
+                weights[(cj, ci)] = weights.get((cj, ci), 0) + 1
+            lst.append(ci)
+    return [(i, j, w) for (i, j), w in sorted(weights.items())]
+
+
+def maximum_weight_spanning_forest_ids(cliques, edges):
+    """Kruskal under ``<`` over clique indices: the forest as (i, j) pairs.
+
+    The key of edge (i, j) is ``(w, sigma_lo, sigma_hi)`` with the sigma
+    words compared as id tuples, order-isomorphic to the label space.
+    """
+    def key(e):
+        i, j, w = e
+        si, sj = cliques[i], cliques[j]
+        return (w, si, sj) if si <= sj else (w, sj, si)
+
+    uf = UnionFind(range(len(cliques)))
+    return [(i, j) for i, j, _w in sorted(edges, key=key, reverse=True) if uf.union(i, j)]
 
 
 def decide_from_view_all_pairs(view, ball_graph, params):

@@ -120,6 +120,34 @@ class TestCheck:
         for term in ("Graph.diameter", "compute_parent", "greedy_distance_k_selection"):
             assert f"docs/kernels.md: {term!r} is never mentioned" in text
 
+    def test_kernels_doc_must_name_the_forest_builder(self, broken_root):
+        docs = broken_root / "docs"
+        docs.mkdir()
+        (docs / "kernels.md").write_text("# GraphIndex and compute_parent\n")
+        text = "\n".join(check_docs.check(broken_root))
+        assert "docs/kernels.md: 'clique_forest_from_peo' is never mentioned" in text
+
+    def test_retired_wg_kernels_are_flagged(self, broken_root):
+        docs = broken_root / "docs"
+        docs.mkdir()
+        (docs / "kernels.md").write_text(
+            "clique_forest_from_peo replaced clique_intersection_edges\n"
+        )
+        (broken_root / "DESIGN.md").write_text(
+            "| T4 | Theorem 4 |\nKruskal: maximum_weight_spanning_forest_ids\n"
+        )
+        text = "\n".join(check_docs.check(broken_root))
+        assert (
+            "docs/kernels.md: names the retired kernel 'clique_intersection_edges'"
+            in text
+        )
+        assert (
+            "DESIGN.md: names the retired kernel "
+            "'maximum_weight_spanning_forest_ids'" in text
+        )
+        assert "'clique_forest_from_peo' is never mentioned" not in text
+        assert "README.md: names the retired kernel" not in text
+
     def test_gather_doc_must_name_the_subtree_table(self, broken_root):
         docs = broken_root / "docs"
         docs.mkdir()

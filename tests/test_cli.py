@@ -67,9 +67,13 @@ class TestColor:
         coloring = json.loads(target.read_text())
         assert len(coloring) == 30
 
-    def test_non_chordal_rejected_without_flag(self, cycle_file):
-        with pytest.raises(SystemExit):
-            run_cli(["color", cycle_file])
+    def test_non_chordal_rejected_without_flag(self, cycle_file, capsys):
+        code, out = run_cli(["color", cycle_file])
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err == (
+            "repro color: input graph is not chordal; pass --triangulate "
+            "to use its min-fill completion\n"
+        )
 
     def test_triangulate_flag(self, cycle_file):
         code, out = run_cli(["color", cycle_file, "--triangulate"])
@@ -337,16 +341,20 @@ class TestTraceFaultsFlag:
         assert code == 0
         assert "faults injected" in out and "dropped:" in out
 
-    def test_bad_spec_aborts_cleanly(self, tree_file):
-        with pytest.raises(SystemExit, match="bad --faults spec"):
-            run_cli(["trace", tree_file, "--program", "bfs",
-                     "--faults", "wibble=1"])
+    def test_bad_spec_aborts_cleanly(self, tree_file, capsys):
+        code, out = run_cli(["trace", tree_file, "--program", "bfs",
+                             "--faults", "wibble=1"])
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err.startswith("repro trace: bad --faults spec")
 
 
 class TestFaultsCommand:
-    def test_requires_graph_or_sweep(self):
-        with pytest.raises(SystemExit, match="GRAPH file or use --stock / --sweep"):
-            run_cli(["faults"])
+    def test_requires_graph_or_sweep(self, capsys):
+        code, out = run_cli(["faults"])
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err == (
+            "repro faults: provide a GRAPH file or use --stock / --sweep\n"
+        )
 
     def test_single_run_clean_plan(self, tree_file):
         code, out = run_cli(["faults", tree_file, "--program", "bfs"])
@@ -394,9 +402,10 @@ class TestFaultsCommand:
         assert code == 0
         assert "with retries" in out
 
-    def test_bad_plan_aborts_cleanly(self, tree_file):
-        with pytest.raises(SystemExit, match="bad --plan spec"):
-            run_cli(["faults", tree_file, "--plan", "drop=nope"])
+    def test_bad_plan_aborts_cleanly(self, tree_file, capsys):
+        code, out = run_cli(["faults", tree_file, "--plan", "drop=nope"])
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err.startswith("repro faults: bad --plan spec")
 
     def test_sweep_classifies_all_stock_programs(self):
         code, out = run_cli(
@@ -527,9 +536,12 @@ class TestChaosCommand:
         payload = json.loads(out)
         assert all(t["minimized"] is None for t in payload["trials"])
 
-    def test_unknown_program_aborts_cleanly(self):
-        with pytest.raises(SystemExit, match="unknown chaos programs"):
-            run_cli(["chaos", "--programs", "wibble"])
+    def test_unknown_program_aborts_cleanly(self, capsys):
+        code, out = run_cli(["chaos", "--programs", "wibble"])
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err.startswith(
+            "repro chaos: unknown chaos programs: wibble"
+        )
 
     def test_trials_must_be_positive(self, capsys):
         code, out = run_cli(["chaos", "--trials", "0"])
@@ -540,7 +552,8 @@ class TestChaosCommand:
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 #: (argv, stderr prefix): bad input at the CLI boundary; ``{graph}`` is a
-#: 30-vertex tree file, ``{bad}`` one with a malformed edge line
+#: 30-vertex tree file, ``{bad}`` one with a malformed edge line, ``{c4}``
+#: a 4-cycle (not chordal)
 CONTRACT = [
     (["color", "{missing}"], "repro color: "),
     (["info", "{bad}"], "repro info: "),
@@ -551,6 +564,14 @@ CONTRACT = [
     (["chaos", "--trials", "0"], "repro chaos: --trials"),
     (["faults", "--stock", "--program", "bfs", "--recovery", "checkpoint",
       "--checkpoint-every", "0"], "repro faults: checkpoint_every"),
+    (["color", "{c4}"], "repro color: input graph is not chordal"),
+    (["mis", "{c4}"], "repro mis: input graph is not chordal"),
+    (["trace", "{graph}", "--faults", "wibble=1"],
+     "repro trace: bad --faults spec"),
+    (["faults", "{graph}", "--plan", "drop=nope"],
+     "repro faults: bad --plan spec"),
+    (["faults"], "repro faults: provide a GRAPH file"),
+    (["chaos", "--programs", "wibble"], "repro chaos: unknown chaos programs"),
     (["report", "BOGUS"], "error: unknown experiment id(s): BOGUS"),
     (["run", "--ids", "BOGUS"], "error: unknown experiment id(s): BOGUS"),
 ]
@@ -562,7 +583,9 @@ CONTRACT = [
 def test_bad_input_exits_2_with_one_stderr_line(argv, prefix, tree_file, tmp_path):
     bad = tmp_path / "bad.edges"
     bad.write_text("0 1\n1 2 3\n")
-    files = {"graph": tree_file, "bad": str(bad),
+    c4 = tmp_path / "c4.edges"
+    c4.write_text(to_edge_list(cycle_graph(4)))
+    files = {"graph": tree_file, "bad": str(bad), "c4": str(c4),
              "missing": str(tmp_path / "missing.edges")}
     env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
     proc = subprocess.run(

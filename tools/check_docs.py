@@ -47,7 +47,10 @@ instructions can never silently rot:
   including ``sealed=True``, and the ``fallback_reason`` that records
   the selection);
 * no page names a retired experiment path (:data:`RETIRED_PATHS`):
-  experiments live only in ``repro.runner``.
+  experiments live only in ``repro.runner``;
+* ``docs/kernels.md`` names the clique-forest builder
+  ``clique_forest_from_peo``, and no page names the W_G kernels it
+  retired (:data:`RETIRED_KERNELS`), which are test oracles now.
 
 Usage::
 
@@ -72,6 +75,13 @@ RETIRED_PATHS = (
     "repro.analysis.report",
     "repro.analysis.experiments",
     "repro.analysis.ablations",
+)
+
+
+#: W_G kernels the separator-based clique-forest builder replaced
+RETIRED_KERNELS = (
+    "clique_intersection_edges",
+    "maximum_weight_spanning_forest_ids",
 )
 
 
@@ -397,6 +407,7 @@ def check(root: Path) -> List[str]:
             "Graph.diameter",
             "compute_parent",
             "greedy_distance_k_selection",
+            "clique_forest_from_peo",
         ):
             if term not in text:
                 problems.append(
@@ -416,6 +427,13 @@ def check(root: Path) -> List[str]:
                 problems.append(
                     f"{page.relative_to(root)}: names the retired "
                     f"{retired!r} (experiments live in repro.runner)"
+                )
+        for retired in RETIRED_KERNELS:
+            if retired in text:
+                problems.append(
+                    f"{page.relative_to(root)}: names the retired kernel "
+                    f"{retired!r} (the clique forest comes from "
+                    "clique_forest_from_peo)"
                 )
 
     return problems
