@@ -9,7 +9,8 @@ full-flood oracle ``reference_gather`` of ``tests/oracles.py``; all per-node
 identical and three figures are recorded per cell --
 
 * **wall-clock** per executor (best of a few uninstrumented runs):
-  ``node_seconds``, ``batch_seconds``, ``flood_seconds``;
+  ``node_seconds``, ``batch_seconds``, ``flood_seconds``; each side
+  times the same work, every ball's edge set included;
 * **time_speedup** = flood / batch: the headline the batch executor
   exists for.  PR 8's delta rewrite cut message *volume* 6-25x yet lost
   wall-clock (0.70-0.78x) to per-node Python dispatch; compiling the
@@ -168,10 +169,17 @@ def _node_gather(g: Graph, radius: int):
 
 
 def _batch_gather(g: Graph, radius: int):
-    """``gather_balls``, which must take the whole-round kernel."""
+    """``gather_balls``, which must take the whole-round kernel.
+
+    The kernel builds a ball's edge set when it is first read, while the
+    node and flood sides build every one; reading them all here keeps
+    the timed work the same on every side.
+    """
     info: Dict[str, Any] = {}
     balls, rounds = gather_balls(g, radius, info=info)
     assert info["executed"] == "batch", info["fallback_reason"]
+    for ball in balls.values():
+        len(ball.edges)
     return balls, rounds
 
 

@@ -34,24 +34,29 @@ round we learned it), which are no-op merges at the receiver.
 Termination is the same ``round_number >= radius`` countdown in both
 programs, so outputs *and* round counts are identical.
 
-:func:`gather_balls` packages a full run; the equivalence tests check its
-output against direct BFS, which is what entitles the layered algorithms
-to use the cheaper accounting of :mod:`repro.localmodel.rounds`.  A
-full-flood gather, ``reference_gather`` in ``tests/oracles.py``, is the
-oracle of the equivalence tests and the flood side of
-``benchmarks/bench_network.py``.
+:func:`gather_balls` packages a full run.  When nothing asks for per-node
+dispatch it runs :class:`DeltaGatherKernel`, which replays the delta
+program's schedule on vertex ids alone and builds each ball's edge set
+only when it is first read; balls, rounds and stats are the same.  The
+equivalence tests check its output against direct BFS, which is what
+entitles the layered algorithms to use the cheaper accounting of
+:mod:`repro.localmodel.rounds`.  A full-flood gather,
+``reference_gather`` in ``tests/oracles.py``, is the oracle of the
+equivalence tests and the flood side of ``benchmarks/bench_network.py``.
 """
 
 from __future__ import annotations
 
 import gc
-from bisect import bisect_left
+from collections import deque
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import (
     TYPE_CHECKING,
     Any,
     Callable,
     Dict,
+    Iterable,
     List,
     Mapping,
     Optional,
@@ -76,6 +81,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from .faults import FaultPlan
 
 
+def _consume(iterator: Iterable[Any]) -> None:
+    """Run ``iterator`` to its end for its side effects."""
+    deque(iterator, maxlen=0)
+
+
 @dataclass
 class KnownBall:
     """What a node knows after gathering: topology + states within radius.
@@ -85,6 +95,12 @@ class KnownBall:
     least one endpoint in ``Gamma^r[v]`` (:attr:`edges`) -- including a
     fringe of edges leading to vertices at distance ``r + 1``, whose IDs
     are visible but whose states are not.
+
+    A ball written by :class:`DeltaGatherKernel` holds its vertex ids in
+    place of :attr:`edges` and builds the edge set from the graph index
+    when it is first read, so a run whose caller reads few balls' edges
+    never builds the rest.  Equality, ``repr`` and every field read see
+    the same ball either way.
     """
 
     center: Vertex
@@ -94,6 +110,20 @@ class KnownBall:
     #: every known edge (each a sorted tuple): at least one endpoint in
     #: Gamma^r[center], fringe edges to distance r + 1 included
     edges: Set[Tuple[Vertex, Vertex]]
+
+    def __getattr__(self, name: str) -> Any:
+        # reached only for a missing attribute: a kernel-written ball lacks
+        # ``edges`` until this first read builds them
+        if name != "edges" or "_edge_source" not in self.__dict__:
+            raise AttributeError(f"'KnownBall' object has no attribute {name!r}")
+        index, ids = self.__dict__.pop("_edge_source")
+        indptr, indices, labels = index.indptr, index.indices, index.edge_labels
+        self.edges = {
+            labels[(i, j) if i < j else (j, i)]
+            for i in ids
+            for j in indices[indptr[i]:indptr[i + 1]]
+        }
+        return self.edges
 
     def as_graph(self) -> Graph:
         """The known ball as a graph: exactly ``G[Gamma^r[center]]``.
@@ -282,52 +312,49 @@ class DeltaGatherProgram(NodeProgram):
 
 
 class DeltaGatherKernel(BatchKernel):
-    """Whole-round compilation of :class:`DeltaGatherProgram`.
+    """Whole-round compilation of :class:`DeltaGatherProgram` on vertex facts.
 
-    One :meth:`round` call performs what ``n`` ``step`` calls would:
-    merge every node's inbox deltas, then emit next round's per-edge
-    payloads -- the same set algebra, in the same id space, on the very
-    ``_states``/``_edges`` dicts the program instances own (the kernel
-    *is* their execution, so :meth:`finalize` reads the final knowledge
-    straight back out of them).  What it skips is pure dispatch: the
-    scheduler sort, context construction, ``has_edge`` validation, and
-    inbox-dict churn of :meth:`SyncNetwork.step_round`.
+    One :meth:`round` call performs what ``n`` ``step`` calls would, but
+    it tracks vertex ids only.  ``F_i(t)`` is what node ``i`` first
+    learned in round ``t`` (``F_i(0) = {i}``) and ``K_i`` everything it
+    knows; in round ``t >= 1``,
+    ``F_i(t) = (union of F_u(t - 1) over neighbours u) - K_i``, and
+    ``K_i`` grows by ``F_i(t)``.  Node ``i`` sends to neighbour ``u`` in
+    rounds ``1 .. radius - 1`` exactly when ``F_i(t)`` is non-empty and
+    not a subset of ``F_u(t - 1)``; round 0 sends on all ``2m`` directed
+    edges (every first payload holds its sender's state), and round
+    ``radius`` only merges.  This reproduces the program's per-round
+    ``(sent, delivered)`` counts, so
+    :class:`~repro.localmodel.network.RunStats` matches the per-node path
+    field for field, for three reasons:
 
-    Counting is identical by construction: a "send" is one non-empty
-    directed payload (round 0 always sends on every edge direction, like
-    the program), deliveries equal sends and are counted in the sending
-    round, and the final round merges without sending -- so
-    :class:`~repro.localmodel.network.RunStats` matches the per-node
-    path field for field.  Only nodes that actually received are
-    visited after round 0, which is where saturated instances (delta
-    gone quiet before ``radius``) win an extra factor.
+    * ``F_i(t)`` is the distance-``t`` sphere ``S_t(i)``: the neighbours'
+      last spheres reach exactly the ids at distance ``t`` that ``i``
+      does not yet know;
+    * an edge fact is fresh at a node exactly when the state of its
+      nearer endpoint is, so a program's payload is non-empty exactly
+      when it carries a state;
+    * what ``u`` delivered to ``i`` in round ``t - 1`` covers
+      ``S_t(i) & S_{t-1}(u)``, so the states left in ``i``'s payload to
+      ``u`` are ``F_i(t) - F_u(t - 1)``.
+
+    The union of the neighbours' spheres lies between distance ``t - 2``
+    and ``t`` of ``i``, so subtracting ``F_i(t - 1)`` and ``F_i(t - 2)``
+    subtracts ``K_i``; ``K_i`` is then a plain id list, and every step of
+    a round is one bulk set or list operation per node.
+    :meth:`finalize` builds each ball's ``states`` at once and its
+    ``edges`` only when first read (see :class:`KnownBall`).
     """
 
     def __init__(self, net: SyncNetwork, index: GraphIndex):
-        """Validate homogeneity and compile knowledge into fact-id sets.
-
-        The compiled representation is a single dense *fact-id* space:
-        the state of vertex ``i`` is fact ``i``, and the ``k``-th edge of
-        :attr:`GraphIndex.edge_labels` (id-sorted order) is fact
-        ``n + k``.  A node's knowledge, a round's fresh set, and every
-        payload are then plain ``set[int]`` objects and the whole step
-        algebra (merge, delta, per-neighbor exclusion) collapses to bulk
-        set operations; state *values* live in one per-vid list and are
-        only consulted at :meth:`finalize`.
-        """
+        """Validate homogeneity; every node starts knowing its own id only."""
         super().__init__(net, index)
         programs = list(net.programs.values())
         radius = programs[0].radius
         n = index.n
-        edge_pairs = list(index.edge_labels)
-        fid_of_edge: Dict[Tuple[int, int], int] = {
-            e: n + k for k, e in enumerate(edge_pairs)
-        }
         self._programs: List[DeltaGatherProgram] = [programs[0]] * n
-        #: per-vid initial state value (the only non-int payload content)
+        #: per-vid initial state value, consulted only at :meth:`finalize`
         self._values: List[Any] = [None] * n
-        #: per-vid accumulated knowledge as a fact-id set
-        self._known: List[Set[int]] = [set()] * n
         if radius < 0:
             # the per-node countdown still steps one round before firing;
             # the compiled form has no such round, so decline
@@ -349,20 +376,25 @@ class DeltaGatherKernel(BatchKernel):
             i = p._me
             self._programs[i] = p
             self._values[i] = p._states[i]
-            known = {i}
-            for e in p._edges:
-                known.add(fid_of_edge[e])
-            self._known[i] = known
         self.radius = radius
-        self._edge_pairs = edge_pairs
-        self._fid_of_edge = fid_of_edge
         indptr, indices = index.indptr, index.indices
-        self._nbrs: List[List[int]] = [
-            indices[indptr[i]:indptr[i + 1]] for i in range(n)
+        rows = (indices[indptr[i]:indptr[i + 1]] for i in range(n))
+        pad = (n, n)
+        #: per vid, a getter for its neighbours' entries of a per-vid list,
+        #: always as a tuple: a row shorter than two is padded with id n,
+        #: whose sphere is always empty
+        self._around: List[Callable[[List[Set[int]]], Any]] = [
+            itemgetter(*row, *pad[len(row):]) for row in rows
         ]
-        #: receiver id -> {sender id: fact-id payload}; doubles as the
-        #: per-node "what did each neighbor deliver" exclusion map
-        self._inbox: Dict[int, Dict[int, Set[int]]] = {}
+        #: the sending end of each directed edge, aligned with ``indices``
+        self._tails: List[int] = [
+            i for i, degree in enumerate(index.degrees) for _ in range(degree)
+        ]
+        #: F(t - 1) and F(t - 2) per vid (F(-1) is empty), then the pad
+        self._fresh: List[Set[int]] = [{i} for i in range(n)] + [set()]
+        self._older: List[Set[int]] = [set()] * n
+        #: K per vid: every id the node knows
+        self._known: List[List[int]] = [[i] for i in range(n)]
         self._round_no = 0
 
     @property
@@ -371,86 +403,51 @@ class DeltaGatherKernel(BatchKernel):
         return self._round_no > self.radius
 
     def round(self) -> Tuple[int, int]:
-        """One whole synchronous round of delta forwarding."""
+        """One whole synchronous round: grow every K, count the sends."""
         t = self._round_no
         self._round_no = t + 1
-        known_all = self._known
-        nbrs = self._nbrs
-        nxt: Dict[int, Dict[int, Set[int]]] = {}
-        sent = 0
         if t == 0:
-            if self.radius == 0:
-                return 0, 0
-            # Round 0: the fresh set is a node's initial knowledge (own
-            # state + own edges); the shared edge is mutual knowledge,
-            # everything else goes to every neighbor -- unconditionally,
-            # exactly like the program's round-0 branch.
-            fid_of_edge = self._fid_of_edge
-            for i in range(len(nbrs)):
-                known = known_all[i]
-                for u in nbrs[i]:
-                    shared = fid_of_edge[(i, u) if i < u else (u, i)]
-                    inbox = nxt.get(u)
-                    if inbox is None:
-                        inbox = nxt[u] = {}
-                    inbox[i] = known - {shared}
-                    sent += 1
-            self._inbox = nxt
+            sent = len(self._tails) if self.radius else 0
             return sent, sent
-        last = t >= self.radius
-        for i, got in self._inbox.items():
-            known = known_all[i]
-            if len(got) == 1:
-                fresh = next(iter(got.values())) - known
-            else:
-                payloads = iter(got.values())
-                fresh = next(payloads) - known
-                for payload in payloads:
-                    fresh |= payload - known
-            if not fresh:
-                continue
-            known |= fresh
-            if last:
-                continue
-            for u in nbrs[i]:
-                held = got.get(u)
-                if held is None:
-                    # nothing to subtract: share the fresh set itself
-                    # (receivers only read payloads, never mutate them)
-                    out = fresh
-                else:
-                    out = fresh - held
-                    if not out:
-                        continue
-                inbox = nxt.get(u)
-                if inbox is None:
-                    inbox = nxt[u] = {}
-                inbox[i] = out
-                sent += 1
-        self._inbox = nxt
+        prev = self._fresh
+        if not any(prev):
+            # every sphere is empty: the gather has gone quiet for good
+            return 0, 0
+        union = set().union
+        fresh = [union(*around(prev)) for around in self._around]
+        _consume(map(set.difference_update, fresh, prev, self._older))
+        _consume(map(list.extend, self._known, fresh))
+        fresh.append(prev[-1])
+        self._fresh, self._older = fresh, prev
+        if t >= self.radius:
+            return 0, 0
+        quiet = sum(
+            map(
+                set.issubset,
+                map(fresh.__getitem__, self._tails),
+                map(prev.__getitem__, self.index.indices),
+            )
+        )
+        sent = len(self._tails) - quiet
         return sent, sent
 
     def finalize(self) -> None:
-        """Produce each node's :class:`KnownBall` from its fact-id set."""
-        verts = self.index.verts
-        edge_labels = self.index.edge_labels
-        edge_pairs = self._edge_pairs
+        """Write each node's :class:`KnownBall`: states now, edges when read."""
+        index = self.index
+        verts = index.verts
         values = self._values
         radius = self.radius
-        n = self.index.n
-        for i, p in enumerate(self._programs):
-            # one sort, split at the state/edge boundary: fact ids below
-            # n are states (ascending, as KnownBall's dict order pins),
-            # the rest are edges
-            facts = sorted(self._known[i])
-            cut = bisect_left(facts, n)
-            p.done = True
-            p.output = KnownBall(
+        for p, known in zip(self._programs, self._known):
+            known.sort()
+            ball = KnownBall.__new__(KnownBall)
+            ball.__dict__.update(
                 center=p.node,
                 radius=radius,
-                states={verts[f]: values[f] for f in facts[:cut]},
-                edges={edge_labels[edge_pairs[f - n]] for f in facts[cut:]},
+                states={verts[i]: values[i] for i in known},
+                _edge_source=(index, known),
             )
+            p.done = True
+            p.output = ball
 
 
 DeltaGatherProgram.batch_kernel = DeltaGatherKernel
@@ -465,22 +462,24 @@ def _run_gather(
     faults: Optional["FaultPlan"],
     info: Optional[Dict[str, Any]] = None,
 ) -> Tuple[Dict[Vertex, KnownBall], int]:
+    if isinstance(radius, bool) or not isinstance(radius, int):
+        raise TypeError(f"radius must be an int, got {type(radius).__name__}")
     if radius < 0:
-        raise ValueError("radius must be non-negative")
-    net = BatchExecutor(graph, factory, sealed=sealed, sinks=sinks, faults=faults)
+        raise ValueError(f"radius must be non-negative, got {radius}")
     # The bound is exact: rounds 0..radius inclusive (satellite of the
     # termination contract -- slack here would mask off-by-ones in the
     # programs' cutoff logic).
     #
-    # A gather run allocates payload containers at a rate that makes the
-    # cyclic GC's generation scans a measurable fraction of wall-clock
-    # (the payload graphs are acyclic, so the scans never free anything);
-    # pause collection for the run and let the deferred gen-0 pass run
-    # once at the end.
+    # Building one program per node and running the gather allocate
+    # containers at a rate that makes the cyclic GC's generation scans a
+    # measurable fraction of wall-clock (programs, payloads and balls hold
+    # no cycles, so the scans never free anything); pause collection for
+    # both and let the deferred pass run once at the end.
     was_enabled = gc.isenabled()
     if was_enabled:
         gc.disable()
     try:
+        net = BatchExecutor(graph, factory, sealed=sealed, sinks=sinks, faults=faults)
         outputs = net.run(max_rounds=radius + 1)
     finally:
         if was_enabled:

@@ -48,7 +48,7 @@ class IntervalMISResult:
 def mis_parameters(epsilon: float) -> int:
     """k = ceil(2.5/eps + 0.5) of Theorem 5."""
     if not 0 < epsilon < 1:
-        raise ValueError("epsilon must be in (0, 1)")
+        raise ValueError(f"epsilon must be in (0, 1), got {epsilon!r}")
     return math.ceil(2.5 / epsilon + 0.5)
 
 

@@ -10,7 +10,11 @@ program family (delta gather, BFS layers, Linial path coloring):
   ``tests/oracles.py``); the batch side is unsealed and must actually
   take the kernel,
 
-plus the selection rule: the executor takes the kernel exactly when
+the delta gather's per-round ``sent`` series is pinned against a
+:class:`MetricsSink` on the per-node run, and its balls must equal the
+per-node ones before their lazily built edge sets are read.
+
+Plus the selection rule: the executor takes the kernel exactly when
 nothing blocks it (a non-empty fault plan, ``sealed=True``, trace sinks,
 an inbox order, a kernel-less or heterogeneous network) and otherwise
 steps node by node and records why in ``fallback_reason``.  The
@@ -18,6 +22,8 @@ steps node by node and records why in ``fallback_reason``.  The
 the matrix over generated path / interval / chordal families.
 """
 
+import dataclasses
+import pickle
 from unittest import mock
 
 import pytest
@@ -25,8 +31,11 @@ from hypothesis import given, settings, strategies as st
 
 from repro.graphs import (
     Graph,
+    cycle_graph,
     path_graph,
     random_chordal_graph,
+    random_k_tree,
+    random_tree,
     star_graph,
     unit_interval_chain,
 )
@@ -42,7 +51,9 @@ from repro.localmodel import (
 )
 from repro.localmodel.colorreduction import LinialPathProgram
 from repro.localmodel.gather import BallGatherProgram, DeltaGatherProgram
+from repro.localmodel.network import RunStats
 from repro.localmodel.programs import BFSLayerProgram, bfs_layers
+from repro.localmodel.trace import jsonable_payload
 from tests.oracles import reference_gather, scheduling
 
 SCHEDULERS = ("active", "dense")
@@ -157,6 +168,101 @@ class TestDeltaGatherKernelEquivalence:
         assert ex.run(max_rounds=3) == balls
         assert ex.executed == "node"
         assert "declares no batch kernel" in ex.fallback_reason
+
+
+def _disconnected_with_isolated(n, seed):
+    """A random tree on ``0..n-1``, a 4-path beside it, two isolated ids."""
+    edges = random_tree(n, seed=seed).edges()
+    edges += [(n + i, n + i + 1) for i in range(3)]
+    return Graph(vertices=range(n + 6), edges=edges)
+
+
+#: the families the per-round pin covers: (n, seed) -> graph
+ROUND_FAMILIES = {
+    "chordal": lambda n, seed: random_chordal_graph(n, seed=seed),
+    "interval": lambda n, seed: unit_interval_chain(n, seed=seed),
+    "3-tree": lambda n, seed: random_k_tree(n + 4, 3, seed=seed),
+    "tree": lambda n, seed: random_tree(n, seed=seed),
+    "cycle": lambda n, seed: cycle_graph(n + 3),
+    "star": lambda n, seed: star_graph(n),
+    "disconnected": _disconnected_with_isolated,
+    "singleton": lambda n, seed: Graph(vertices=[seed], edges=[]),
+    "empty": lambda n, seed: Graph(vertices=[], edges=[]),
+}
+
+
+class TestDeltaGatherRoundByRound:
+    """The kernel's ``sent`` series equals the per-node run's, round by round."""
+
+    @pytest.mark.parametrize("family", sorted(ROUND_FAMILIES))
+    @settings(max_examples=15, deadline=None)
+    @given(n=st.integers(1, 24), seed=st.integers(0, 1_000), radius=st.integers(0, 8))
+    def test_sent_per_round_matches_metrics_sink(self, family, n, seed, radius):
+        graph = ROUND_FAMILIES[family](n, seed)
+        factory = gather_factory(graph, radius, {v: v for v in graph.vertices()})
+        sink = MetricsSink()
+        node = SyncNetwork(graph, factory, sinks=[sink])
+        out_node = node.run(max_rounds=radius + 1)
+
+        recorded = []
+        record_round = RunStats.record_round
+
+        def spy(stats, sent, delivered):
+            recorded.append((sent, delivered))
+            record_round(stats, sent, delivered)
+
+        batch = BatchExecutor(graph, factory)
+        with mock.patch.object(RunStats, "record_round", spy):
+            out_batch = batch.run(max_rounds=radius + 1)
+        assert batch.executed == "batch", batch.fallback_reason
+        assert recorded == [(sent, sent) for sent in sink.message_counts]
+        assert out_batch == out_node
+
+
+class TestLazyBallEdges:
+    """A kernel ball builds its edge set on first read and is the same ball."""
+
+    @pytest.fixture
+    def both(self):
+        g = random_chordal_graph(30, seed=4)
+        states = {v: ("s", v) for v in g.vertices()}
+        balls, _ = gather_balls(g, 3, states)
+        node = SyncNetwork(g, gather_factory(g, 3, states)).run(max_rounds=4)
+        return balls, node
+
+    def test_unread_ball_equals_node_ball(self, both):
+        balls, node = both
+        for v, ball in balls.items():
+            assert "edges" not in vars(ball)
+            assert ball == node[v]
+
+    def test_unread_ball_is_the_same_dataclass_and_renders_the_same(self, both):
+        balls, node = both
+        for v, ball in balls.items():
+            assert "edges" not in vars(ball)
+            assert dataclasses.is_dataclass(ball)
+            assert type(ball) is type(node[v])
+            assert jsonable_payload(ball) == jsonable_payload(node[v])
+
+    def test_reading_states_builds_no_edge_set(self, both):
+        balls, node = both
+        total = sum(len(b.states) for b in balls.values())
+        assert total == sum(len(b.states) for b in node.values())
+        assert not any("edges" in vars(b) for b in balls.values())
+
+    def test_second_read_returns_the_same_set(self, both):
+        balls, node = both
+        for v, ball in balls.items():
+            first = ball.edges
+            assert ball.edges is first
+            assert first == node[v].edges
+
+    def test_unknown_attribute_and_pickling(self, both):
+        balls, _ = both
+        ball = next(iter(balls.values()))
+        with pytest.raises(AttributeError, match="no attribute 'edge'"):
+            ball.edge
+        assert pickle.loads(pickle.dumps(ball)) == ball
 
 
 class TestBFSLayerKernelEquivalence:

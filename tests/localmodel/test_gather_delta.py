@@ -124,6 +124,27 @@ class TestEquivalenceMatrix:
         with pytest.raises(ValueError, match="non-negative"):
             gather_balls(path_graph(3), -1)
 
+    def test_negative_radius_error_names_the_value(self):
+        with pytest.raises(ValueError, match="non-negative, got -3$"):
+            gather_balls(path_graph(6), -3)
+
+    def test_float_radius_rejected(self):
+        with pytest.raises(TypeError, match="radius must be an int, got float"):
+            gather_balls(path_graph(6), 1.5)
+
+    def test_string_radius_rejected(self):
+        with pytest.raises(TypeError, match="radius must be an int, got str"):
+            gather_balls(path_graph(6), "2")
+
+    def test_none_radius_rejected(self):
+        with pytest.raises(TypeError, match="radius must be an int, got NoneType"):
+            gather_balls(path_graph(6), None)
+
+    def test_bool_radius_rejected(self):
+        # True == 1 to Python, but every ball would carry radius=True
+        with pytest.raises(TypeError, match="radius must be an int, got bool"):
+            gather_balls(path_graph(6), True)
+
 
 class TestOracle:
     @pytest.mark.parametrize("program", sorted(GATHERS))

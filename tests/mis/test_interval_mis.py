@@ -40,6 +40,13 @@ class TestParameters:
             with pytest.raises(ValueError):
                 mis_parameters(eps)
 
+    @pytest.mark.parametrize(
+        "epsilon,shown", [(float("nan"), "nan"), (1.0, "1.0"), (0, "0")]
+    )
+    def test_interval_mis_error_names_the_value(self, epsilon, shown):
+        with pytest.raises(ValueError, match=rf"in \(0, 1\), got {shown}$"):
+            interval_mis(path_graph(4), epsilon)
+
 
 class TestSmallComponents:
     def test_empty(self):

@@ -156,6 +156,44 @@ class TestCheck:
         assert "docs/gather.md: 'SubtreeTable' is never mentioned" in text
         assert "docs/gather.md: 'local_view_from_ball' is never mentioned" not in text
 
+    def test_executor_doc_must_name_vertex_facts(self, broken_root):
+        docs = broken_root / "docs"
+        docs.mkdir()
+        (docs / "executor.md").write_text("# DeltaGatherKernel and BatchExecutor\n")
+        text = "\n".join(check_docs.check(broken_root))
+        assert "docs/executor.md: 'vertex facts' is never mentioned" in text
+        assert "docs/executor.md: 'BatchExecutor' is never mentioned" not in text
+
+    def test_retired_fact_id_space_is_flagged_on_docs_pages(self, broken_root):
+        docs = broken_root / "docs"
+        docs.mkdir()
+        (docs / "executor.md").write_text("vertex facts replaced the fact-id space\n")
+        (docs / "gather.md").write_text("a dense *fact-id* space\n")
+        (broken_root / "README.md").write_text("history: the fact-id kernel\n")
+        text = "\n".join(check_docs.check(broken_root))
+        for page in ("docs/executor.md", "docs/gather.md"):
+            assert f"{page}: describes the retired 'fact-id' gather kernel" in text
+        assert "README.md: describes the retired" not in text
+        assert "'vertex facts' is never mentioned" not in text
+
+    def test_index_must_hold_the_epsilon_table(self, broken_root):
+        docs = broken_root / "docs"
+        docs.mkdir()
+        (docs / "index.md").write_text(
+            "| entry point | also covers | accepted ε |\n"
+            "|---|---|---|\n"
+            "| `ColoringParameters.from_epsilon` | `repro color` | ε > 0 and finite |\n"
+            "| `interval_mis` | — | 0 < ε < ½ |\n"
+            "`mis_peeling_parameters` takes 0 < ε < ½ (prose, not a row)\n"
+        )
+        text = "\n".join(check_docs.check(broken_root))
+        assert (
+            "docs/index.md: the accepted-epsilon table has no row for "
+            "'interval_mis' with '0 < ε < 1'" in text
+        )
+        assert "no row for 'mis_peeling_parameters'" in text
+        assert "no row for 'ColoringParameters.from_epsilon'" not in text
+
     def test_retired_experiment_paths_are_flagged(self, broken_root):
         (broken_root / "README.md").write_text(
             "run `python -m repro.analysis.report T4`\n"

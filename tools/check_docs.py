@@ -50,7 +50,11 @@ instructions can never silently rot:
   experiments live only in ``repro.runner``;
 * ``docs/kernels.md`` names the clique-forest builder
   ``clique_forest_from_peo``, and no page names the W_G kernels it
-  retired (:data:`RETIRED_KERNELS`), which are test oracles now.
+  retired (:data:`RETIRED_KERNELS`), which are test oracles now;
+* ``docs/executor.md`` says the gather kernel runs on "vertex facts",
+  and no docs page describes the retired "fact-id" space;
+* ``docs/index.md`` holds the table of accepted epsilon ranges
+  (:data:`EPSILON_RANGES`), one row per entry point.
 
 Usage::
 
@@ -83,6 +87,18 @@ RETIRED_KERNELS = (
     "clique_intersection_edges",
     "maximum_weight_spanning_forest_ids",
 )
+
+
+#: the gather kernel's representation, and the one it replaced
+GATHER_KERNEL_TERM = "vertex facts"
+RETIRED_GATHER_TERM = "fact-id"
+
+#: docs/index.md's accepted-epsilon table: entry point -> its range
+EPSILON_RANGES = {
+    "ColoringParameters.from_epsilon": "ε > 0 and finite",
+    "interval_mis": "0 < ε < 1",
+    "mis_peeling_parameters": "0 < ε < ½",
+}
 
 
 def _normalize(raw: str) -> str:
@@ -358,6 +374,13 @@ def check(root: Path) -> List[str]:
                 "subsystem map"
             )
     if index_text:
+        rows = [line for line in index_text.splitlines() if line.startswith("|")]
+        for entry, accepted in EPSILON_RANGES.items():
+            if not any(f"`{entry}`" in row and accepted in row for row in rows):
+                problems.append(
+                    f"docs/index.md: the accepted-epsilon table has no row "
+                    f"for {entry!r} with {accepted!r}"
+                )
         for command in cli_subcommands():
             if not re.search(rf"\b{re.escape(command)}\b", index_text):
                 problems.append(
@@ -385,6 +408,7 @@ def check(root: Path) -> List[str]:
             "RunStats",
             "bench_network",
             "BENCH_network.json",
+            GATHER_KERNEL_TERM,
         ):
             if term not in text:
                 problems.append(
@@ -422,6 +446,12 @@ def check(root: Path) -> List[str]:
         if not page.is_file():
             continue
         text = page.read_text()
+        if page.parent == root / "docs" and RETIRED_GATHER_TERM in text:
+            problems.append(
+                f"{page.relative_to(root)}: describes the retired "
+                f"{RETIRED_GATHER_TERM!r} gather kernel (it tracks "
+                f"{GATHER_KERNEL_TERM} now)"
+            )
         for retired in RETIRED_PATHS:
             if retired in text:
                 problems.append(
