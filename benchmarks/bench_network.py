@@ -1,17 +1,18 @@
-"""Gather benchmark: delta vs full flood, per-node vs batch executor.
+"""Gather benchmark: delta vs full flood, per-node vs the whole-round kernel.
 
 Produces ``BENCH_network.json``: for every (family, n, radius) cell the
-output-sensitive :class:`~repro.localmodel.gather.DeltaGatherProgram` is
-run under both executors (per-node scheduler and the whole-round
+output-sensitive delta gather runs on both paths (a ``SyncNetwork`` of
+:class:`~repro.localmodel.gather.DeltaGatherProgram` nodes, and
+``gather_balls``, which runs the whole-round
 :class:`~repro.localmodel.gather.DeltaGatherKernel`) together with the
 full-flood oracle ``reference_gather`` of ``tests/oracles.py``; all per-node
 :class:`~repro.localmodel.gather.KnownBall` outputs are asserted
 identical and three figures are recorded per cell --
 
-* **wall-clock** per executor (best of a few uninstrumented runs):
+* **wall-clock** per path (best of a few uninstrumented runs):
   ``node_seconds``, ``batch_seconds``, ``flood_seconds``; each side
   times the same work, every ball's edge set included;
-* **time_speedup** = flood / batch: the headline the batch executor
+* **time_speedup** = flood / batch: the headline the gather kernel
   exists for.  PR 8's delta rewrite cut message *volume* 6-25x yet lost
   wall-clock (0.70-0.78x) to per-node Python dispatch; compiling the
   round to one kernel call flips the ratio;
@@ -19,7 +20,7 @@ identical and three figures are recorded per cell --
   (state entries + edge tuples) crossing the wire, charged per the
   :data:`~repro.localmodel.network.WIRE_STATUSES` contract.  Sinks
   observe per-message records, so these runs always take the per-node
-  path -- volume is executor-invariant by the equivalence contract.
+  path -- volume is path-invariant by the equivalence contract.
 
 The ``path`` n=100000 cell is batch-scale evidence (the ROADMAP's
 n >= 10^5 target): the flood is omitted there (its volume is quadratic

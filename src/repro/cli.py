@@ -732,7 +732,6 @@ def _cmd_chaos(args, out) -> int:
     if args.format == "json":
         payload = {
             "summary": summary,
-            "executors": report.executors,
             "trials": [t.as_dict() for t in report.trials],
         }
         print(json.dumps(payload, indent=2, sort_keys=True), file=out)
@@ -742,19 +741,15 @@ def _cmd_chaos(args, out) -> int:
             f"{len(suite)} programs (seed {args.seed})",
             file=out,
         )
-        rows = []
-        for name, _graph, _factory, _validator in suite:
-            info = report.executors.get(name, {})
-            rows.append((
+        rows = [
+            (
                 name,
                 sum(1 for t in report.trials if t.program == name),
                 summary["by_program"].get(name, 0),
-                info.get("executed", "?"),
-            ))
-        print(
-            format_table(["program", "trials", "failures", "executor"], rows),
-            file=out,
-        )
+            )
+            for name, _graph, _factory, _validator in suite
+        ]
+        print(format_table(["program", "trials", "failures"], rows), file=out)
         for t in failures:
             print(f"{t.program} trial {t.trial}: {t.kind}", file=out)
             detail = t.problems[0] if t.problems else (t.error or "")

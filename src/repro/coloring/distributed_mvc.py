@@ -232,9 +232,8 @@ def message_level_layer_decisions(
     its own ball alone.  Returns ``(decisions, rounds)`` where
     ``rounds`` is the simulator's round count
     (``collect_radius + 1``, one final round to detect quiescence).
-    The gather compiles to the whole-round batch kernel unless
-    ``sealed`` asks for per-node dispatch, with identical decisions and
-    round counts.  Raises :class:`~repro.graphs.chordal.NotChordalError`
+    The gather runs as its whole-round kernel unless ``sealed`` asks
+    for per-node dispatch, with identical decisions and round counts.  Raises :class:`~repro.graphs.chordal.NotChordalError`
     on non-chordal input before any round runs, and ``TypeError`` when
     ``params`` is not a :class:`ColoringParameters`.
 

@@ -75,7 +75,9 @@ class ColoringParameters:
 
     @classmethod
     def from_epsilon(cls, epsilon: float) -> "ColoringParameters":
-        if not (math.isfinite(epsilon) and epsilon > 0):
+        """Constants for ``k = ceil(2 / epsilon)``; ``epsilon`` is a finite
+        positive number, and a bool is rejected like ``from_k`` rejects one."""
+        if isinstance(epsilon, bool) or not (math.isfinite(epsilon) and epsilon > 0):
             raise ValueError(f"epsilon must be positive and finite, got {epsilon!r}")
         return cls.from_k(math.ceil(2.0 / epsilon))
 

@@ -33,6 +33,7 @@ from ..graphs.adjacency import Graph, Vertex
 from ..graphs.chordal import _not_chordal
 from ..graphs.index import graph_index
 from .decomposition import PathBags
+from .parameters import _check_positive_int
 
 __all__ = [
     "PeeledPath",
@@ -54,7 +55,9 @@ def diameter_rule(threshold: int) -> InternalRule:
     diameter (:func:`~repro.cliquetree.paths.path_diameter_at_least`), and
     carries the threshold as a ``threshold`` attribute so layer-only
     callers can recognize it and take the :func:`peeling_layers` fast path.
+    ``threshold`` must be an int >= 1 (``ValueError`` otherwise).
     """
+    _check_positive_int("threshold", threshold)
 
     def rule(graph: Graph, path: ForestPath) -> bool:
         return path_diameter_at_least(graph, path.cliques, threshold)
@@ -164,9 +167,16 @@ def peeling_layers(
     ``docs/kernels.md``).  When
     ``max_iterations`` is given the process stops after that many layers,
     optionally switching to ``last_threshold`` for the final iteration
-    (the Algorithm 6 shape).  Raises
-    :class:`~repro.graphs.chordal.NotChordalError` on non-chordal input.
+    (the Algorithm 6 shape).  ``threshold``, ``max_iterations`` and
+    ``last_threshold`` must be ints >= 1 (``ValueError`` otherwise).
+    Raises :class:`~repro.graphs.chordal.NotChordalError` on non-chordal
+    input.
     """
+    _check_positive_int("threshold", threshold)
+    if max_iterations is not None:
+        _check_positive_int("max_iterations", max_iterations)
+    if last_threshold is not None:
+        _check_positive_int("last_threshold", last_threshold)
     index = graph_index(graph)
     order, bad = kernels.peo_and_violation(index)
     if bad is not None:
@@ -197,8 +207,11 @@ def peel_chordal_graph(
     process stops after that many layers (Algorithm 6), optionally applying
     ``last_iteration_rule`` instead of ``internal_rule`` in the final one;
     otherwise it runs until the forest is empty, which Lemma 6 bounds by
-    ceil(log2 n) iterations.
+    ceil(log2 n) iterations.  ``max_iterations`` must be an int >= 1
+    (``ValueError`` otherwise).
     """
+    if max_iterations is not None:
+        _check_positive_int("max_iterations", max_iterations)
     forest = build_clique_forest(graph)
     current = graph.copy()
     layers: List[List[PeeledPath]] = []

@@ -87,10 +87,9 @@ class GraphIndex:
     def degrees(self) -> List[int]:
         """Per-id degree list, built on first access and cached.
 
-        The whole-round kernels (:mod:`repro.localmodel.executor`) charge
-        a broadcasting frontier ``sum(degrees[i] for i in frontier)``
-        messages per round; one flat list beats ``n`` ``indptr``
-        subtractions per round.
+        The gather kernel (:class:`~repro.localmodel.gather.DeltaGatherKernel`)
+        lays out one entry per directed edge from it; one flat list beats
+        ``n`` ``indptr`` subtractions.
         """
         degs = self._degrees
         if degs is None:
@@ -98,45 +97,6 @@ class GraphIndex:
             degs = [indptr[i + 1] - indptr[i] for i in range(self.n)]
             self._degrees = degs
         return degs
-
-    # -- frontier helpers -----------------------------------------------
-    def bfs_frontiers(
-        self, sources: Sequence[int], cutoff: Optional[int] = None
-    ) -> List[List[int]]:
-        """BFS layers from a source set, as sorted id lists per distance.
-
-        ``result[d]`` holds every id at distance exactly ``d`` from the
-        nearest source (``result[0]`` is the sorted source set itself);
-        expansion stops after distance ``cutoff`` when given.  Unreached
-        ids appear in no layer, and an empty source set yields ``[]``.
-        Layers come out sorted because sources are sorted first and each
-        expansion scans the previous layer in order through ascending
-        CSR rows -- the order the whole-round BFS kernel relies on.
-        """
-        if not sources:
-            return []
-        indptr, indices = self.indptr, self.indices
-        seen = bytearray(self.n)
-        frontier = sorted(set(sources))
-        for i in frontier:
-            seen[i] = 1
-        layers = [frontier]
-        depth = 0
-        while frontier and (cutoff is None or depth < cutoff):
-            nxt: List[int] = []
-            for i in frontier:
-                for k in range(indptr[i], indptr[i + 1]):
-                    j = indices[k]
-                    if not seen[j]:
-                        seen[j] = 1
-                        nxt.append(j)
-            if not nxt:
-                break
-            nxt.sort()
-            layers.append(nxt)
-            frontier = nxt
-            depth += 1
-        return layers
 
     # -- id-space queries ------------------------------------------------
     def neighbors_of(self, i: int) -> List[int]:

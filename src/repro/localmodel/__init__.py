@@ -49,16 +49,10 @@
 
 from .colorreduction import (
     LINIAL_FIXPOINT,
-    LinialPathKernel,
     LinialPathProgram,
     linial_new_color,
     linial_parameters,
     three_color_path,
-)
-from .executor import (
-    BatchExecutor,
-    BatchKernel,
-    KernelIneligible,
 )
 from .chaos import (
     ChaosReport,
@@ -98,7 +92,6 @@ from .network import (
     vertex_key,
 )
 from .programs import (
-    BFSLayerKernel,
     BFSLayerProgram,
     EchoCountProgram,
     LeaderElectionProgram,
@@ -151,14 +144,10 @@ from .rulingset import (
 
 __all__ = [
     "LINIAL_FIXPOINT",
-    "LinialPathKernel",
     "LinialPathProgram",
     "linial_new_color",
     "linial_parameters",
     "three_color_path",
-    "BatchExecutor",
-    "BatchKernel",
-    "KernelIneligible",
     "CORRUPT_KINDS",
     "MESSAGE_STATUSES",
     "ChaosReport",
@@ -188,7 +177,6 @@ __all__ = [
     "SyncNetwork",
     "TraceSink",
     "vertex_key",
-    "BFSLayerKernel",
     "BFSLayerProgram",
     "EchoCountProgram",
     "LeaderElectionProgram",

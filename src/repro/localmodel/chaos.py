@@ -172,9 +172,6 @@ class ChaosReport:
 
     seed: int
     trials: List[ChaosTrial] = field(default_factory=list)
-    #: which executor path the suite's networks would take, per program,
-    #: with the fall-back explanation (the BatchExecutor diagnostic)
-    executors: Dict[str, Dict[str, Optional[str]]] = field(default_factory=dict)
 
     def failures(self) -> List[ChaosTrial]:
         """The failing trials, in trial order."""
@@ -300,15 +297,12 @@ def chaos_soak(
     corruption can strike a quiesced network, the hardest case).  Every
     failing trial is delta-debugged into a minimal deterministic repro
     when ``minimize`` is set, and the minimized plan is re-run to prove
-    it still reproduces.  The report also records, per program, which
-    executor path a :class:`~repro.localmodel.executor.BatchExecutor`
-    would take for the trial networks and why it fell back.
+    it still reproduces.
     """
     if not suite:
         raise ValueError("chaos_soak needs a non-empty suite")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    from .executor import BatchExecutor
 
     report = ChaosReport(seed=seed)
     horizons: Dict[str, int] = {}
@@ -316,14 +310,6 @@ def chaos_soak(
         base = SyncNetwork(graph, factory)
         base.run(max_rounds=max_rounds)
         horizons[name] = base.stats.rounds + horizon_slack
-        probe = BatchExecutor(
-            graph, factory, faults=random_fault_plan(seed, list(graph.vertices()))
-        )
-        path, blockers = probe.plan()
-        report.executors[name] = {
-            "executed": path,
-            "fallback_reason": "; ".join(blockers) or None,
-        }
 
     for t in range(trials):
         name, graph, factory, validator = suite[t % len(suite)]

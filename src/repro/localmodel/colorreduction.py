@@ -28,16 +28,13 @@ from __future__ import annotations
 
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from ..graphs.index import GraphIndex
-from .executor import BatchKernel, KernelIneligible
-from .network import NodeContext, NodeProgram, SyncNetwork
+from .network import NodeContext, NodeProgram
 
 __all__ = [
     "linial_parameters",
     "linial_new_color",
     "three_color_path",
     "LinialPathProgram",
-    "LinialPathKernel",
     "LINIAL_FIXPOINT",
 ]
 
@@ -238,112 +235,3 @@ class LinialPathProgram(NodeProgram):
         self.done = True
         self.output = self.color
         return {}
-
-
-class LinialPathKernel(BatchKernel):
-    """Whole-round compilation of :class:`LinialPathProgram`.
-
-    The program is already lock-step -- every node broadcasts every
-    non-final round and advances the same globally agreed schedule -- so
-    the compiled form is the obvious synchronous simulation over id
-    arrays: round 0 announces IDs, rounds ``1..S`` apply the Linial
-    reduction to the *previous* round's colors (exactly what the inbox
-    holds), round ``S + 1`` shifts the palette into ``1..25``, the next
-    ``K = max(0, min(25, id_bound) - 3)`` rounds retire one color each,
-    and the final round terminates silently.  Message accounting is
-    uniform by construction: every non-final round costs the total
-    degree sum, the final round costs nothing.
-
-    Eligibility requires the network to be homogeneous (one shared
-    ``id_bound``, hence one schedule and retire start) and unstarted;
-    anything else raises :class:`KernelIneligible`.
-    """
-
-    def __init__(self, net: SyncNetwork, index: GraphIndex):
-        """Validate homogeneity and snapshot the initial colors."""
-        super().__init__(net, index)
-        programs = list(net.programs.values())
-        first = programs[0]
-        schedule = first.schedule
-        retire = first.retire
-        n = index.n
-        self._programs: List[LinialPathProgram] = [first] * n
-        self._colors: List[int] = [0] * n
-        vid = index.vid
-        for p in programs:
-            if p.schedule != schedule or p.retire != retire:
-                raise KernelIneligible(
-                    "LinialPathProgram instances disagree on the id bound"
-                )
-            if p.done or p.shifted or p.stage != 0:
-                raise KernelIneligible("a program instance is already mid-run")
-            i = vid[p.node]
-            self._programs[i] = p
-            self._colors[i] = p.color
-        self._schedule = schedule
-        self._retire_start = retire
-        #: rounds 0 .. S + K inclusive broadcast; round S + K + 1 is final
-        self._last_round = len(schedule) + max(0, retire - 3) + 1
-        indptr, indices = index.indptr, index.indices
-        self._nbrs: List[List[int]] = [
-            indices[indptr[i]:indptr[i + 1]] for i in range(n)
-        ]
-        self._total_deg = indptr[n]
-        self._round_no = 0
-
-    @property
-    def done(self) -> bool:
-        """All programs terminate together, in round ``S + K + 1``."""
-        return self._round_no > self._last_round
-
-    def round(self) -> Tuple[int, int]:
-        """Advance all nodes one lock-step stage of the shared schedule."""
-        t = self._round_no
-        self._round_no = t + 1
-        schedule = self._schedule
-        stages = len(schedule)
-        colors = self._colors
-        nbrs = self._nbrs
-        if 1 <= t <= stages:
-            q, d = schedule[t - 1]
-            self._colors = [
-                linial_new_color(colors[i], [colors[u] for u in nbrs[i]], q, d)
-                for i in range(len(colors))
-            ]
-        elif t == stages + 1:
-            # shift the palette into 1..25; neighbors shift in the same
-            # instant, so comparisons stay consistent (the program shifts
-            # its unshifted inbox values the same way)
-            colors = self._colors = [c + 1 for c in colors]
-        if t == self._last_round:
-            return 0, 0
-        if stages + 1 <= t <= self._last_round - 1:
-            retire = self._retire_start - (t - stages - 1)
-            self._colors = [
-                min(
-                    c
-                    for c in (1, 2, 3)
-                    if all(colors[u] != c for u in nbrs[i])
-                )
-                if colors[i] == retire
-                else colors[i]
-                for i in range(len(colors))
-            ]
-        sent = self._total_deg
-        return sent, sent
-
-    def finalize(self) -> None:
-        """Leave the state the per-node path would: colors, flags, outputs."""
-        retire_end = 3 if self._retire_start > 3 else self._retire_start
-        stages = len(self._schedule)
-        for i, p in enumerate(self._programs):
-            color = self._colors[i]
-            p.color = color
-            p.stage = stages
-            p.retire = retire_end
-            p.shifted = True
-            p.done = True
-            p.output = color
-
-
-LinialPathProgram.batch_kernel = LinialPathKernel

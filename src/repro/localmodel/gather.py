@@ -34,15 +34,18 @@ round we learned it), which are no-op merges at the receiver.
 Termination is the same ``round_number >= radius`` countdown in both
 programs, so outputs *and* round counts are identical.
 
-:func:`gather_balls` packages a full run.  When nothing asks for per-node
-dispatch it runs :class:`DeltaGatherKernel`, which replays the delta
-program's schedule on vertex ids alone and builds each ball's edge set
-only when it is first read; balls, rounds and stats are the same.  The
-equivalence tests check its output against direct BFS, which is what
-entitles the layered algorithms to use the cheaper accounting of
-:mod:`repro.localmodel.rounds`.  A full-flood gather,
-``reference_gather`` in ``tests/oracles.py``, is the oracle of the
-equivalence tests and the flood side of ``benchmarks/bench_network.py``.
+:func:`gather_balls` packages a full run and picks its dispatch from its
+own arguments before it builds anything.  Unless the call is sealed,
+attaches a trace sink or carries a non-empty fault plan, it runs
+:class:`DeltaGatherKernel`, which replays the delta program's schedule on
+vertex ids alone, straight from the graph index, and builds each ball's
+edge set only when it is first read; balls, rounds and stats are the
+same as on the per-node path.  The equivalence tests check its output
+against direct BFS, which is what entitles the layered algorithms to use
+the cheaper accounting of :mod:`repro.localmodel.rounds`.  A full-flood
+gather, ``reference_gather`` in ``tests/oracles.py``, is the oracle of
+the equivalence tests and the flood side of
+``benchmarks/bench_network.py``.
 """
 
 from __future__ import annotations
@@ -66,8 +69,7 @@ from typing import (
 
 from ..graphs.adjacency import Graph, Vertex
 from ..graphs.index import GraphIndex, graph_index
-from .executor import BatchExecutor, BatchKernel, KernelIneligible
-from .network import NodeContext, NodeProgram, SyncNetwork, TraceSink
+from .network import NodeContext, NodeProgram, RunStats, SyncNetwork, TraceSink
 
 __all__ = [
     "KnownBall",
@@ -311,16 +313,17 @@ class DeltaGatherProgram(NodeProgram):
         return outbox
 
 
-class DeltaGatherKernel(BatchKernel):
-    """Whole-round compilation of :class:`DeltaGatherProgram` on vertex facts.
+class DeltaGatherKernel:
+    """Whole-round form of :class:`DeltaGatherProgram` on vertex facts.
 
-    One :meth:`round` call performs what ``n`` ``step`` calls would, but
-    it tracks vertex ids only.  ``F_i(t)`` is what node ``i`` first
-    learned in round ``t`` (``F_i(0) = {i}``) and ``K_i`` everything it
-    knows; in round ``t >= 1``,
-    ``F_i(t) = (union of F_u(t - 1) over neighbours u) - K_i``, and
-    ``K_i`` grows by ``F_i(t)``.  Node ``i`` sends to neighbour ``u`` in
-    rounds ``1 .. radius - 1`` exactly when ``F_i(t)`` is non-empty and
+    Built from the graph index, the radius and the initial states alone:
+    no program or network exists on this path.  One :meth:`round` call
+    performs what ``n`` ``step`` calls would, but it tracks vertex ids
+    only.  ``F_i(t)`` is what node ``i`` first learned in round ``t``
+    (``F_i(0) = {i}``) and ``K_i`` everything it knows; in round
+    ``t >= 1``, ``F_i(t) = (union of F_u(t - 1) over neighbours u) - K_i``,
+    and ``K_i`` grows by ``F_i(t)``.  Node ``i`` sends to neighbour ``u``
+    in rounds ``1 .. radius - 1`` exactly when ``F_i(t)`` is non-empty and
     not a subset of ``F_u(t - 1)``; round 0 sends on all ``2m`` directed
     edges (every first payload holds its sender's state), and round
     ``radius`` only merges.  This reproduces the program's per-round
@@ -341,42 +344,18 @@ class DeltaGatherKernel(BatchKernel):
     The union of the neighbours' spheres lies between distance ``t - 2``
     and ``t`` of ``i``, so subtracting ``F_i(t - 1)`` and ``F_i(t - 2)``
     subtracts ``K_i``; ``K_i`` is then a plain id list, and every step of
-    a round is one bulk set or list operation per node.
-    :meth:`finalize` builds each ball's ``states`` at once and its
-    ``edges`` only when first read (see :class:`KnownBall`).
+    a round is one bulk set or list operation per node.  :meth:`run`
+    builds each ball's ``states`` at once and its ``edges`` only when
+    first read (see :class:`KnownBall`).
     """
 
-    def __init__(self, net: SyncNetwork, index: GraphIndex):
-        """Validate homogeneity; every node starts knowing its own id only."""
-        super().__init__(net, index)
-        programs = list(net.programs.values())
-        radius = programs[0].radius
+    def __init__(self, index: GraphIndex, radius: int, states: Mapping[Vertex, Any]):
+        """Every node starts knowing its own id; ``radius`` must be >= 0."""
         n = index.n
-        self._programs: List[DeltaGatherProgram] = [programs[0]] * n
-        #: per-vid initial state value, consulted only at :meth:`finalize`
-        self._values: List[Any] = [None] * n
-        if radius < 0:
-            # the per-node countdown still steps one round before firing;
-            # the compiled form has no such round, so decline
-            raise KernelIneligible("negative radius requires the per-node path")
-        for p in programs:
-            if p.radius != radius:
-                raise KernelIneligible(
-                    "DeltaGatherProgram instances disagree on radius"
-                )
-            if p._index is not index:
-                raise KernelIneligible(
-                    "DeltaGatherProgram instances were built against a "
-                    "different GraphIndex snapshot"
-                )
-            if p.done or len(p._states) != 1:
-                raise KernelIneligible(
-                    "a program instance has already accumulated knowledge"
-                )
-            i = p._me
-            self._programs[i] = p
-            self._values[i] = p._states[i]
+        self.index = index
         self.radius = radius
+        #: per-vid initial state value, read only when the balls are built
+        self._values: List[Any] = [states.get(v) for v in index.verts]
         indptr, indices = index.indptr, index.indices
         rows = (indices[indptr[i]:indptr[i + 1]] for i in range(n))
         pad = (n, n)
@@ -396,11 +375,6 @@ class DeltaGatherKernel(BatchKernel):
         #: K per vid: every id the node knows
         self._known: List[List[int]] = [[i] for i in range(n)]
         self._round_no = 0
-
-    @property
-    def done(self) -> bool:
-        """All programs terminate together, right after round ``radius``."""
-        return self._round_no > self.radius
 
     def round(self) -> Tuple[int, int]:
         """One whole synchronous round: grow every K, count the sends."""
@@ -431,63 +405,55 @@ class DeltaGatherKernel(BatchKernel):
         sent = len(self._tails) - quiet
         return sent, sent
 
-    def finalize(self) -> None:
-        """Write each node's :class:`KnownBall`: states now, edges when read."""
+    def run(self, stats: RunStats) -> Dict[Vertex, KnownBall]:
+        """Fold rounds ``0 .. radius`` into ``stats``; return every ball.
+
+        Balls are keyed in vertex order, like the per-node path's
+        outputs.  An empty graph runs no round on either path.
+        """
         index = self.index
+        if index.n:
+            for _ in range(self.radius + 1):
+                stats.record_round(*self.round())
         verts = index.verts
         values = self._values
         radius = self.radius
-        for p, known in zip(self._programs, self._known):
+        balls: Dict[Vertex, KnownBall] = {}
+        for center, known in zip(verts, self._known):
             known.sort()
             ball = KnownBall.__new__(KnownBall)
             ball.__dict__.update(
-                center=p.node,
+                center=center,
                 radius=radius,
                 states={verts[i]: values[i] for i in known},
                 _edge_source=(index, known),
             )
-            p.done = True
-            p.output = ball
+            balls[center] = ball
+        return balls
 
 
-DeltaGatherProgram.batch_kernel = DeltaGatherKernel
-
-
-def _run_gather(
-    graph: Graph,
-    radius: int,
-    factory: Callable[[Vertex, List[Vertex]], NodeProgram],
+def _per_node_blockers(
     sealed: bool,
     sinks: Optional[List[TraceSink]],
     faults: Optional["FaultPlan"],
-    info: Optional[Dict[str, Any]] = None,
-) -> Tuple[Dict[Vertex, KnownBall], int]:
-    if isinstance(radius, bool) or not isinstance(radius, int):
-        raise TypeError(f"radius must be an int, got {type(radius).__name__}")
-    if radius < 0:
-        raise ValueError(f"radius must be non-negative, got {radius}")
-    # The bound is exact: rounds 0..radius inclusive (satellite of the
-    # termination contract -- slack here would mask off-by-ones in the
-    # programs' cutoff logic).
-    #
-    # Building one program per node and running the gather allocate
-    # containers at a rate that makes the cyclic GC's generation scans a
-    # measurable fraction of wall-clock (programs, payloads and balls hold
-    # no cycles, so the scans never free anything); pause collection for
-    # both and let the deferred pass run once at the end.
-    was_enabled = gc.isenabled()
-    if was_enabled:
-        gc.disable()
-    try:
-        net = BatchExecutor(graph, factory, sealed=sealed, sinks=sinks, faults=faults)
-        outputs = net.run(max_rounds=radius + 1)
-    finally:
-        if was_enabled:
-            gc.enable()
-    if info is not None:
-        info["executed"] = net.executed
-        info["fallback_reason"] = net.fallback_reason
-    return outputs, net.stats.rounds
+) -> List[str]:
+    """Why a gather must step node by node ([] when the kernel runs)."""
+    blockers: List[str] = []
+    if faults is not None and not faults.is_empty():
+        blockers.append(
+            "fault plan is non-empty: fault injection is per-message "
+            "and requires the per-node path"
+        )
+    if sealed:
+        blockers.append(
+            "sealed=True: sealed contexts are built by per-node dispatch only"
+        )
+    if sinks:
+        blockers.append(
+            "trace sinks are attached: per-message records require "
+            "the per-node path"
+        )
+    return blockers
 
 
 def gather_balls(
@@ -501,20 +467,52 @@ def gather_balls(
 ) -> Tuple[Dict[Vertex, KnownBall], int]:
     """Run delta gathering; returns per-node balls and rounds used.
 
-    Every node runs :class:`DeltaGatherProgram`; outputs and round counts
-    equal those of the full flood (the equivalence suite asserts the full
-    matrix).  ``sealed``, ``sinks`` and ``faults`` pass through to the
-    network unchanged.  The run compiles to
-    :class:`DeltaGatherKernel` unless one of them asks for per-node
-    dispatch (a sealed run, attached sinks, a non-empty fault plan), and
-    outputs and stats are identical either way.  A caller-supplied
-    ``info`` dict is populated with the dispatch diagnostics
-    (``executed``, ``fallback_reason``) after the run.
+    Outputs and round counts equal those of the full flood (the
+    equivalence suite asserts the full matrix).  A sealed run, attached
+    ``sinks`` or a non-empty ``faults`` plan steps a
+    :class:`~repro.localmodel.network.SyncNetwork` of
+    :class:`DeltaGatherProgram` nodes, which those options pass through
+    to; otherwise the run is one :class:`DeltaGatherKernel`, built
+    without any program or network.  Balls and
+    :class:`~repro.localmodel.network.RunStats` are identical either
+    way.  A caller-supplied ``info`` dict receives ``executed``
+    (``"batch"`` or ``"node"``), ``fallback_reason`` (the blockers, or
+    None) and the run's ``stats``.
     """
+    if isinstance(radius, bool) or not isinstance(radius, int):
+        raise TypeError(f"radius must be an int, got {type(radius).__name__}")
+    if radius < 0:
+        raise ValueError(f"radius must be non-negative, got {radius}")
     state_of = states or {}
     index = graph_index(graph)
+    blockers = _per_node_blockers(sealed, sinks, faults)
+    # Building balls (and, per node, programs and payloads) allocates
+    # containers at a rate that makes the cyclic GC's generation scans a
+    # measurable fraction of wall-clock, and none of them hold cycles, so
+    # the scans never free anything; pause collection for the run and let
+    # the deferred pass run once at the end.
+    was_enabled = gc.isenabled()
+    if was_enabled:
+        gc.disable()
+    try:
+        if blockers:
 
-    def factory(v: Vertex, nbrs: List[Vertex]) -> NodeProgram:
-        return DeltaGatherProgram(v, nbrs, radius, state_of.get(v), index)
+            def factory(v: Vertex, nbrs: List[Vertex]) -> NodeProgram:
+                return DeltaGatherProgram(v, nbrs, radius, state_of.get(v), index)
 
-    return _run_gather(graph, radius, factory, sealed, sinks, faults, info)
+            net = SyncNetwork(graph, factory, sealed=sealed, sinks=sinks, faults=faults)
+            # exact budget: rounds 0..radius inclusive, so slack cannot
+            # mask an off-by-one in the program's cutoff
+            balls = net.run(max_rounds=radius + 1)
+            stats = net.stats
+        else:
+            stats = RunStats()
+            balls = DeltaGatherKernel(index, radius, state_of).run(stats)
+    finally:
+        if was_enabled:
+            gc.enable()
+    if info is not None:
+        info["executed"] = "node" if blockers else "batch"
+        info["fallback_reason"] = "; ".join(blockers) or None
+        info["stats"] = stats
+    return balls, stats.rounds

@@ -73,7 +73,6 @@ from typing import (
     TYPE_CHECKING,
     Any,
     Callable,
-    ClassVar,
     Dict,
     Hashable,
     List,
@@ -257,16 +256,6 @@ class NodeProgram:
     #: for programs that act on silence (round counting, state machines);
     #: declare False explicitly for purely event-driven programs.
     always_active = False
-
-    #: Optional whole-round kernel: a
-    #: :class:`~repro.localmodel.executor.BatchKernel` subclass that
-    #: advances every instance of this program one round at a time over
-    #: the CSR index, replacing per-node ``step`` dispatch.  ``None``
-    #: (the default) means the program always runs on the per-node
-    #: scheduler; :class:`~repro.localmodel.executor.BatchExecutor`
-    #: consults this attribute when nothing blocks the kernel and is
-    #: equivalence-bound to the per-node path (see ``docs/executor.md``).
-    batch_kernel: ClassVar[Optional[type]] = None
 
     def __init__(self, node: Vertex, neighbors: List[Vertex]):
         """Bind identity: this ``node`` and its sorted ``neighbors`` list."""

@@ -17,16 +17,13 @@ behavior and as evidence the engine delivers/synchronizes correctly.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Optional
 
 from ..graphs.adjacency import Graph, Vertex
-from ..graphs.index import GraphIndex
-from .executor import BatchExecutor, BatchKernel, KernelIneligible
 from .network import NodeContext, NodeProgram, SyncNetwork
 
 __all__ = [
     "BFSLayerProgram",
-    "BFSLayerKernel",
     "LeaderElectionProgram",
     "EchoCountProgram",
     "bfs_layers",
@@ -67,86 +64,6 @@ class BFSLayerProgram(NodeProgram):
         return {}
 
 
-class BFSLayerKernel(BatchKernel):
-    """Whole-round compilation of :class:`BFSLayerProgram`.
-
-    The per-node program is BFS flooding in disguise, so the compiled
-    form is literal BFS: :meth:`GraphIndex.bfs_frontiers` computes every
-    layer up front, and each :meth:`round` merely charges the messages
-    the per-node path would exchange -- a node at distance ``d``
-    announces exactly once, in round ``d``, at a cost of its degree,
-    provided ``d <= budget - 1`` (in round ``d >= budget`` the
-    countdown fires before the announcement).  A node's distance becomes
-    known in the round it merges an announcement, so the final output is
-    ``d`` when ``d <= budget`` and ``None`` beyond (or unreached).
-
-    Multi-source instances (several programs constructed with
-    ``distance == 0``) compile fine -- the frontier helper takes a source
-    *set* -- but any program already mid-run raises
-    :class:`KernelIneligible`.
-    """
-
-    def __init__(self, net: SyncNetwork, index: GraphIndex):
-        """Validate homogeneity, then run the BFS once."""
-        super().__init__(net, index)
-        programs = list(net.programs.values())
-        budget = programs[0].budget
-        vid = index.vid
-        sources: List[int] = []
-        self._programs: Dict[int, BFSLayerProgram] = {}
-        if budget < 0:
-            # the per-node countdown still steps one round before firing;
-            # the compiled form has no such round, so decline
-            raise KernelIneligible("negative budget requires the per-node path")
-        for p in programs:
-            if p.budget != budget:
-                raise KernelIneligible(
-                    "BFSLayerProgram instances disagree on budget"
-                )
-            if p.done or p.announced or p.distance not in (0, None):
-                raise KernelIneligible("a program instance is already mid-run")
-            i = vid[p.node]
-            self._programs[i] = p
-            if p.distance == 0:
-                sources.append(i)
-        self.budget = budget
-        #: layers[d] = sorted ids at distance d, up to the budget cutoff
-        self._layers = index.bfs_frontiers(sources, cutoff=budget)
-        self._round_no = 0
-
-    @property
-    def done(self) -> bool:
-        """All programs terminate together, right after round ``budget``."""
-        return self._round_no > self.budget
-
-    def round(self) -> Tuple[int, int]:
-        """Charge the round's announcements: degree sum over one layer."""
-        t = self._round_no
-        self._round_no = t + 1
-        if t > self.budget - 1 or t >= len(self._layers):
-            return 0, 0
-        degrees = self.index.degrees
-        sent = sum(degrees[i] for i in self._layers[t])
-        return sent, sent
-
-    def finalize(self) -> None:
-        """Write distances (and the announced flags) the flood would leave."""
-        announce_cap = self.budget - 1
-        dist: Dict[int, int] = {}
-        for d, layer in enumerate(self._layers):
-            for i in layer:
-                dist[i] = d
-        for i, p in self._programs.items():
-            d = dist.get(i)
-            p.done = True
-            p.distance = d
-            p.output = d
-            p.announced = d is not None and d <= announce_cap
-
-
-BFSLayerProgram.batch_kernel = BFSLayerKernel
-
-
 def bfs_layers(
     graph: Graph,
     root: Vertex,
@@ -155,12 +72,21 @@ def bfs_layers(
 ) -> Dict[Vertex, Optional[int]]:
     """Distances from ``root`` computed by message passing.
 
-    The run compiles to :class:`BFSLayerKernel` unless ``sealed`` asks
-    for per-node dispatch; outputs and round/message accounting are
-    identical on both paths.
+    Every node runs :class:`BFSLayerProgram` for ``budget`` rounds
+    (default: enough to reach the whole graph); a node farther than
+    ``budget`` from ``root``, or in another component, gets ``None``.
+    Raises ``ValueError`` when ``root`` is not a vertex or ``budget`` is
+    negative, and ``TypeError`` when ``budget`` is not an int.
     """
-    budget = budget if budget is not None else len(graph) + 1
-    net = BatchExecutor(
+    if root not in graph:
+        raise ValueError(f"root {root!r} is not a vertex of the graph")
+    if budget is None:
+        budget = len(graph) + 1
+    elif isinstance(budget, bool) or not isinstance(budget, int):
+        raise TypeError(f"budget must be an int, got {type(budget).__name__}")
+    elif budget < 0:
+        raise ValueError(f"budget must be non-negative, got {budget}")
+    net = SyncNetwork(
         graph,
         lambda v, nbrs: BFSLayerProgram(v, nbrs, root, budget),
         sealed=sealed,

@@ -14,9 +14,9 @@ A *cell* is the atomic unit of work: one (experiment, family, n, seed,
 The one sanctioned exception to purity is the diagnostics family: the
 ``graph_cache_hit`` flag (the large-instance cells share a per-worker
 graph cache, :func:`_cached_graph`, and each payload records whether
-its instance was rebuilt or reused) and the executor ``fallback_reason``
+its instance was rebuilt or reused) and the gather's ``fallback_reason``
 (why a D1/K2 run left the batch path, verbatim from
-:class:`~repro.localmodel.executor.BatchExecutor`).  Both reach the
+:func:`~repro.localmodel.gather.gather_balls`).  Both reach the
 per-cell JSONL log only — no render consumes them — so reports stay
 byte-identical across ``--jobs`` counts and cache states.
 
@@ -283,34 +283,37 @@ def k2_cell(
     """K2: one delta gather at large n, per node or as whole rounds.
 
     ``path="node"`` steps a :class:`~repro.localmodel.network.SyncNetwork`
-    node by node; ``path="batch"`` hands the same network to
-    :class:`~repro.localmodel.executor.BatchExecutor` and reports the
-    path it actually took.  Rows of the same cell must agree on rounds
-    and messages, which is the table-level witness of the executor
+    of :class:`~repro.localmodel.gather.DeltaGatherProgram` nodes;
+    ``path="batch"`` calls :func:`~repro.localmodel.gather.gather_balls`
+    and reports the path it actually took, with the rounds and messages
+    of that run.  Rows of the same cell must agree on rounds and
+    messages, which is the table-level witness of the gather's
     equivalence contract.  ``sample`` evenly spaced balls are checked
     against the BFS ground truth.  Wall-clock comparisons live in
     ``BENCH_network.json``.
     """
     from ..graphs.index import graph_index
-    from ..localmodel import BatchExecutor, DeltaGatherProgram, SyncNetwork
+    from ..localmodel import DeltaGatherProgram, SyncNetwork, gather_balls
 
     if path not in ("node", "batch"):
         raise ValueError(f"unknown K2 path {path!r}")
     g, cache_hit = _cached_graph(family, n, seed)
-    index = graph_index(g)
-
-    def factory(v, nbrs):
-        return DeltaGatherProgram(v, nbrs, radius, None, index)
 
     if path == "node":
+        index = graph_index(g)
+
+        def factory(v, nbrs):
+            return DeltaGatherProgram(v, nbrs, radius, None, index)
+
         net = SyncNetwork(g, factory)
         balls = net.run(max_rounds=radius + 1)
+        stats = net.stats
         executed, fallback_reason = "node", None
     else:
-        net = BatchExecutor(g, factory)
-        balls = net.run(max_rounds=radius + 1)
-        executed, fallback_reason = net.executed, net.fallback_reason
-    stats = net.stats
+        info: Dict[str, Any] = {}
+        balls, _rounds = gather_balls(g, radius, info=info)
+        stats = info["stats"]
+        executed, fallback_reason = info["executed"], info["fallback_reason"]
     verts = sorted(g.vertices())
     step = max(1, len(verts) // sample)
     sampled = verts[::step][:sample]
@@ -890,6 +893,5 @@ def s1_chaos_cell(program: str, trials: int, seed: int, n: int) -> Dict[str, Any
         "minimized": summary["minimized"],
         "reproduced": summary["reproduced"],
         "all_reproduce": all(t.reproduces for t in failures),
-        "executor": report.executors.get(program, {}),
         "specs": [t.minimized for t in failures],
     }

@@ -7,6 +7,7 @@ from repro.coloring import (
     morph_cut_budget,
     required_morph_distance,
 )
+from repro.graphs import path_graph
 
 
 class TestColoringParameters:
@@ -42,6 +43,23 @@ class TestColoringParameters:
     def test_non_finite_epsilon_is_named(self, epsilon):
         with pytest.raises(ValueError, match="epsilon must be positive and finite"):
             ColoringParameters.from_epsilon(epsilon)
+
+    @pytest.mark.parametrize("epsilon", [True, False])
+    def test_bool_epsilon_is_rejected(self, epsilon):
+        # from_k(True) is rejected too: no numeric boundary takes a bool
+        with pytest.raises(
+            ValueError, match=f"epsilon must be positive and finite, got {epsilon}$"
+        ):
+            ColoringParameters.from_epsilon(epsilon)
+
+    @pytest.mark.parametrize("driver", ["color_chordal_graph", "distributed_color_chordal"])
+    def test_bool_epsilon_is_rejected_by_the_drivers(self, driver):
+        import repro.coloring
+
+        with pytest.raises(
+            ValueError, match="epsilon must be positive and finite, got True$"
+        ):
+            getattr(repro.coloring, driver)(path_graph(6), epsilon=True)
 
     def test_derived_distances_scale_linearly_in_k(self):
         p1 = ColoringParameters.from_k(1)

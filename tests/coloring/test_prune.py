@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cliquetree import is_interval_graph
-from repro.coloring.prune import diameter_rule, peel_chordal_graph
+from repro.coloring.prune import diameter_rule, peel_chordal_graph, peeling_layers
 from repro.graphs import (
     Graph,
     caterpillar,
@@ -137,3 +137,45 @@ class TestForestEvolution:
             g = random_tree(200, seed=seed)
             peeling = full_peel(g)
             assert peeling.num_layers() <= math.ceil(math.log2(200)) + 1
+
+
+class TestPeelingBoundary:
+    """Thresholds and iteration caps are ints >= 1, named when they are not."""
+
+    @pytest.fixture
+    def g(self):
+        return random_k_tree(30, 2, seed=1)
+
+    @pytest.mark.parametrize("threshold", ["3", None, 1.5, True, 0, -1])
+    def test_peeling_layers_threshold(self, g, threshold):
+        with pytest.raises(
+            ValueError, match=f"threshold must be >= 1 and an integer, got {threshold!r}"
+        ):
+            peeling_layers(g, threshold)
+
+    @pytest.mark.parametrize("threshold", ["3", None, 1.5, True, 0, -1])
+    def test_diameter_rule_threshold(self, threshold):
+        with pytest.raises(
+            ValueError, match=f"threshold must be >= 1 and an integer, got {threshold!r}"
+        ):
+            diameter_rule(threshold)
+
+    @pytest.mark.parametrize("max_iterations", [-2, 0, 1.5, True])
+    def test_peeling_layers_max_iterations(self, g, max_iterations):
+        with pytest.raises(ValueError, match="max_iterations must be >= 1"):
+            peeling_layers(g, 3, max_iterations=max_iterations)
+
+    @pytest.mark.parametrize("max_iterations", [-2, 0, 1.5, True])
+    def test_peel_chordal_graph_max_iterations(self, g, max_iterations):
+        with pytest.raises(ValueError, match="max_iterations must be >= 1"):
+            peel_chordal_graph(g, diameter_rule(3), max_iterations=max_iterations)
+
+    @pytest.mark.parametrize("last_threshold", ["3", 0, -1, 2.0, False])
+    def test_peeling_layers_last_threshold(self, g, last_threshold):
+        with pytest.raises(ValueError, match="last_threshold must be >= 1"):
+            peeling_layers(g, 3, max_iterations=2, last_threshold=last_threshold)
+
+    def test_smallest_valid_values_run(self, g):
+        fast = peeling_layers(g, 1, max_iterations=1, last_threshold=1)
+        rich = peel_chordal_graph(g, diameter_rule(1), max_iterations=1)
+        assert fast.num_layers() == rich.num_layers() == 1

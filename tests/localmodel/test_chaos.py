@@ -142,14 +142,6 @@ class TestChaosSoak:
         report = chaos_soak([bfs_suite_entry()], trials=12, seed=0, minimize=False)
         assert all(t.minimized is None for t in report.trials)
 
-    def test_executor_diagnostics_recorded(self):
-        report = chaos_soak([bfs_suite_entry()], trials=1, seed=0, minimize=False)
-        diag = report.executors["bfs"]
-        # the probe plan is non-empty, so the batch path is blocked --
-        # and the reason says so (the BatchExecutor diagnostic)
-        assert diag["executed"] == "node"
-        assert "fault plan is non-empty" in diag["fallback_reason"]
-
     def test_summary_aggregates(self):
         report = chaos_soak([bfs_suite_entry()], trials=8, seed=0, minimize=False)
         summary = report.summary()

@@ -6,7 +6,6 @@ import pytest
 from repro.graphs import path_graph, star_graph
 from repro.localmodel import (
     CORRUPT_KINDS,
-    BatchExecutor,
     CorruptSpec,
     FaultPlan,
     FaultPlanError,
@@ -14,6 +13,7 @@ from repro.localmodel import (
     SyncNetwork,
     canonical_transcript,
     corrupt_program,
+    gather_balls,
 )
 from repro.localmodel.faults import _PROTECTED_FIELDS
 from repro.localmodel.programs import BFSLayerProgram
@@ -201,10 +201,13 @@ class TestEmptyCorruptionByteIdentity:
         g = path_graph(7)
         runs = []
         for faults in (None, FaultPlan()):
-            cls = SyncNetwork if path == "node" else BatchExecutor
-            net = cls(g, bfs_factory(), faults=faults)
-            runs.append((net.run(), net.stats))
-            if path == "batch":
-                # an empty plan is no blocker: the kernel still runs
-                assert net.executed == "batch"
+            if path == "node":
+                net = SyncNetwork(g, bfs_factory(), faults=faults)
+                runs.append((net.run(), net.stats))
+                continue
+            info = {}
+            balls, _rounds = gather_balls(g, 3, faults=faults, info=info)
+            # an empty plan is no blocker: the gather kernel still runs
+            assert info["executed"] == "batch"
+            runs.append((balls, info["stats"]))
         assert runs[0] == runs[1]

@@ -1,25 +1,28 @@
-"""BatchExecutor: whole-round kernels must be observationally per-node.
+"""gather_balls' dispatch: the kernel path must be observationally per-node.
 
-The equivalence contract is strict and threefold, for every kernel-backed
-program family (delta gather, BFS layers, Linial path coloring):
+:func:`~repro.localmodel.gather.gather_balls` runs
+:class:`~repro.localmodel.gather.DeltaGatherKernel` straight from the
+graph index, the radius and the states, unless the call is sealed,
+attaches a trace sink or carries a non-empty fault plan; then it steps a
+:class:`SyncNetwork` of :class:`DeltaGatherProgram` nodes.  The contract:
 
-* byte-identical outputs vs a :class:`SyncNetwork` stepped node by node,
-* identical ``RunStats`` (rounds, messages sent/delivered, per-round max),
-* across the full scheduler{active,dense} x sealed{True,False} matrix on
-  the per-node side (dense stepping is the test oracle of
-  ``tests/oracles.py``); the batch side is unsealed and must actually
-  take the kernel,
+* byte-identical balls vs a :class:`SyncNetwork` stepped node by node,
+  across the scheduler{active,dense} x sealed{True,False} matrix on the
+  per-node side (dense stepping is the test oracle of
+  ``tests/oracles.py``); the kernel side must actually take the kernel;
+* identical ``RunStats`` (rounds, messages sent/delivered, per-round
+  max), read from ``info["stats"]``;
+* the per-round ``sent`` series pinned against a :class:`MetricsSink`
+  on the per-node run, and kernel balls equal to per-node ones before
+  their lazily built edge sets are read;
+* the kernel path builds no program and no network, and
+  ``fallback_reason`` names each of the three blockers.
 
-the delta gather's per-round ``sent`` series is pinned against a
-:class:`MetricsSink` on the per-node run, and its balls must equal the
-per-node ones before their lazily built edge sets are read.
-
-Plus the selection rule: the executor takes the kernel exactly when
-nothing blocks it (a non-empty fault plan, ``sealed=True``, trace sinks,
-an inbox order, a kernel-less or heterogeneous network) and otherwise
-steps node by node and records why in ``fallback_reason``.  The
-``max_rounds`` budget stays exact on the kernel path.  Hypothesis drives
-the matrix over generated path / interval / chordal families.
+The message-passing BFS and Linial programs have no kernel: their
+per-node runs are pinned against closed forms instead
+(``reference_bfs_layers`` in ``tests/oracles.py`` and
+:func:`~repro.localmodel.colorreduction.three_color_path`).  Hypothesis
+drives the matrix over generated path / interval / chordal families.
 """
 
 import dataclasses
@@ -41,45 +44,69 @@ from repro.graphs import (
 )
 from repro.graphs.index import graph_index
 from repro.localmodel import (
-    BatchExecutor,
-    BatchKernel,
     FaultPlan,
     MetricsSink,
-    NodeProgram,
     SyncNetwork,
     gather_balls,
+    three_color_path,
 )
 from repro.localmodel.colorreduction import LinialPathProgram
-from repro.localmodel.gather import BallGatherProgram, DeltaGatherProgram
+from repro.localmodel.gather import DeltaGatherKernel, DeltaGatherProgram
 from repro.localmodel.network import RunStats
 from repro.localmodel.programs import BFSLayerProgram, bfs_layers
 from repro.localmodel.trace import jsonable_payload
-from tests.oracles import reference_gather, scheduling
+from tests.oracles import reference_bfs_layers, reference_gather, scheduling
 
 SCHEDULERS = ("active", "dense")
 
+#: the three blockers that send a gather node by node, and the text its
+#: ``fallback_reason`` must carry for each
+BLOCKERS = {
+    "faults": ({"faults": FaultPlan(drop=0.5, seed=1)}, "fault plan is non-empty"),
+    "sealed": ({"sealed": True}, "sealed=True"),
+    "sinks": ({"sinks": [MetricsSink()]}, "trace sinks are attached"),
+}
 
-def stats_tuple(net):
-    s = net.stats
+
+def stats_tuple(stats):
     return (
-        s.rounds,
-        s.messages_sent,
-        s.messages_delivered,
-        s.max_messages_per_round,
+        stats.rounds,
+        stats.messages_sent,
+        stats.messages_delivered,
+        stats.max_messages_per_round,
     )
 
 
-def run_both(graph, factory, max_rounds=10_000, scheduler="active", sealed=False):
-    """Step node by node, then run the kernel; assert outputs+stats agree."""
+def node_run(graph, factory, max_rounds, scheduler="active", sealed=False):
+    """Step ``factory``'s programs node by node: (outputs, stats tuple)."""
     with scheduling(scheduler):
-        node = SyncNetwork(graph, factory, sealed=sealed)
-        out_node = node.run(max_rounds=max_rounds)
-    batch = BatchExecutor(graph, factory)
-    out_batch = batch.run(max_rounds=max_rounds)
-    assert batch.executed == "batch", batch.fallback_reason
-    assert out_node == out_batch
-    assert stats_tuple(node) == stats_tuple(batch)
-    return out_node, stats_tuple(node)
+        net = SyncNetwork(graph, factory, sealed=sealed)
+        outputs = net.run(max_rounds=max_rounds)
+    return outputs, stats_tuple(net.stats)
+
+
+def kernel_gather(graph, radius, states=None):
+    """``gather_balls``, which must take the kernel: (balls, stats tuple)."""
+    info = {}
+    balls, rounds = gather_balls(graph, radius, states, info=info)
+    assert info["executed"] == "batch", info["fallback_reason"]
+    assert rounds == info["stats"].rounds
+    return balls, stats_tuple(info["stats"])
+
+
+def run_both(graph, radius, states=None, scheduler="active", sealed=False):
+    """Gather node by node, then through the kernel; assert both agree."""
+    node = node_run(
+        graph,
+        gather_factory(graph, radius, states),
+        radius + 1,
+        scheduler=scheduler,
+        sealed=sealed,
+    )
+    kernel = kernel_gather(graph, radius, states)
+    assert list(kernel[0]) == list(node[0])  # same key order too
+    assert kernel == node
+    return node
 
 
 def graphs_under_test():
@@ -117,7 +144,7 @@ def gather_factory(graph, radius, states=None):
 
 
 # ---------------------------------------------------------------------------
-# equivalence matrix, per kernel
+# the gather: kernel path vs per-node path
 # ---------------------------------------------------------------------------
 class TestDeltaGatherKernelEquivalence:
     @pytest.mark.parametrize("name,graph", graphs_under_test())
@@ -126,13 +153,8 @@ class TestDeltaGatherKernelEquivalence:
     @pytest.mark.parametrize("sealed", [False, True])
     def test_matrix(self, name, graph, radius, scheduler, sealed):
         states = {v: ("s", v) for v in graph.vertices()}
-        factory = gather_factory(graph, radius, states)
         outputs, _ = run_both(
-            graph,
-            factory,
-            max_rounds=radius + 1,
-            sealed=sealed,
-            scheduler=scheduler,
+            graph, radius, states, sealed=sealed, scheduler=scheduler
         )
         if len(graph):
             reference, _ = reference_gather(graph, radius, states)
@@ -142,13 +164,15 @@ class TestDeltaGatherKernelEquivalence:
         g = random_chordal_graph(25, seed=9)
         info = {}
         balls, rounds = gather_balls(g, 3, info=info)
-        assert info == {"executed": "batch", "fallback_reason": None}
+        assert info["executed"] == "batch"
+        assert info["fallback_reason"] is None
         node = SyncNetwork(g, gather_factory(g, 3))
         assert balls == node.run(max_rounds=4)
         assert rounds == node.stats.rounds
+        assert info["stats"] == node.stats
 
     def test_gather_balls_rejects_unknown_executor(self):
-        # the executor picks its path itself; there is no knob to pass
+        # the gather picks its path itself; there is no knob to pass
         with pytest.raises(TypeError, match="executor"):
             gather_balls(path_graph(4), 1, executor="batch")
 
@@ -160,14 +184,27 @@ class TestDeltaGatherKernelEquivalence:
         assert "sealed" in info["fallback_reason"]
         assert (sealed_balls, rounds) == gather_balls(g, 3)
 
-    def test_reference_program_has_no_kernel_and_falls_back(self):
-        g = path_graph(6)
-        balls, rounds = reference_gather(g, 2)
-        assert rounds == 3
-        ex = BatchExecutor(g, lambda v, nbrs: BallGatherProgram(v, nbrs, 2, None))
-        assert ex.run(max_rounds=3) == balls
-        assert ex.executed == "node"
-        assert "declares no batch kernel" in ex.fallback_reason
+
+class TestKernelPathBuildsNoProgram:
+    """The kernel reads index, radius and states only."""
+
+    def test_no_program_and_no_network_are_built(self):
+        g = random_chordal_graph(30, seed=4)
+        states = {v: ("s", v) for v in g.vertices()}
+        expected = gather_balls(g, 3, states, sealed=True)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the kernel path built a per-node object")
+
+        info = {}
+        with mock.patch.object(DeltaGatherProgram, "__init__", refuse), \
+                mock.patch.object(SyncNetwork, "__init__", refuse):
+            balls = gather_balls(g, 3, states, info=info)
+            # the blockers do build them, so the patches are live
+            with pytest.raises(AssertionError, match="per-node object"):
+                gather_balls(g, 3, states, sealed=True)
+        assert info["executed"] == "batch"
+        assert balls == expected
 
 
 def _disconnected_with_isolated(n, seed):
@@ -199,9 +236,9 @@ class TestDeltaGatherRoundByRound:
     @given(n=st.integers(1, 24), seed=st.integers(0, 1_000), radius=st.integers(0, 8))
     def test_sent_per_round_matches_metrics_sink(self, family, n, seed, radius):
         graph = ROUND_FAMILIES[family](n, seed)
-        factory = gather_factory(graph, radius, {v: v for v in graph.vertices()})
+        states = {v: v for v in graph.vertices()}
         sink = MetricsSink()
-        node = SyncNetwork(graph, factory, sinks=[sink])
+        node = SyncNetwork(graph, gather_factory(graph, radius, states), sinks=[sink])
         out_node = node.run(max_rounds=radius + 1)
 
         recorded = []
@@ -211,10 +248,10 @@ class TestDeltaGatherRoundByRound:
             recorded.append((sent, delivered))
             record_round(stats, sent, delivered)
 
-        batch = BatchExecutor(graph, factory)
+        info = {}
         with mock.patch.object(RunStats, "record_round", spy):
-            out_batch = batch.run(max_rounds=radius + 1)
-        assert batch.executed == "batch", batch.fallback_reason
+            out_batch, _rounds = gather_balls(graph, radius, states, info=info)
+        assert info["executed"] == "batch", info["fallback_reason"]
         assert recorded == [(sent, sent) for sent in sink.message_counts]
         assert out_batch == out_node
 
@@ -265,7 +302,25 @@ class TestLazyBallEdges:
         assert pickle.loads(pickle.dumps(ball)) == ball
 
 
+# ---------------------------------------------------------------------------
+# kernel-less programs, pinned against closed forms
+# ---------------------------------------------------------------------------
+def bfs_run(graph, sources, budget, scheduler="active", sealed=False):
+    """Per-node BFS flood from ``sources``; assert the closed form holds."""
+    run = node_run(
+        graph,
+        lambda v, nbrs: BFSLayerProgram(v, nbrs, v if v in sources else None, budget),
+        budget + 2,
+        scheduler=scheduler,
+        sealed=sealed,
+    )
+    assert run == reference_bfs_layers(graph, sources, budget)
+    return run
+
+
 class TestBFSLayerKernelEquivalence:
+    """``BFSLayerProgram`` node by node equals the closed-form BFS accounting."""
+
     @pytest.mark.parametrize("name,graph", graphs_under_test())
     @pytest.mark.parametrize("budget", [0, 1, 4, 12])
     @pytest.mark.parametrize("scheduler", SCHEDULERS)
@@ -274,21 +329,13 @@ class TestBFSLayerKernelEquivalence:
         verts = graph.vertices()
         if not verts:
             return
-        root = verts[0]
-        run_both(
-            graph,
-            lambda v, nbrs: BFSLayerProgram(v, nbrs, root, budget),
-            max_rounds=budget + 2,
-            sealed=sealed,
-            scheduler=scheduler,
-        )
+        bfs_run(graph, {verts[0]}, budget, scheduler=scheduler, sealed=sealed)
 
     def test_bfs_layers_matches_node_path(self):
         g = random_chordal_graph(20, seed=3)
         root = g.vertices()[0]
-        budget = len(g) + 1
-        node = SyncNetwork(g, lambda v, nbrs: BFSLayerProgram(v, nbrs, root, budget))
-        assert bfs_layers(g, root) == node.run(max_rounds=budget + 2)
+        outputs, _ = bfs_run(g, {root}, len(g) + 1)
+        assert bfs_layers(g, root) == outputs
 
     def test_bfs_layers_rejects_unknown_executor(self):
         with pytest.raises(TypeError, match="executor"):
@@ -297,51 +344,48 @@ class TestBFSLayerKernelEquivalence:
     def test_sealed_bfs_layers_takes_the_node_path(self):
         g = random_chordal_graph(20, seed=3)
         root = g.vertices()[0]
-        runs = []
-        run = BatchExecutor.run
+        sealed_flags = []
+        init = SyncNetwork.__init__
 
-        def spy(self, max_rounds=10_000):
-            out = run(self, max_rounds)
-            runs.append((self.executed, self.fallback_reason))
-            return out
+        def spy(self, *args, **kwargs):
+            sealed_flags.append(kwargs.get("sealed"))
+            init(self, *args, **kwargs)
 
-        with mock.patch.object(BatchExecutor, "run", spy):
+        with mock.patch.object(SyncNetwork, "__init__", spy):
             sealed = bfs_layers(g, root, sealed=True)
             plain = bfs_layers(g, root)
         assert sealed == plain
-        assert runs[0][0] == "node" and "sealed" in runs[0][1]
-        assert runs[1] == ("batch", None)
+        assert sealed_flags == [True, False]
 
     def test_multi_source_instances_compile(self):
         # two programs constructed with distance 0: a legitimate
-        # multi-source flood, which the frontier kernel handles directly
-        g = path_graph(11)
-        roots = {0, 10}
-        run_both(
-            g,
-            lambda v, nbrs: BFSLayerProgram(v, nbrs, v if v in roots else -1, 6),
-            max_rounds=8,
-        )
+        # multi-source flood, layered from the nearer source
+        outputs, _ = bfs_run(path_graph(11), {0, 10}, 6)
+        assert outputs[5] == 5 and outputs[9] == 1
 
     def test_rootless_network_compiles(self):
         # no program holds distance 0: nobody ever announces
-        g = path_graph(5)
-        outputs, stats = run_both(
-            g,
-            lambda v, nbrs: BFSLayerProgram(v, nbrs, -1, 3),
-            max_rounds=5,
-        )
+        outputs, stats = bfs_run(path_graph(5), set(), 3)
         assert all(d is None for d in outputs.values())
         assert stats[1] == 0  # no messages at all
 
-    def test_negative_budget_falls_back_to_node_path(self):
-        g = path_graph(4)
-        ex = BatchExecutor(g, lambda v, nbrs: BFSLayerProgram(v, nbrs, 0, -1))
-        ex.run(max_rounds=1)
-        assert ex.executed == "node"
+
+def linial_closed_form(ids, edges):
+    """:func:`three_color_path`'s colors, and the stats its program pays.
+
+    The program spends one round announcing ids and one silent final
+    round on top of the lock-step rounds, and broadcasts in every round
+    but the last.
+    """
+    colors, rounds = three_color_path(ids)
+    per_round = 2 * edges
+    stats = (rounds + 2, (rounds + 1) * per_round, (rounds + 1) * per_round, per_round)
+    return colors, stats
 
 
 class TestLinialPathKernelEquivalence:
+    """``LinialPathProgram`` node by node equals :func:`three_color_path`."""
+
     @pytest.mark.parametrize("n", [1, 2, 3, 8, 33])
     @pytest.mark.parametrize("scheduler", SCHEDULERS)
     @pytest.mark.parametrize("sealed", [False, True])
@@ -349,25 +393,18 @@ class TestLinialPathKernelEquivalence:
         ids = [3 * i + 1 for i in range(n)]
         g = Graph(vertices=ids, edges=[(ids[i], ids[i + 1]) for i in range(n - 1)])
         id_bound = max(ids) + 1
-        outputs, _ = run_both(
+        run = node_run(
             g,
             lambda v, nbrs: LinialPathProgram(v, nbrs, id_bound),
+            10_000,
             sealed=sealed,
             scheduler=scheduler,
         )
+        assert run == linial_closed_form(ids, n - 1)
+        outputs, _ = run
         for u, v in g.edges():
             assert outputs[u] != outputs[v]
         assert set(outputs.values()) <= {1, 2, 3}
-
-    def test_mismatched_id_bounds_fall_back(self):
-        # bounds far enough apart that the reduction schedules differ;
-        # nearby bounds can legitimately share a schedule and compile
-        g = path_graph(6)
-        ex = BatchExecutor(
-            g, lambda v, nbrs: LinialPathProgram(v, nbrs, 30 if v % 2 else 5000)
-        )
-        ex.run()
-        assert ex.executed == "node"
 
 
 # ---------------------------------------------------------------------------
@@ -386,13 +423,7 @@ class TestGeneratedFamilies:
     def test_gather_equivalence(self, family, n, seed, radius, scheduler, sealed):
         graph = _generate(family, n, seed)
         states = {v: v for v in graph.vertices()}
-        run_both(
-            graph,
-            gather_factory(graph, radius, states),
-            max_rounds=radius + 1,
-            sealed=sealed,
-            scheduler=scheduler,
-        )
+        run_both(graph, radius, states, sealed=sealed, scheduler=scheduler)
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -406,13 +437,7 @@ class TestGeneratedFamilies:
     def test_bfs_equivalence(self, family, n, seed, budget, scheduler, sealed):
         graph = _generate(family, n, seed)
         root = graph.vertices()[0]
-        run_both(
-            graph,
-            lambda v, nbrs: BFSLayerProgram(v, nbrs, root, budget),
-            max_rounds=budget + 2,
-            sealed=sealed,
-            scheduler=scheduler,
-        )
+        bfs_run(graph, {root}, budget, scheduler=scheduler, sealed=sealed)
 
 
 def _generate(family, n, seed):
@@ -424,179 +449,141 @@ def _generate(family, n, seed):
 
 
 # ---------------------------------------------------------------------------
-# edge cases and the selection rule
+# edge cases and the dispatch rule
 # ---------------------------------------------------------------------------
 class TestEdgeCases:
     def test_empty_graph_completes_in_zero_rounds(self):
         g = Graph(vertices=[], edges=[])
-        ex = BatchExecutor(g, gather_factory(g, 2))
-        assert ex.run(max_rounds=0) == {}
-        assert ex.executed == "batch"
-        assert ex.stats.rounds == 0
+        info = {}
+        assert gather_balls(g, 2, info=info) == ({}, 0)
+        assert info["executed"] == "batch"
+        assert info["stats"] == RunStats()
 
     def test_single_vertex(self):
         g = Graph(vertices=["v"], edges=[])
-        outputs, stats = run_both(g, gather_factory(g, 3), max_rounds=4)
+        outputs, stats = run_both(g, 3)
         assert outputs["v"].states == {"v": None}
         assert stats[1] == 0
 
     def test_radius_zero(self):
         g = path_graph(5)
-        outputs, stats = run_both(g, gather_factory(g, 0), max_rounds=1)
+        outputs, stats = run_both(g, 0)
         assert stats == (1, 0, 0, 0)
         assert outputs[2].states.keys() == {2}
 
-    def test_max_rounds_exhaustion_mid_kernel(self):
-        g = path_graph(8)
-        ex = BatchExecutor(g, gather_factory(g, 5))
-        with pytest.raises(RuntimeError, match="did not terminate within 3"):
-            ex.run(max_rounds=3)
-        assert ex.executed == "batch"
-
     def test_max_rounds_budget_is_exact(self):
+        # rounds 0..radius on both paths: the per-node budget gather_balls
+        # passes leaves no slack
         g = path_graph(8)
-        ex = BatchExecutor(g, gather_factory(g, 5))
-        ex.run(max_rounds=6)  # exactly radius + 1: must succeed
-        assert ex.executed == "batch"
-        assert ex.stats.rounds == 6
+        _, stats = kernel_gather(g, 5)
+        assert stats[0] == 6
+        net = SyncNetwork(g, gather_factory(g, 5))
+        net.run(max_rounds=6)
+        with pytest.raises(RuntimeError, match="did not terminate within 5"):
+            SyncNetwork(g, gather_factory(g, 5)).run(max_rounds=5)
 
     def test_batch_refuses_nonempty_fault_plan(self):
-        g = path_graph(6)
-        plan = FaultPlan(drop=0.2, seed=7)
-        ex = BatchExecutor(g, gather_factory(g, 2), faults=plan)
-        path, blockers = ex.plan()
-        assert path == "node"
-        assert any("fault plan is non-empty" in b for b in blockers)
+        info = {}
+        gather_balls(path_graph(6), 2, faults=FaultPlan(drop=0.2, seed=7), info=info)
+        assert info["executed"] == "node"
+        assert "fault plan is non-empty" in info["fallback_reason"]
 
     def test_auto_routes_fault_runs_to_node_path(self):
         g = path_graph(6)
         plan = FaultPlan(duplicate=0.4, seed=13)
-        ex = BatchExecutor(g, gather_factory(g, 2), faults=plan)
-        ex.run(max_rounds=3)
-        assert ex.executed == "node"
+        info = {}
+        balls, rounds = gather_balls(g, 2, faults=plan, info=info)
+        assert info["executed"] == "node"
+        # duplicates are no-op merges: the balls are the fault-free ones
+        assert (balls, rounds) == gather_balls(g, 2)
 
     def test_empty_fault_plan_does_not_block_batch(self):
-        g = path_graph(6)
-        ex = BatchExecutor(g, gather_factory(g, 2), faults=FaultPlan())
-        ex.run(max_rounds=3)
-        assert ex.executed == "batch"
+        info = {}
+        gather_balls(path_graph(6), 2, faults=FaultPlan(), info=info)
+        assert info["executed"] == "batch"
 
     def test_batch_refuses_trace_sinks(self):
-        g = path_graph(6)
-        ex = BatchExecutor(g, gather_factory(g, 2), sinks=[MetricsSink()])
-        ex.run(max_rounds=3)
-        assert ex.executed == "node"
-        assert "trace sinks" in ex.fallback_reason
+        info = {}
+        gather_balls(path_graph(6), 2, sinks=[MetricsSink()], info=info)
+        assert info["executed"] == "node"
+        assert "trace sinks" in info["fallback_reason"]
 
     def test_batch_refuses_inbox_order(self):
-        g = path_graph(6)
-        ex = BatchExecutor(g, gather_factory(g, 2), inbox_order=3)
-        ex.run(max_rounds=3)
-        assert ex.executed == "node"
-        assert "inbox_order" in ex.fallback_reason
-
-    def test_batch_refuses_kernel_less_programs(self):
-        g = path_graph(4)
-        ex = BatchExecutor(g, lambda v, nbrs: _KernelLessProgram(v, nbrs))
-        assert ex.plan() == ("node", ["_KernelLessProgram declares no batch kernel"])
-
-    def test_auto_falls_back_for_kernel_less_programs(self):
-        g = path_graph(4)
-        ex = BatchExecutor(g, lambda v, nbrs: _KernelLessProgram(v, nbrs))
-        assert ex.run(max_rounds=2) == {v: "ok" for v in g.vertices()}
-        assert ex.executed == "node"
+        # the determinism sanitizer permutes real inboxes on a SyncNetwork;
+        # the gather offers no inbox_order to ask for one
+        with pytest.raises(TypeError, match="inbox_order"):
+            gather_balls(path_graph(6), 2, inbox_order=3)
 
     def test_unknown_mode_rejected(self):
-        g = path_graph(3)
         with pytest.raises(TypeError, match="mode"):
-            BatchExecutor(g, gather_factory(g, 1), mode="batch")
+            gather_balls(path_graph(3), 1, mode="batch")
 
     def test_mode_node_never_consults_kernels(self):
-        # the node side of every equivalence test is a plain SyncNetwork
-        class Exploding(BatchKernel):
-            def __init__(self, net, index):
-                raise AssertionError("the per-node path consulted a kernel")
+        # a blocked gather steps node by node without building the kernel
+        def refuse(*args, **kwargs):
+            raise AssertionError("the per-node path consulted the kernel")
 
         g = path_graph(5)
-        with mock.patch.object(DeltaGatherProgram, "batch_kernel", Exploding):
-            SyncNetwork(g, gather_factory(g, 1)).run(max_rounds=2)
-            with pytest.raises(AssertionError, match="consulted a kernel"):
-                BatchExecutor(g, gather_factory(g, 1)).run(max_rounds=2)
+        expected = gather_balls(g, 1)
+        with mock.patch.object(DeltaGatherKernel, "__init__", refuse):
+            assert gather_balls(g, 1, sealed=True) == expected
+            with pytest.raises(AssertionError, match="consulted the kernel"):
+                gather_balls(g, 1)
 
     def test_plan_reports_path_and_blockers(self):
         g = path_graph(5)
-        ex = BatchExecutor(g, gather_factory(g, 1))
-        path, blockers = ex.plan()
-        assert path == "batch" and blockers == []
-        ex2 = BatchExecutor(
-            g, gather_factory(g, 1), faults=FaultPlan(drop=0.5, seed=1)
-        )
-        path2, blockers2 = ex2.plan()
-        assert path2 == "node" and blockers2
+        info = {}
+        gather_balls(g, 1, info=info)
+        assert (info["executed"], info["fallback_reason"]) == ("batch", None)
+        info2 = {}
+        gather_balls(g, 1, faults=FaultPlan(drop=0.5, seed=1), info=info2)
+        assert info2["executed"] == "node" and info2["fallback_reason"]
 
 
 class TestFallbackReason:
-    """The diagnostic recording *why* a run left the batch path."""
+    """The diagnostic recording *why* a gather left the batch path."""
 
     def test_none_before_any_run(self):
-        g = path_graph(4)
-        ex = BatchExecutor(g, gather_factory(g, 1))
-        assert ex.executed is None
-        assert ex.fallback_reason is None
+        # a call rejected before it runs reports no dispatch at all
+        info = {}
+        with pytest.raises(ValueError, match="non-negative"):
+            gather_balls(path_graph(4), -1, info=info)
+        assert info == {}
 
     def test_batch_path_leaves_reason_none(self):
-        g = path_graph(4)
-        ex = BatchExecutor(g, gather_factory(g, 1))
-        ex.run(max_rounds=3)
-        assert ex.executed == "batch"
-        assert ex.fallback_reason is None
+        info = {}
+        gather_balls(path_graph(4), 1, info=info)
+        assert info["executed"] == "batch"
+        assert info["fallback_reason"] is None
+
+    @pytest.mark.parametrize("blocker", sorted(BLOCKERS))
+    def test_each_blocker_is_named(self, blocker):
+        kwargs, text = BLOCKERS[blocker]
+        info = {}
+        gather_balls(path_graph(4), 1, info=info, **kwargs)
+        assert info["executed"] == "node"
+        assert text in info["fallback_reason"]
+        for other, (_kwargs, other_text) in BLOCKERS.items():
+            if other != blocker:
+                assert other_text not in info["fallback_reason"]
 
     def test_auto_fallback_records_joined_blockers(self):
-        g = path_graph(4)
-        ex = BatchExecutor(
-            g,
-            gather_factory(g, 1),
+        info = {}
+        gather_balls(
+            path_graph(4),
+            1,
             faults=FaultPlan(drop=0.5, seed=1),
             sinks=[MetricsSink()],
+            info=info,
         )
-        ex.run(max_rounds=4)
-        assert ex.executed == "node"
-        assert "fault plan is non-empty" in ex.fallback_reason
-        assert "trace sinks" in ex.fallback_reason
+        assert info["executed"] == "node"
+        assert "fault plan is non-empty" in info["fallback_reason"]
+        assert "trace sinks" in info["fallback_reason"]
 
     def test_sealed_fallback_names_sealing(self):
-        g = path_graph(4)
-        ex = BatchExecutor(g, gather_factory(g, 1), sealed=True)
-        ex.run(max_rounds=3)
-        assert ex.executed == "node"
-        assert ex.fallback_reason == (
+        info = {}
+        gather_balls(path_graph(4), 1, sealed=True, info=info)
+        assert info["executed"] == "node"
+        assert info["fallback_reason"] == (
             "sealed=True: sealed contexts are built by per-node dispatch only"
         )
-
-    def test_kernel_less_fallback_names_the_class(self):
-        g = path_graph(4)
-        ex = BatchExecutor(g, lambda v, nbrs: _KernelLessProgram(v, nbrs))
-        ex.run(max_rounds=2)
-        assert "_KernelLessProgram declares no batch kernel" in ex.fallback_reason
-
-    def test_kernel_ineligibility_message_recorded(self):
-        # mismatched id bounds make the Linial kernel refuse at compile
-        # time; the KernelIneligible text is recorded verbatim
-        g = path_graph(6)
-        ex = BatchExecutor(
-            g, lambda v, nbrs: LinialPathProgram(v, nbrs, 30 if v % 2 else 5000)
-        )
-        ex.run()
-        assert ex.executed == "node"
-        assert "disagree on the id bound" in ex.fallback_reason
-
-
-class _KernelLessProgram(NodeProgram):
-    """A trivial program with no batch kernel (fallback-path probe)."""
-
-    always_active = True
-
-    def step(self, ctx):
-        self.done = True
-        self.output = "ok"
-        return {}

@@ -38,6 +38,25 @@ class TestBFSLayers:
         assert layers[4] == 4
         assert layers[19] is None  # beyond the round budget
 
+    def test_root_not_in_graph_is_named(self):
+        with pytest.raises(ValueError, match="root 'nope' is not a vertex"):
+            bfs_layers(path_graph(4), "nope")
+
+    def test_float_budget_is_named(self):
+        with pytest.raises(TypeError, match="budget must be an int, got float"):
+            bfs_layers(path_graph(4), 0, budget=1.5)
+
+    def test_negative_budget_is_named(self):
+        with pytest.raises(ValueError, match="budget must be non-negative, got -1"):
+            bfs_layers(path_graph(4), 0, budget=-1)
+
+    def test_bool_budget_is_named(self):
+        with pytest.raises(TypeError, match="budget must be an int, got bool"):
+            bfs_layers(path_graph(4), 0, budget=True)
+
+    def test_zero_budget_knows_only_the_root(self):
+        assert bfs_layers(path_graph(3), 1, budget=0) == {0: None, 1: 0, 2: None}
+
 
 class TestLeaderElection:
     def test_everyone_agrees_on_minimum(self):

@@ -40,6 +40,10 @@ re-broadcasts everything it knows, every round).  The library's delta
 gather must return the same balls in the same number of rounds, and
 ``benchmarks/bench_network.py`` times it as the flood side.
 
+:func:`reference_bfs_layers` is the closed-form accounting of a
+message-passing BFS flood (distances, rounds and per-round sends); the
+per-node ``BFSLayerProgram`` must match it.
+
 :func:`interval_graph_by_slicing` is the interval-graph builder that
 copied the sorted tail once per vertex; the index loop of
 :func:`~repro.graphs.interval.interval_graph_from_intervals` must build
@@ -51,6 +55,7 @@ as cells.  ``tests/runner/test_report_compat.py`` formats their rows as
 the ground truth the engine's tables must match byte for byte.
 """
 
+import gc
 import math
 from contextlib import contextmanager, nullcontext
 from unittest import mock
@@ -71,7 +76,7 @@ from repro.cliquetree import (
 )
 from repro.graphs import Graph, clique_number, num_colors, unit_interval_chain
 from repro.graphs.chordal import maximal_cliques, perfect_elimination_ordering
-from repro.localmodel.gather import BallGatherProgram, _run_gather
+from repro.localmodel.gather import BallGatherProgram
 from repro.localmodel.network import SyncNetwork
 from repro.lowerbounds import measure_r_round_mis
 from repro.mis import chordal_mis, independence_number_chordal, interval_mis
@@ -392,13 +397,56 @@ def _path_diameter_within(ball_graph, path):
 
 
 def reference_gather(graph, radius, states=None, sealed=False, sinks=None, faults=None):
-    """Full-flood gathering: per-node balls and rounds, like ``gather_balls``."""
+    """Full-flood gathering: per-node balls and rounds, like ``gather_balls``.
+
+    Always steps node by node, with the cyclic GC paused for the run as
+    the library gather pauses it, so timings compare like with like.
+    """
     state_of = states or {}
 
     def factory(v, nbrs):
         return BallGatherProgram(v, nbrs, radius, state_of.get(v))
 
-    return _run_gather(graph, radius, factory, sealed, sinks, faults)
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        net = SyncNetwork(graph, factory, sealed=sealed, sinks=sinks, faults=faults)
+        balls = net.run(max_rounds=radius + 1)
+    finally:
+        if was_enabled:
+            gc.enable()
+    return balls, net.stats.rounds
+
+
+def reference_bfs_layers(graph, sources, budget):
+    """A ``BFSLayerProgram`` run in closed form: ``(outputs, stats)``.
+
+    A node at distance ``d`` from the nearest source learns ``d`` in
+    round ``d`` and announces it once, in that round, to each neighbour,
+    provided ``d < budget``; every node stops after round ``budget``
+    (``budget >= 0``) and outputs ``d`` when ``d <= budget``, else None.
+    ``stats`` is ``(rounds, sent, delivered, max sent per round)``.  This
+    is the arithmetic of the whole-round BFS kernel the library once
+    carried; the per-node program must reproduce it exactly.
+    """
+    dist = {v: 0 for v in sources}
+    layers = [list(dist)] if dist else []
+    while layers and len(layers) <= budget:
+        fresh = {
+            u
+            for v in layers[-1]
+            for u in graph.neighbors_view(v)
+            if u not in dist
+        }
+        if not fresh:
+            break
+        for u in fresh:
+            dist[u] = len(layers)
+        layers.append(list(fresh))
+    sent = [sum(graph.degree(v) for v in layer) for layer in layers[:budget]]
+    rounds = budget + 1 if len(graph) else 0
+    outputs = {v: dist.get(v) for v in graph.vertices()}
+    return outputs, (rounds, sum(sent), sum(sent), max(sent, default=0))
 
 
 def interval_graph_by_slicing(intervals):

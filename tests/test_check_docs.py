@@ -148,6 +148,22 @@ class TestCheck:
         assert "'clique_forest_from_peo' is never mentioned" not in text
         assert "README.md: names the retired kernel" not in text
 
+    def test_retired_executor_terms_are_flagged(self, broken_root):
+        docs = broken_root / "docs"
+        docs.mkdir()
+        (docs / "executor.md").write_text(
+            "gather_balls dispatches itself; BatchExecutor.run is gone\n"
+        )
+        (docs / "gather.md").write_text("`BFSLayerKernel` and `batch_kernel`\n")
+        (broken_root / "README.md").write_text("see KernelIneligible\n")
+        text = "\n".join(check_docs.check(broken_root))
+        assert "docs/executor.md: names the retired 'BatchExecutor'" in text
+        assert "docs/gather.md: names the retired 'BFSLayerKernel'" in text
+        assert "docs/gather.md: names the retired 'batch_kernel'" in text
+        assert "README.md: names the retired 'KernelIneligible'" in text
+        assert "names the retired 'LinialPathKernel'" not in text
+        assert "docs/executor.md: 'BatchExecutor' is never mentioned" not in text
+
     def test_gather_doc_must_name_the_subtree_table(self, broken_root):
         docs = broken_root / "docs"
         docs.mkdir()
@@ -159,10 +175,10 @@ class TestCheck:
     def test_executor_doc_must_name_vertex_facts(self, broken_root):
         docs = broken_root / "docs"
         docs.mkdir()
-        (docs / "executor.md").write_text("# DeltaGatherKernel and BatchExecutor\n")
+        (docs / "executor.md").write_text("# DeltaGatherKernel and fallback_reason\n")
         text = "\n".join(check_docs.check(broken_root))
         assert "docs/executor.md: 'vertex facts' is never mentioned" in text
-        assert "docs/executor.md: 'BatchExecutor' is never mentioned" not in text
+        assert "docs/executor.md: 'fallback_reason' is never mentioned" not in text
 
     def test_retired_fact_id_space_is_flagged_on_docs_pages(self, broken_root):
         docs = broken_root / "docs"

@@ -41,11 +41,12 @@ instructions can never silently rot:
   (``KnownBall``, the delta/reference program pair, the shared
   ``SubtreeTable`` of the local views, the counting contract's status
   sets, ``bench_network`` / ``BENCH_network.json``);
-* ``docs/executor.md`` must exist and document the whole-round batch
-  executor (``BatchExecutor``, ``BatchKernel``, ``KernelIneligible``,
-  the three stock kernels, the blockers that select the per-node path
-  including ``sealed=True``, and the ``fallback_reason`` that records
-  the selection);
+* ``docs/executor.md`` must exist and document the gather's dispatch
+  (``DeltaGatherKernel``, the blockers that select the per-node path
+  including ``sealed=True``, and the ``info["executed"]`` /
+  ``fallback_reason`` entries that record the selection);
+* no page names the retired batch-executor framework
+  (:data:`RETIRED_EXECUTOR_TERMS`): ``gather_balls`` dispatches itself;
 * no page names a retired experiment path (:data:`RETIRED_PATHS`):
   experiments live only in ``repro.runner``;
 * ``docs/kernels.md`` names the clique-forest builder
@@ -86,6 +87,17 @@ RETIRED_PATHS = (
 RETIRED_KERNELS = (
     "clique_intersection_edges",
     "maximum_weight_spanning_forest_ids",
+)
+
+
+#: the generic executor framework ``gather_balls``' own dispatch replaced
+RETIRED_EXECUTOR_TERMS = (
+    "BatchExecutor",
+    "BatchKernel",
+    "KernelIneligible",
+    "BFSLayerKernel",
+    "LinialPathKernel",
+    "batch_kernel",
 )
 
 
@@ -394,15 +406,10 @@ def check(root: Path) -> List[str]:
     else:
         text = executor_doc.read_text()
         for term in (
-            "BatchExecutor",
-            "BatchKernel",
-            "KernelIneligible",
             "DeltaGatherKernel",
-            "BFSLayerKernel",
-            "LinialPathKernel",
-            "batch_kernel",
             "sealed=True",
             "FaultPlan",
+            'info["executed"]',
             "fallback_reason",
             "--profile",
             "RunStats",
@@ -413,7 +420,7 @@ def check(root: Path) -> List[str]:
             if term not in text:
                 problems.append(
                     f"docs/executor.md: {term!r} is never mentioned (the "
-                    "batch-executor contract must stay documented)"
+                    "gather's dispatch contract must stay documented)"
                 )
 
     kernels_doc = root / "docs" / "kernels.md"
@@ -464,6 +471,12 @@ def check(root: Path) -> List[str]:
                     f"{page.relative_to(root)}: names the retired kernel "
                     f"{retired!r} (the clique forest comes from "
                     "clique_forest_from_peo)"
+                )
+        for retired in RETIRED_EXECUTOR_TERMS:
+            if retired in text:
+                problems.append(
+                    f"{page.relative_to(root)}: names the retired "
+                    f"{retired!r} (gather_balls dispatches itself)"
                 )
 
     return problems
