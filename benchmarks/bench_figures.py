@@ -4,7 +4,6 @@ from benchmarks.conftest import run_once
 from repro.cliquetree import (
     build_clique_forest,
     compute_local_view,
-    maximal_binary_paths,
     nodes_with_subtree_in,
 )
 from repro.graphs import (

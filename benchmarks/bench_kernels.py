@@ -18,8 +18,17 @@ The ``clique_forest`` rows time :func:`repro.graphs.kernels.clique_forest_from_p
 against the reference pair it replaced: maximal cliques, then every edge of
 W_G (``tests.oracles.clique_intersection_edges``) and Kruskal over all of
 them (``tests.oracles.maximum_weight_spanning_forest_ids``).  Both forests
-are asserted identical before the row is written, and each side is the
-best of three runs.
+are asserted identical before the row is written.
+
+The ``peeling`` rows time :func:`repro.coloring.prune.peel_chordal_graph`,
+the one peeling loop (T_1 walked by clique position, internal paths
+decided inside G[V_P]), against ``tests.oracles.reference_peeling``, the
+loop it replaced (a forest rebuilt and the graph shrunk every iteration,
+diameters searched in the current graph).  Both ``Peeling`` outputs are
+asserted equal before the row is written.  The large-n rows time the one
+loop alone, on every family.  In both kinds of row the two sides are
+timed in turns, each after a full collection, and each side's best of
+three runs counts.
 
 Unlike the rest of ``benchmarks/`` this is a standalone script, not a
 pytest-benchmark module, because its artifact is the committed JSON:
@@ -29,19 +38,19 @@ pytest-benchmark module, because its artifact is the committed JSON:
 
 ``--quick`` shrinks the sweep to one medium size per family; ``--check``
 exits nonzero unless every output pair matched, the kernel's total
-wall-clock (index build included) beat the legacy total, and every
-``clique_forest`` row's builder beat its reference pair.
-
-The large-n peeling rows use the interval and path families only.  On a
-random k-tree most of a peeling's time goes to the depth-capped diameter
-BFSes (``_RestrictedBFS.eccentricity_capped``): the graph's diameter is
-small, so each one covers most of the graph.
+wall-clock (index build included) beat the legacy total, every
+``clique_forest`` row's builder beat its reference pair, and every
+``peeling`` row's loop beat the oracle.  The JSON records the machine's
+CPU count and the Python version.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
+import os
+import platform
 import sys
 import time
 from pathlib import Path
@@ -51,7 +60,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT))
 
-from repro.coloring.prune import diameter_rule, peel_chordal_graph, peeling_layers
+from repro.coloring.prune import diameter_rule, peel_chordal_graph
 from repro.graphs import chordal, kernels
 from repro.graphs.adjacency import Graph
 from repro.graphs.generators import path_graph, random_k_tree, unit_interval_chain
@@ -66,7 +75,7 @@ COMPARE_NS = (1000, 3000, 10000)
 KERNEL_ONLY_NS = (30000, 100000)
 #: the seed implementation is O(n^2); cap how far it is dragged along
 SEED_LEXBFS_MAX_N = 10000
-#: peeling compared against the rich reference peel at these sizes
+#: peeling compared against the reference loop at these sizes
 PEEL_COMPARE_NS = (300, 1000)
 PEEL_THRESHOLD = 6
 PEEL_LARGE_THRESHOLD = 12
@@ -77,10 +86,9 @@ FAMILIES: Dict[str, Callable[[int], Graph]] = {
     "path": path_graph,
 }
 
-#: families whose large-n peeling stays within seconds (see the docstring)
-PEEL_LARGE_FAMILIES = ("interval", "path")
-#: timed runs per side of a ``clique_forest`` row (the best one counts)
-FOREST_REPEATS = 3
+#: timed runs per side of a ``clique_forest`` or ``peeling`` row (the
+#: best one counts)
+BEST_OF = 3
 
 
 def seed_lex_bfs(graph: Graph) -> List:
@@ -115,8 +123,18 @@ def _timed(fn, *args, **kwargs):
     return out, time.perf_counter() - start
 
 
-def _best_seconds(repeats: int, fn, *args) -> float:
-    return min(_timed(fn, *args)[1] for _ in range(repeats))
+def _best_in_turns(repeats: int, *calls: Callable[[], object]) -> List[float]:
+    """Best seconds of each call, run in turns, each after a full collection.
+
+    Taking turns gives both sides the same machine state, and collecting
+    first keeps one side's garbage out of the other's timing.
+    """
+    best = [float("inf")] * len(calls)
+    for _ in range(repeats):
+        for i, call in enumerate(calls):
+            gc.collect()
+            best[i] = min(best[i], _timed(call)[1])
+    return best
 
 
 def oracle_clique_forest(index: GraphIndex, peo: List[int]):
@@ -215,8 +233,11 @@ def _compare_cell(rows: List[dict], family: str, g: Graph, seed_baseline: bool) 
         forest_pairs(*oracle_clique_forest(idx, peo_ids))
     )
     assert same
-    t_k = _best_seconds(FOREST_REPEATS, kernels.clique_forest_from_peo, idx, peo_ids)
-    t_ref = _best_seconds(FOREST_REPEATS, oracle_clique_forest, idx, peo_ids)
+    t_k, t_ref = _best_in_turns(
+        BEST_OF,
+        lambda: kernels.clique_forest_from_peo(idx, peo_ids),
+        lambda: oracle_clique_forest(idx, peo_ids),
+    )
     _row(rows, family, n, m, "clique_forest", "reference", t_ref, t_k, same)
 
 
@@ -224,12 +245,14 @@ def _peel_compare_cell(
     rows: List[dict], family: str, g: Graph, threshold: int
 ) -> None:
     n, m = len(g), g.num_edges()
-    fast, t_k = _timed(peeling_layers, g, threshold)
-    rich, t_ref = _timed(peel_chordal_graph, g, diameter_rule(threshold))
-    same = fast.exhausted == rich.exhausted and fast.num_layers() == rich.num_layers()
-    for i in range(1, fast.num_layers() + 1):
-        same = same and fast.nodes_of_layer(i) == rich.nodes_of_layer(i)
+    rule, ref_rule = diameter_rule(threshold), oracles.reference_diameter_rule(threshold)
+    same = peel_chordal_graph(g, rule) == oracles.reference_peeling(g, ref_rule)
     assert same
+    t_k, t_ref = _best_in_turns(
+        BEST_OF,
+        lambda: peel_chordal_graph(g, rule),
+        lambda: oracles.reference_peeling(g, ref_rule),
+    )
     _row(rows, family, n, m, f"peeling(t={threshold})", "reference", t_ref, t_k, same)
 
 
@@ -249,19 +272,16 @@ def _kernel_only_cell(rows: List[dict], family: str, g: Graph) -> None:
     _row(rows, family, n, m, "peo_check", None, None, t, None)
     cliques, t = _timed(kernels.maximal_cliques_from_peo, idx, peo)
     _row(rows, family, n, m, "maximal_cliques", None, None, t, None)
-    if family in PEEL_LARGE_FAMILIES:
-        (layers, _), t = _timed(
-            kernels.peeling_layers, idx, PEEL_LARGE_THRESHOLD, order=peo
-        )
-        _row(
-            rows, family, n, m, f"peeling(t={PEEL_LARGE_THRESHOLD})", None, None, t, None
-        )
+    _, t = _timed(peel_chordal_graph, g, diameter_rule(PEEL_LARGE_THRESHOLD))
+    _row(rows, family, n, m, f"peeling(t={PEEL_LARGE_THRESHOLD})", None, None, t, None)
 
 
 def run(quick: bool) -> dict:
     rows: List[dict] = []
     compare_ns = (2000,) if quick else COMPARE_NS
-    peel_ns = (400,) if quick else PEEL_COMPARE_NS
+    # one-layer families spend most of both sides on the same T_1, so the
+    # margin is thin (about 1.15x); at n = 400 timer noise flipped rows
+    peel_ns = (2000,) if quick else PEEL_COMPARE_NS
     peel_threshold = 4 if quick else PEEL_THRESHOLD
     for family, build in FAMILIES.items():
         for n in compare_ns:
@@ -287,9 +307,12 @@ def run(quick: bool) -> dict:
         return max(cells) if cells else None
 
     forest_speedups = [r["speedup"] for r in compared if r["op"] == "clique_forest"]
+    peel_speedups = [r["speedup"] for r in compared if r["op"].startswith("peeling")]
     return {
         "benchmark": "repro.graphs.kernels",
         "quick": quick,
+        "cpu_count": os.cpu_count(),
+        "python": platform.python_version(),
         "rows": rows,
         "all_outputs_identical": all(r["identical"] for r in compared),
         "legacy_total_seconds": round(legacy_total, 3),
@@ -300,6 +323,7 @@ def run(quick: bool) -> dict:
             "maximal_cliques_speedup_at_1e4": _best("maximal_cliques", "reference"),
             "clique_forest_speedup_at_1e4": _best("clique_forest", "reference"),
             "clique_forest_min_speedup": min(forest_speedups, default=None),
+            "peeling_min_speedup": min(peel_speedups, default=None),
         },
     }
 
@@ -311,7 +335,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--check",
         action="store_true",
         help="exit nonzero unless outputs matched, the kernel total won and "
-        "no clique_forest row lost",
+        "no clique_forest or peeling row lost",
     )
     parser.add_argument("--out", type=Path, default=None, help="JSON output path")
     args = parser.parse_args(argv)
@@ -333,9 +357,14 @@ def main(argv: Optional[List[str]] = None) -> int:
         if slowest is None or slowest < 1:
             print(f"FAIL: a clique_forest row lost to its reference ({slowest}x)")
             return 1
+        peel = payload["acceptance"]["peeling_min_speedup"]
+        if peel is None or peel < 1:
+            print(f"FAIL: a peeling row lost to the reference loop ({peel}x)")
+            return 1
         print(
             "check passed: outputs identical, kernel total beat legacy,"
-            f" every clique_forest row won (min {slowest}x)"
+            f" every clique_forest row won (min {slowest}x),"
+            f" every peeling row won (min {peel}x)"
         )
 
     out = args.out

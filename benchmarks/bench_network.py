@@ -42,7 +42,9 @@ unless every output pair matched and the acceptance gates held: on the
 full sweep, volume reduction >= 10x, ``time_speedup`` >= 3.0 *and*
 never < 1.0 (a volume win may not ship a seconds loss again), and the
 n=100000 cell in single-digit seconds; on the quick sweep, identity and
-volume reduction > 1x.
+volume reduction > 1x.  The JSON records the machine's CPU count and the
+Python version, so sweeps from different machines are not compared as if
+they were one.
 """
 
 from __future__ import annotations
@@ -50,6 +52,8 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import os
+import platform
 import sys
 import time
 from pathlib import Path
@@ -312,6 +316,8 @@ def run(quick: bool, executors: Tuple[str, ...]) -> dict:
     return {
         "benchmark": "repro.localmodel.gather",
         "quick": quick,
+        "cpu_count": os.cpu_count(),
+        "python": platform.python_version(),
         "executors": list(executors),
         "rows": rows,
         "all_outputs_identical": all(r["identical"] for r in rows),

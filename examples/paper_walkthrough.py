@@ -17,9 +17,8 @@ from repro.analysis import format_table
 from repro.cliquetree import (
     build_clique_forest,
     compute_local_view,
-    maximal_binary_paths,
     nodes_with_subtree_in,
-    path_diameter,
+    path_vertices,
 )
 from repro.coloring import diameter_rule, peel_chordal_graph
 from repro.graphs import (
@@ -59,7 +58,8 @@ def show_figures_5_6(graph, forest):
     path = [PAPER_CLIQUES[name] for name in FIGURE5_PATH]
     u = nodes_with_subtree_in(forest, path)
     print(f"removed node set U = {sorted(u)}")
-    print(f"diam(P) = {path_diameter(graph, path)}")
+    # G[V_P] is isometric in G, so diam(P) is measured inside it
+    print(f"diam(P) = {graph.induced_subgraph(path_vertices(path)).diameter()}")
     reduced = graph.subgraph_without(u)
     new_forest = forest.without_cliques(path)
     rebuilt = build_clique_forest(reduced)

@@ -27,9 +27,7 @@ from .local_view import (
 from .paths import (
     ForestPath,
     greedy_path_mis,
-    maximal_binary_paths,
     nodes_with_subtree_in,
-    path_diameter,
     path_independence_number,
     path_vertices,
 )
@@ -56,9 +54,7 @@ __all__ = [
     "local_view_from_ball",
     "ForestPath",
     "greedy_path_mis",
-    "maximal_binary_paths",
     "nodes_with_subtree_in",
-    "path_diameter",
     "path_independence_number",
     "path_vertices",
     "UnionFind",

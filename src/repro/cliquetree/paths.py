@@ -10,16 +10,18 @@ that are "long enough" (diameter at least 3k for coloring; diameter at
 least 2d + 3, or independence number at least d, for MIS).
 
 The *diameter* of a path P is measured in G: the largest distance between
-nodes lying in its cliques.  The *independence number* of P is
-alpha(G[C_1 + ... + C_k]); by Lemma 7 that subgraph is an interval graph
-whose clique path is P itself, so a right-endpoint greedy along P computes
-it exactly (:func:`path_independence_number`).
+nodes lying in its cliques.  It never needs more of G than P itself: two
+vertices of V_P are adjacent iff they share a clique of P, and G[V_P] is
+isometric in G (see :func:`path_diameter_at_least`).  The *independence
+number* of P is alpha(G[C_1 + ... + C_k]); by Lemma 7 that subgraph is an
+interval graph whose clique path is P itself, so a right-endpoint greedy
+along P computes it exactly (:func:`path_independence_number`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..graphs.adjacency import Graph, Vertex
 from .forest import CliqueForest
@@ -27,11 +29,9 @@ from .wcig import Clique
 
 __all__ = [
     "ForestPath",
-    "maximal_binary_paths",
     "orient_binary_path",
     "path_vertices",
     "nodes_with_subtree_in",
-    "path_diameter",
     "path_diameter_at_least",
     "path_independence_number",
     "greedy_path_mis",
@@ -92,52 +92,27 @@ class ForestPath:
         return len(self.cliques)
 
 
-def maximal_binary_paths(forest: CliqueForest) -> List[ForestPath]:
-    """All maximal binary paths of the forest.
-
-    These are exactly the connected components of the subforest induced by
-    the cliques of degree <= 2 (inside a forest such components are always
-    paths).  Every maximal binary path is pendant or internal, never both.
-    The result is sorted by the first clique of each path for determinism.
-    """
-    low = [c for c in forest.cliques() if forest.degree(c) <= 2]
-    low_set = set(low)
-    seen: Set[Clique] = set()
-    paths: List[ForestPath] = []
-    for c in low:
-        if c in seen:
-            continue
-        comp = {c}
-        stack = [c]
-        while stack:
-            x = stack.pop()
-            for y in forest.neighbors(x):
-                if y in low_set and y not in comp:
-                    comp.add(y)
-                    stack.append(y)
-        seen |= comp
-        paths.append(orient_binary_path(forest, comp))
-    paths.sort(key=lambda p: tuple(sorted(p.cliques[0])))
-    return paths
-
-
-def orient_binary_path(forest: CliqueForest, comp: Set[Clique]) -> ForestPath:
+def orient_binary_path(
+    neighbors: Callable[[Clique], Set[Clique]], comp: Set[Clique]
+) -> ForestPath:
     """Order a binary path of cliques end-to-end and record its attachments.
 
-    ``comp`` must induce a path in ``forest`` whose cliques all have
-    degree <= 2 in it, so each end has at most one outside neighbor.  A
-    single clique orders its (at most two) neighbors by sorted members,
-    left first; a longer path starts at the end with the smaller sorted
-    members.  The peeling orients its maximal binary paths this way, and
-    Algorithm 3's local decision orients the subpath T(v).
+    ``neighbors(c)`` is the set of cliques adjacent to ``c`` in the forest
+    (``forest.neighbors`` of a :class:`CliqueForest`).  ``comp`` must
+    induce a path there whose cliques all have degree <= 2, so each end
+    has at most one outside neighbor.  A single clique orders its (at most
+    two) neighbors by sorted members, left first; a longer path starts at
+    the end with the smaller sorted members.  The peeling orients its
+    maximal binary paths this way, and Algorithm 3's local decision
+    orients the subpath T(v).
     """
     if len(comp) == 1:
         (c,) = comp
-        outside = sorted(forest.neighbors(c) - comp, key=lambda d: tuple(sorted(d)))
+        outside = sorted(neighbors(c) - comp, key=lambda d: tuple(sorted(d)))
         left = outside[0] if outside else None
         right = outside[1] if len(outside) > 1 else None
         return ForestPath(cliques=(c,), left_attachment=left, right_attachment=right)
-    inner_deg = {c: len(forest.neighbors(c) & comp) for c in comp}
+    inner_deg = {c: len(neighbors(c) & comp) for c in comp}
     ends = sorted(
         (c for c in comp if inner_deg[c] == 1), key=lambda c: tuple(sorted(c))
     )
@@ -148,12 +123,12 @@ def orient_binary_path(forest: CliqueForest, comp: Set[Clique]) -> ForestPath:
     prev: Optional[Clique] = None
     cur = start
     while len(ordered) < len(comp):
-        nxt = [d for d in forest.neighbors(cur) if d in comp and d != prev]
+        nxt = [d for d in neighbors(cur) if d in comp and d != prev]
         prev, cur = cur, nxt[0]
         ordered.append(cur)
 
     def outside_of(end: Clique) -> Optional[Clique]:
-        out = forest.neighbors(end) - comp
+        out = neighbors(end) - comp
         if len(out) > 1:
             raise AssertionError("path end has degree > 2 in the forest")
         return next(iter(out), None)
@@ -190,61 +165,47 @@ def nodes_with_subtree_in(
     return out
 
 
-def path_diameter(graph: Graph, path: Sequence[Clique]) -> int:
-    """diam(P) = max over u, v in the path's cliques of dist_G(u, v).
+def path_diameter_at_least(path: Sequence[Clique], threshold: int) -> bool:
+    """Whether diam(P) >= ``threshold``, decided inside G[V_P].
 
-    Distances are measured in ``graph`` (the current graph G[U_i] during
-    peeling).  Nodes of the path's cliques are always mutually reachable
-    there because consecutive cliques intersect.
-    """
-    verts = path_vertices(path)
-    best = 0
-    for s in verts:
-        dist = graph.bfs_distances(s)
-        for t in verts:
-            if t not in dist:
-                raise ValueError("path cliques are not mutually reachable in graph")
-            best = max(best, dist[t])
-    return best
-
-
-def path_diameter_at_least(
-    graph: Graph, path: Sequence[Clique], threshold: int
-) -> bool:
-    """Whether ``path_diameter(graph, path) >= threshold``, decided early.
+    ``path`` is a subpath of a clique forest of the graph the distances
+    are measured in (the current graph G[U_i] during peeling).  Two
+    vertices of V_P are adjacent there iff they share a clique of P: T(u),
+    T(v) and P pairwise intersect, so by Helly they share a clique.  And
+    G[V_P] is isometric in that graph: a shortest u-v path that leaves V_P
+    runs, outside it, through one component K of F - P, which hangs off P
+    by a single forest edge; by running intersection the path leaves and
+    re-enters through that edge's separator S, a clique inside V_P, so
+    one edge replaces the excursion.  Hence the BFS runs on the small
+    graph made of P's own cliques, never on the current graph.
 
     One BFS bounds the diameter within [ecc, 2 * ecc] (triangle
     inequality), so a single source already settles the decision unless
-    the threshold falls in the gray zone — only then does the all-sources
+    the threshold falls in the gray zone; only then does the all-sources
     scan run, and it stops at the first distance reaching the threshold.
-    Every BFS is depth-capped at ``threshold``: the decision never needs
-    distances beyond it, so each search explores only the radius-t ball
-    of its source rather than the whole component.  A vertex not reached
+    Every BFS is depth-capped at ``threshold``.  A vertex not reached
     within the cap has distance > threshold and settles the decision as
-    ``True`` — this covers disconnection too (distance infinity), where
-    :func:`path_diameter` would raise; during real peeling that case
-    cannot arise because consecutive path cliques intersect.  This is
-    what :func:`repro.coloring.prune.diameter_rule` calls: the peeling
-    process only ever needs the comparison, never the exact diameter.
+    ``True``; this covers cliques that do not chain together too
+    (distance infinity), which a real forest path never has, because
+    consecutive cliques of a clique forest intersect.  This is what
+    :func:`repro.coloring.prune.diameter_rule` and Algorithm 3's local
+    decision call: neither ever needs the exact diameter.
     """
-    verts = sorted(path_vertices(path))
+    local = Graph()
+    for c in path:
+        local.add_clique(c)
+    verts = local.vertices()
     if not verts:
         return 0 >= threshold
-    dist = graph.bfs_distances(verts[0], cutoff=threshold)
-    ecc = 0
-    for t in verts:
-        if t not in dist:
+    for i, s in enumerate(verts):
+        dist = local.bfs_distances(s, cutoff=threshold)
+        if len(dist) < len(verts):
             return True
-        ecc = max(ecc, dist[t])
-    if ecc >= threshold:
-        return True
-    if 2 * ecc < threshold:
-        return False
-    for s in verts[1:]:
-        dist = graph.bfs_distances(s, cutoff=threshold)
-        for t in verts:
-            if t not in dist or dist[t] >= threshold:
-                return True
+        ecc = max(dist.values())
+        if ecc >= threshold:
+            return True
+        if i == 0 and 2 * ecc < threshold:
+            return False
     return False
 
 

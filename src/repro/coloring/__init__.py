@@ -40,10 +40,8 @@ from .parameters import (
 from .prune import (
     PeeledPath,
     Peeling,
-    PeelingLayers,
     diameter_rule,
     peel_chordal_graph,
-    peeling_layers,
 )
 
 __all__ = [
@@ -72,8 +70,6 @@ __all__ = [
     "required_morph_distance",
     "PeeledPath",
     "Peeling",
-    "PeelingLayers",
     "diameter_rule",
     "peel_chordal_graph",
-    "peeling_layers",
 ]

@@ -84,7 +84,7 @@ def color_chordal_graph(
     if not is_chordal(graph):
         raise NotChordalError("input graph is not chordal")
     if len(graph) == 0:
-        return ChordalColoringResult({}, Peeling([], {}, [], True), params, 1, 0, [])
+        return ChordalColoringResult({}, Peeling([], {}, True), params, 1, 0, [])
 
     chi = clique_number(graph)
     palette_size = params.palette_size(chi)

@@ -270,7 +270,7 @@ def _decide_from_view(view: LocalView, params: ColoringParameters) -> bool:
             return False
 
     # Walk outwards from T(v)'s subpath in both directions.
-    sub = orient_binary_path(frag, phi_v)
+    sub = orient_binary_path(frag.neighbors, phi_v)
     path = list(sub.cliques)
     left, left_status = _walk_binary(frag, view, path[0], sub.left_attachment)
     right, right_status = _walk_binary(frag, view, path[-1], sub.right_attachment)
@@ -280,12 +280,11 @@ def _decide_from_view(view: LocalView, params: ColoringParameters) -> bool:
         return True
     # Internal (or horizon-truncated, in which case the true path is at
     # least as long as what we see): join iff the visible diameter clears
-    # the threshold.  Every clique on the walked path is confirmed, so it
-    # lies in the interior; distances are measured in the interior-induced
-    # ball, which is connected through the center.
+    # the threshold.  Every clique on the walked path is confirmed, so the
+    # walk is a subpath of the true forest, and G[V_P] is isometric in the
+    # graph: the diameter is decided from the path's own cliques.
     full_path = list(reversed(left)) + path + right
-    interior_graph = view.ball.induced_subgraph(view.interior)
-    return path_diameter_at_least(interior_graph, full_path, params.internal_threshold)
+    return path_diameter_at_least(full_path, params.internal_threshold)
 
 
 def _walk_binary(

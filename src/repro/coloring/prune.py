@@ -10,6 +10,13 @@ forest T_{i+1} of the remaining graph, and by Lemma 6 (the pruning lemma)
 at most ceil(log2 n) iterations empty the forest when every internal path
 of large diameter is taken.
 
+So the process never needs the current graph G[U_i]: T_{i+1} is T_1 minus
+everything removed so far, and every rule is local to its path (a path's
+diameter is measured inside G[V_P], see
+:func:`~repro.cliquetree.paths.path_diameter_at_least`).  The loop below
+walks T_1 by clique position with alive flags, alive degrees and
+per-vertex alive-clique counts; it rebuilds no forest and copies no graph.
+
 Each removed path is recorded as a :class:`PeeledPath`, carrying everything
 the later phases need: the ordered cliques, the attachment cliques C_s/C_e
 (Lemma 8's boundary cliques), the removed node set W_P, and the layer
@@ -18,51 +25,43 @@ index.
 
 from __future__ import annotations
 
+import gc
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from itertools import chain
+from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple
 
-from ..cliquetree.forest import CliqueForest, build_clique_forest
-from ..cliquetree.paths import (
-    ForestPath,
-    maximal_binary_paths,
-    nodes_with_subtree_in,
-    path_diameter_at_least,
-)
-from ..graphs import kernels
+from ..cliquetree.forest import build_clique_forest
+from ..cliquetree.paths import ForestPath, orient_binary_path, path_diameter_at_least
+from ..cliquetree.wcig import Clique
 from ..graphs.adjacency import Graph, Vertex
-from ..graphs.chordal import _not_chordal
-from ..graphs.index import graph_index
 from .decomposition import PathBags
 from .parameters import _check_positive_int
 
 __all__ = [
     "PeeledPath",
     "Peeling",
-    "PeelingLayers",
     "peel_chordal_graph",
-    "peeling_layers",
     "diameter_rule",
 ]
 
 #: Decides whether a maximal *internal* path is peeled this iteration.
-InternalRule = Callable[[Graph, ForestPath], bool]
+InternalRule = Callable[[ForestPath], bool]
 
 
 def diameter_rule(threshold: int) -> InternalRule:
     """The coloring rule: internal paths of diameter >= threshold (3k).
 
-    The returned rule decides the comparison without computing the exact
-    diameter (:func:`~repro.cliquetree.paths.path_diameter_at_least`), and
-    carries the threshold as a ``threshold`` attribute so layer-only
-    callers can recognize it and take the :func:`peeling_layers` fast path.
+    The returned rule decides the comparison inside G[V_P] without
+    computing the exact diameter
+    (:func:`~repro.cliquetree.paths.path_diameter_at_least`).
     ``threshold`` must be an int >= 1 (``ValueError`` otherwise).
     """
     _check_positive_int("threshold", threshold)
 
-    def rule(graph: Graph, path: ForestPath) -> bool:
-        return path_diameter_at_least(graph, path.cliques, threshold)
+    def rule(path: ForestPath) -> bool:
+        return path_diameter_at_least(path.cliques, threshold)
 
-    rule.threshold = threshold  # type: ignore[attr-defined]
     return rule
 
 
@@ -93,9 +92,6 @@ class Peeling:
 
     layers: List[List[PeeledPath]]
     layer_of: Dict[Vertex, int]
-    #: T_1, T_2, ...: forest before each iteration (T_{i+1} after removing
-    #: layer i); kept for the structural tests of Lemmas 5 and 6.
-    forests: List[CliqueForest]
     #: True when the peeling ran to an empty forest (False when stopped
     #: early by max_iterations, as Algorithm 6 does).
     exhausted: bool
@@ -118,80 +114,9 @@ class Peeling:
     _all_nodes: Set[Vertex] = field(default_factory=set)
 
 
-@dataclass(frozen=True)
-class PeelingLayers:
-    """The layer map of the peeling process (kernel fast path).
-
-    The lightweight answer to "which vertex lands in which layer": exactly
-    what Lemma 6's round/locality accounting needs, without materializing
-    per-path boundary cliques, forests, or induced subgraphs.  For every
-    chordal graph and diameter threshold,
-    ``peeling_layers(g, t).layers[i]`` equals
-    ``sorted(peel_chordal_graph(g, diameter_rule(t)).nodes_of_layer(i + 1))``
-    and the ``exhausted`` flags agree — pinned by the equivalence suite.
-    """
-
-    #: layer i (0-based here; the paper's V_{i+1}) as a sorted vertex list
-    layers: Tuple[Tuple[Vertex, ...], ...]
-    #: True when the peeling ran the forest to empty (see :class:`Peeling`)
-    exhausted: bool
-
-    def num_layers(self) -> int:
-        return len(self.layers)
-
-    def nodes_of_layer(self, i: int) -> Set[Vertex]:
-        """All nodes of layer i (1-based, like the paper and :class:`Peeling`)."""
-        return set(self.layers[i - 1])
-
-    def layer_of(self) -> Dict[Vertex, int]:
-        """vertex -> 1-based layer index, for every peeled vertex."""
-        out: Dict[Vertex, int] = {}
-        for i, layer in enumerate(self.layers, start=1):
-            for v in layer:
-                out[v] = i
-        return out
-
-
-def peeling_layers(
-    graph: Graph,
-    threshold: int,
-    max_iterations: Optional[int] = None,
-    last_threshold: Optional[int] = None,
-) -> PeelingLayers:
-    """Layer map of ``peel_chordal_graph(graph, diameter_rule(threshold))``.
-
-    Runs entirely in the integer kernels
-    (:func:`repro.graphs.kernels.peeling_layers`): the clique forest both
-    peelings share, then per-iteration path decisions with early-exit
-    diameter bounds, which beat the rich peeling at K1 sizes (measured in
-    ``docs/kernels.md``).  When
-    ``max_iterations`` is given the process stops after that many layers,
-    optionally switching to ``last_threshold`` for the final iteration
-    (the Algorithm 6 shape).  ``threshold``, ``max_iterations`` and
-    ``last_threshold`` must be ints >= 1 (``ValueError`` otherwise).
-    Raises :class:`~repro.graphs.chordal.NotChordalError` on non-chordal
-    input.
-    """
-    _check_positive_int("threshold", threshold)
-    if max_iterations is not None:
-        _check_positive_int("max_iterations", max_iterations)
-    if last_threshold is not None:
-        _check_positive_int("last_threshold", last_threshold)
-    index = graph_index(graph)
-    order, bad = kernels.peo_and_violation(index)
-    if bad is not None:
-        raise _not_chordal(index.verts[bad])
-    id_layers, exhausted = kernels.peeling_layers(
-        index,
-        threshold,
-        max_iterations=max_iterations,
-        last_threshold=last_threshold,
-        order=order,
-    )
-    return PeelingLayers(
-        layers=tuple(tuple(index.labels_of(layer)) for layer in id_layers),
-        exhausted=exhausted,
-    )
+def _check_rule(name: str, rule: object) -> None:
+    if not callable(rule):
+        raise TypeError(f"{name} must be a callable rule, got {rule!r}")
 
 
 def peel_chordal_graph(
@@ -207,64 +132,127 @@ def peel_chordal_graph(
     process stops after that many layers (Algorithm 6), optionally applying
     ``last_iteration_rule`` instead of ``internal_rule`` in the final one;
     otherwise it runs until the forest is empty, which Lemma 6 bounds by
-    ceil(log2 n) iterations.  ``max_iterations`` must be an int >= 1
-    (``ValueError`` otherwise).
+    ceil(log2 n) iterations.  A rule that is not callable raises
+    ``TypeError`` naming it, and ``max_iterations`` must be an int >= 1
+    (``ValueError`` otherwise, and also when ``last_iteration_rule`` comes
+    without it).  Raises :class:`~repro.graphs.chordal.NotChordalError`
+    on non-chordal input.
+
+    T_1 comes from :func:`~repro.cliquetree.forest.build_clique_forest`;
+    T_i is T_1 with the removed cliques flagged dead.  Each iteration
+    finds the maximal binary paths among the alive cliques of alive
+    degree <= 2, orients them with
+    :func:`~repro.cliquetree.paths.orient_binary_path`, visits them by
+    first clique, and peels a vertex with a removed path when all of its
+    alive cliques lie on that path (its subtree T(v) lies inside it).
     """
+    _check_rule("internal_rule", internal_rule)
     if max_iterations is not None:
         _check_positive_int("max_iterations", max_iterations)
+    if last_iteration_rule is not None:
+        _check_rule("last_iteration_rule", last_iteration_rule)
+        if max_iterations is None:
+            raise ValueError("last_iteration_rule needs max_iterations")
+    # T_1 and the paths allocate containers at a rate that makes the cyclic
+    # GC's generation scans a third of a large peeling (K1's 3-tree at
+    # n = 10^5), and none of them hold cycles; pause collection for the
+    # run, as gather_balls does.
+    was_enabled = gc.isenabled()
+    if was_enabled:
+        gc.disable()
+    try:
+        return _peel(graph, internal_rule, max_iterations, last_iteration_rule)
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def _peel(
+    graph: Graph,
+    internal_rule: InternalRule,
+    max_iterations: Optional[int],
+    last_iteration_rule: Optional[InternalRule],
+) -> Peeling:
     forest = build_clique_forest(graph)
-    current = graph.copy()
+    cliques = forest.cliques()
+    position = {c: i for i, c in enumerate(cliques)}
+    adj = [[position[d] for d in forest.neighbors(c)] for c in cliques]
+    degree = [len(nbrs) for nbrs in adj]
+    alive = [True] * len(cliques)
+    alive_cliques = Counter(chain.from_iterable(cliques))
+    all_nodes = set(graph.vertices())
+
+    def alive_neighbors(c: Clique) -> Set[Clique]:
+        return {cliques[j] for j in adj[position[c]] if alive[j]}
+
     layers: List[List[PeeledPath]] = []
     layer_of: Dict[Vertex, int] = {}
-    forests: List[CliqueForest] = [forest]
-
+    remaining = len(cliques)
     iteration = 0
-    while len(forest) > 0:
+    while remaining:
         iteration += 1
         if max_iterations is not None and iteration > max_iterations:
-            return Peeling(
-                layers=layers,
-                layer_of=layer_of,
-                forests=forests,
-                exhausted=False,
-                _all_nodes=set(graph.vertices()),
-            )
+            return Peeling(layers, layer_of, exhausted=False, _all_nodes=all_nodes)
         rule = internal_rule
-        if (
-            last_iteration_rule is not None
-            and max_iterations is not None
-            and iteration == max_iterations
-        ):
+        if last_iteration_rule is not None and iteration == max_iterations:
             rule = last_iteration_rule
 
+        paths = [
+            orient_binary_path(alive_neighbors, {cliques[i] for i in comp})
+            for comp in _binary_components(adj, degree, alive)
+        ]
+        paths.sort(key=lambda p: position[p.cliques[0]])
         peeled_here: List[PeeledPath] = []
-        removed_cliques: List[FrozenSet[Vertex]] = []
-        removed_nodes: Set[Vertex] = set()
-        for path in maximal_binary_paths(forest):
-            if not (path.is_pendant or rule(current, path)):
+        for path in paths:
+            if not (path.is_pendant or rule(path)):
                 continue
-            nodes = frozenset(nodes_with_subtree_in(forest, path.cliques))
-            peeled_here.append(
-                PeeledPath(layer=iteration, path=path, nodes=nodes)
-            )
-            removed_cliques.extend(path.cliques)
-            removed_nodes |= nodes
+            on_path = Counter(chain.from_iterable(path.cliques))
+            nodes = frozenset(v for v, k in on_path.items() if k == alive_cliques[v])
+            peeled_here.append(PeeledPath(layer=iteration, path=path, nodes=nodes))
         if not peeled_here:
             raise AssertionError(
                 "peeling stalled: a nonempty forest always has pendant paths"
             )
+        removed = [position[c] for peeled in peeled_here for c in peeled.cliques]
         for peeled in peeled_here:
             for v in peeled.nodes:
                 layer_of[v] = iteration
         layers.append(peeled_here)
-        forest = forest.without_cliques(removed_cliques)
-        current.remove_vertices(removed_nodes)
-        forests.append(forest)
+        for i in removed:
+            alive[i] = False
+        for i in removed:
+            for j in adj[i]:
+                if alive[j]:
+                    degree[j] -= 1
+            for v in cliques[i]:
+                alive_cliques[v] -= 1
+        remaining -= len(removed)
 
-    return Peeling(
-        layers=layers,
-        layer_of=layer_of,
-        forests=forests,
-        exhausted=True,
-        _all_nodes=set(graph.vertices()),
-    )
+    return Peeling(layers, layer_of, exhausted=True, _all_nodes=all_nodes)
+
+
+def _binary_components(
+    adj: List[List[int]], degree: List[int], alive: List[bool]
+) -> List[Set[int]]:
+    """The maximal binary paths of the alive forest, as clique positions.
+
+    These are the connected components of the alive cliques of alive
+    degree <= 2; inside a forest each one is a path.
+    """
+    low = {i for i in range(len(adj)) if alive[i] and degree[i] <= 2}
+    seen: Set[int] = set()
+    comps = []
+    for start in low:
+        if start in seen:
+            continue
+        comp = {start}
+        stack = [start]
+        while stack:
+            i = stack.pop()
+            for j in adj[i]:
+                if j in low and j not in comp:
+                    comp.add(j)
+                    stack.append(j)
+        seen |= comp
+        comps.append(comp)
+    return comps

@@ -231,7 +231,7 @@ class Graph:
         the caller.
         """
         keep = set(vs)
-        missing = keep - set(self._adj)
+        missing = [v for v in keep if v not in self._adj]
         if missing:
             raise KeyError(f"vertices not in graph: {sorted(missing)!r}")
         g = Graph()

@@ -17,8 +17,6 @@ kernel                                replaces                 cost
                                       cliques``
 :func:`clique_forest_from_peo`        Kruskal over all of      O(n + m + p log p),
                                       W_G (test oracle)        p separator pairs
-:func:`peeling_layers`                layer map of             forest +
-                                      ``coloring.prune``       diameter BFSes
 ====================================  =======================  ==================
 
 The kernels are **tie-break exact**: ids are assigned in sorted label
@@ -59,7 +57,6 @@ __all__ = [
     "peo_and_violation",
     "maximal_cliques_from_peo",
     "clique_forest_from_peo",
-    "peeling_layers",
 ]
 
 
@@ -483,206 +480,3 @@ def clique_forest_from_peo(
             edges.append((lo, hi))
     edges.sort()
     return [members for members, _ in entries], edges
-
-
-# ---------------------------------------------------------------------------
-# Peeling layers (Lemma 6), layers only
-# ---------------------------------------------------------------------------
-
-class _RestrictedBFS:
-    """BFS over the CSR arrays restricted to alive vertices, with stamped
-    distance arrays so repeated calls allocate nothing."""
-
-    def __init__(self, index: GraphIndex, alive: bytearray):
-        self._indptr = index.indptr
-        self._indices = index.indices
-        self._alive = alive
-        self._dist = [0] * index.n
-        self._seen = [0] * index.n
-        self._stamp = 0
-
-    def eccentricity_capped(self, source: int, targets: Sequence[int], cap: int) -> int:
-        """max distance from ``source`` to ``targets``, depth-capped.
-
-        The BFS stops at depth ``cap``; a target not reached by then has
-        distance > cap, reported as ``cap + 1``.  The cap is what keeps
-        peeling linear-ish: a decision "diam >= t" never needs distances
-        beyond t, so each BFS explores only the radius-t ball of its
-        source instead of the whole alive component.
-        """
-        self._stamp += 1
-        stamp = self._stamp
-        dist, seen = self._dist, self._seen
-        indptr, indices, alive = self._indptr, self._indices, self._alive
-        seen[source] = stamp
-        dist[source] = 0
-        frontier = [source]
-        d = 0
-        while frontier and d < cap:
-            d += 1
-            nxt: List[int] = []
-            for u in frontier:
-                for k in range(indptr[u], indptr[u + 1]):
-                    w = indices[k]
-                    if alive[w] and seen[w] != stamp:
-                        seen[w] = stamp
-                        dist[w] = d
-                        nxt.append(w)
-            frontier = nxt
-        best = 0
-        for t in targets:
-            if seen[t] != stamp:
-                return cap + 1
-            dt = dist[t]
-            if dt > best:
-                best = dt
-        return best
-
-
-def _path_diameter_at_least(
-    bfs: _RestrictedBFS, verts: List[int], threshold: int
-) -> bool:
-    """Whether the diameter realized within ``verts`` is >= threshold.
-
-    One eccentricity bounds the diameter within [ecc, 2*ecc]; only the
-    gray zone pays for the all-sources scan, and every BFS is capped at
-    the threshold depth.
-    """
-    if not verts:
-        return 0 >= threshold
-    ecc = bfs.eccentricity_capped(verts[0], verts, threshold)
-    if ecc >= threshold:
-        return True
-    if 2 * ecc < threshold:
-        return False
-    for s in verts[1:]:
-        if bfs.eccentricity_capped(s, verts, threshold) >= threshold:
-            return True
-    return False
-
-
-def peeling_layers(
-    index: GraphIndex,
-    threshold: int,
-    max_iterations: Optional[int] = None,
-    last_threshold: Optional[int] = None,
-    order: Optional[List[int]] = None,
-) -> Tuple[List[List[int]], bool]:
-    """The layer map of the peeling process, as sorted id lists.
-
-    Mirrors ``peel_chordal_graph(g, diameter_rule(threshold), ...)`` —
-    same canonical clique forest, same maximal-binary-path decisions, same
-    per-iteration removals — but computes only what Lemma 6 talks about:
-    which vertex lands in which layer, and whether the process exhausted
-    the forest.  ``order`` is an optional pre-verified PEO; without one it
-    is computed here, raising ``ValueError`` on non-chordal input (callers
-    that want the richer :class:`~repro.coloring.prune.Peeling` keep using
-    the reference path).
-    """
-    n = index.n
-    if order is None:
-        order, bad = peo_and_violation(index)
-        if bad is not None:
-            raise ValueError(f"graph is not chordal (violating id {bad})")
-    cliques, forest_edges = clique_forest_from_peo(index, order)
-    ncliq = len(cliques)
-
-    fadj: List[List[int]] = [[] for _ in range(ncliq)]
-    for i, j in forest_edges:
-        fadj[i].append(j)
-        fadj[j].append(i)
-    deg = [len(a) for a in fadj]
-    alive_c = bytearray([1]) * ncliq if ncliq else bytearray()
-    phi: List[List[int]] = [[] for _ in range(n)]
-    for ci, members in enumerate(cliques):
-        for v in members:
-            phi[v].append(ci)
-    phi_alive = [len(p) for p in phi]
-    alive_v = bytearray([1]) * n if n else bytearray()
-    bfs = _RestrictedBFS(index, alive_v)
-
-    layers: List[List[int]] = []
-    remaining = ncliq
-    comp_seen = [0] * ncliq
-    iteration = 0
-    while remaining:
-        iteration += 1
-        if max_iterations is not None and iteration > max_iterations:
-            return layers, False
-        thr = threshold
-        if (
-            last_threshold is not None
-            and max_iterations is not None
-            and iteration == max_iterations
-        ):
-            thr = last_threshold
-
-        removed: List[int] = []
-        layer_set: List[int] = []
-        for c0 in range(ncliq):
-            if not alive_c[c0] or deg[c0] > 2 or comp_seen[c0] == iteration:
-                continue
-            # one maximal binary path: the component of c0 among alive
-            # cliques of degree <= 2
-            comp = [c0]
-            comp_seen[c0] = iteration
-            stack = [c0]
-            while stack:
-                x = stack.pop()
-                for y in fadj[x]:
-                    if alive_c[y] and deg[y] <= 2 and comp_seen[y] != iteration:
-                        comp_seen[y] = iteration
-                        comp.append(y)
-                        stack.append(y)
-            # pendant iff some end has no outside (alive) attachment
-            if len(comp) == 1:
-                pendant = deg[c0] <= 1
-            else:
-                pendant = False
-                for c in comp:
-                    inner = 0
-                    for y in fadj[c]:
-                        if alive_c[y] and deg[y] <= 2 and comp_seen[y] == iteration:
-                            inner += 1
-                    if inner == 1 and deg[c] - inner == 0:
-                        pendant = True
-                        break
-            if not pendant:
-                verts_set = set()
-                for c in comp:
-                    verts_set.update(cliques[c])
-                if not _path_diameter_at_least(bfs, sorted(verts_set), thr):
-                    continue
-            removed.extend(comp)
-            # a vertex is peeled by THIS path iff its whole alive subtree
-            # lies on it (phi(v) inside the path), matching
-            # ``nodes_with_subtree_in`` -- a vertex whose cliques span two
-            # removed paths survives the iteration.
-            count: Dict[int, int] = {}
-            for c in comp:
-                for v in cliques[c]:
-                    count[v] = count.get(v, 0) + 1
-            for v, k in count.items():
-                if k == phi_alive[v]:
-                    layer_set.append(v)
-
-        if not removed:
-            raise AssertionError(
-                "peeling stalled: a nonempty forest always has pendant paths"
-            )
-
-        layer = sorted(layer_set)
-        layers.append(layer)
-
-        for c in removed:
-            alive_c[c] = 0
-        for c in removed:
-            for d in fadj[c]:
-                if alive_c[d]:
-                    deg[d] -= 1
-            for v in cliques[c]:
-                phi_alive[v] -= 1
-        for v in layer:
-            alive_v[v] = 0
-        remaining -= len(removed)
-    return layers, True

@@ -32,6 +32,27 @@ __all__ = [
 ]
 
 
+def _check_root(graph: Graph, root: Vertex) -> None:
+    """Raise ``ValueError`` naming ``root`` unless it is a vertex of ``graph``."""
+    if root not in graph:
+        raise ValueError(f"root {root!r} is not a vertex of the graph")
+
+
+def _round_budget(graph: Graph, budget: Optional[int]) -> int:
+    """``budget``, or enough rounds to cross ``graph`` when it is ``None``.
+
+    ``TypeError`` when it is not an int (a bool is not), ``ValueError``
+    when it is negative.
+    """
+    if budget is None:
+        return len(graph) + 1
+    if isinstance(budget, bool) or not isinstance(budget, int):
+        raise TypeError(f"budget must be an int, got {type(budget).__name__}")
+    if budget < 0:
+        raise ValueError(f"budget must be non-negative, got {budget}")
+    return budget
+
+
 class BFSLayerProgram(NodeProgram):
     """Distance-from-root by flooding; output = the distance (or None).
 
@@ -78,14 +99,8 @@ def bfs_layers(
     Raises ``ValueError`` when ``root`` is not a vertex or ``budget`` is
     negative, and ``TypeError`` when ``budget`` is not an int.
     """
-    if root not in graph:
-        raise ValueError(f"root {root!r} is not a vertex of the graph")
-    if budget is None:
-        budget = len(graph) + 1
-    elif isinstance(budget, bool) or not isinstance(budget, int):
-        raise TypeError(f"budget must be an int, got {type(budget).__name__}")
-    elif budget < 0:
-        raise ValueError(f"budget must be non-negative, got {budget}")
+    _check_root(graph, root)
+    budget = _round_budget(graph, budget)
     net = SyncNetwork(
         graph,
         lambda v, nbrs: BFSLayerProgram(v, nbrs, root, budget),
@@ -130,8 +145,13 @@ def elect_leader(
     budget: Optional[int] = None,
     sealed: bool = False,
 ) -> Dict[Vertex, Vertex]:
-    """Every node's view of the leader after ``budget`` rounds."""
-    budget = budget if budget is not None else len(graph) + 1
+    """Every node's view of the leader after ``budget`` rounds.
+
+    ``budget`` defaults to enough rounds to cross the graph; it raises
+    ``TypeError`` when not an int and ``ValueError`` when negative, as in
+    :func:`bfs_layers`.
+    """
+    budget = _round_budget(graph, budget)
     net = SyncNetwork(
         graph,
         lambda v, nbrs: LeaderElectionProgram(v, nbrs, budget),
@@ -183,7 +203,11 @@ class EchoCountProgram(NodeProgram):
 
 
 def tree_count(tree: Graph, root: Vertex, sealed: bool = False) -> int:
-    """The number of tree nodes, learned by the root via convergecast."""
+    """The number of tree nodes, learned by the root via convergecast.
+
+    Raises ``ValueError`` when ``root`` is not a vertex of ``tree``.
+    """
+    _check_root(tree, root)
     if len(tree) == 1:
         return 1
     net = SyncNetwork(

@@ -71,9 +71,9 @@ def chordal_mis(graph: Graph, epsilon: float) -> ChordalMISResult:
     if not is_chordal(graph):
         raise NotChordalError("input graph is not chordal")
     if len(graph) == 0:
-        return ChordalMISResult(set(), Peeling([], {}, [], True), epsilon, d, kappa, 0)
+        return ChordalMISResult(set(), Peeling([], {}, True), epsilon, d, kappa, 0)
 
-    def last_rule(current: Graph, path: ForestPath) -> bool:
+    def last_rule(path: ForestPath) -> bool:
         return path_independence_number(path.cliques) >= d
 
     peeling = peel_chordal_graph(

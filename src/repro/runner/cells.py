@@ -40,7 +40,6 @@ from ..coloring import (
     diameter_rule,
     distributed_color_chordal,
     peel_chordal_graph,
-    peeling_layers,
 )
 from ..coloring.greedy import peo_greedy_coloring
 from ..graphs import (
@@ -237,44 +236,34 @@ def l6_cell(n: int, family: str, seed: int) -> Dict[str, Any]:
 #: the K1/K2 graph families that scale to n = 10^5 (cache-builder keys)
 _K1_FAMILIES = ("ktree3", "interval", "path")
 
-#: families whose peeling fits the cell budget at n = 10^5.  On a random
-#: 3-tree nearly all of it goes to the depth-capped diameter BFSes, each
-#: covering most of a small-diameter graph (docs/kernels.md), so the
-#: peeling column is skipped there
-_K1_PEEL_FAMILIES = ("interval", "path")
-
 
 def k1_cell(family: str, n: int, seed: int, threshold: int) -> Dict[str, Any]:
     """K1: the whole chordal pipeline on one large-n instance.
 
     Runs the kernel-dispatched public API end to end — PEO via LexBFS,
-    maximal cliques, greedy coloring, simplicial vertices, and (on the
-    :data:`_K1_PEEL_FAMILIES`) the Lemma 6 peeling — and reports structural
-    invariants.  The speedup shows as feasibility: these cells sat far
-    beyond the per-cell timeout on the pre-kernel substrate; wall-clock
-    comparisons live in ``BENCH_kernels.json``.
+    maximal cliques, greedy coloring, simplicial vertices, and the Lemma 6
+    peeling — and reports structural invariants.  The speedup shows as
+    feasibility: these cells sat far beyond the per-cell timeout on the
+    pre-kernel substrate; wall-clock comparisons live in
+    ``BENCH_kernels.json``.
     """
     if family not in _K1_FAMILIES:
         raise ValueError(f"unknown K1 family {family!r}")
     g, cache_hit = _cached_graph(family, n, seed)
     cliques = maximal_cliques(g)
     coloring = peo_greedy_coloring(g)
-    payload: Dict[str, Any] = {
+    peeling = peel_chordal_graph(g, diameter_rule(threshold))
+    return {
         "n": len(g),
         "m": g.num_edges(),
         "omega": max((len(c) for c in cliques), default=0),
         "colors": num_colors(coloring),
         "cliques": len(cliques),
         "simplicial": len(simplicial_vertices(g)),
-        "layers": None,
-        "exhausted": None,
+        "layers": peeling.num_layers(),
+        "exhausted": peeling.exhausted,
         "graph_cache_hit": cache_hit,
     }
-    if family in _K1_PEEL_FAMILIES:
-        peel = peeling_layers(g, threshold)
-        payload["layers"] = peel.num_layers()
-        payload["exhausted"] = peel.exhausted
-    return payload
 
 
 def k2_cell(

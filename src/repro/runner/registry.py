@@ -726,8 +726,8 @@ def _render_k1(specs, values):
             v["colors"],
             v["cliques"],
             v["simplicial"],
-            "-" if v["layers"] is None else v["layers"],
-            "-" if v["exhausted"] is None else ("yes" if v["exhausted"] else "no"),
+            v["layers"],
+            "yes" if v["exhausted"] else "no",
         )
         for s, v in zip(specs, values)
         if v is not None
@@ -740,8 +740,8 @@ def _render_k1(specs, values):
         rows,
     )
     return (
-        "(kernel substrate at large n; peeling runs on the sparse-WCIG"
-        " families, timings in BENCH_kernels.json)\n\n" + table
+        "(kernel substrate at large n, every family peeled; timings in"
+        " BENCH_kernels.json)\n\n" + table
     )
 
 

@@ -1,7 +1,7 @@
 """The clique-forest builder: no W_G, the same forest as Kruskal over all of it.
 
-``build_clique_forest`` and ``kernels.peeling_layers`` take their forest
-from :func:`repro.graphs.kernels.clique_forest_from_peo`, which runs
+``build_clique_forest`` (and through it the peeling's T_1) takes its
+forest from :func:`repro.graphs.kernels.clique_forest_from_peo`, which runs
 Kruskal over only the clique pairs sharing one clique tree's separator.
 The oracle is the paper's statement: Kruskal under ``<`` over every edge
 of W_G (``tests.oracles.reference_clique_forest`` and its id-space twin).
@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cliquetree import build_clique_forest
-from repro.coloring.prune import peeling_layers
+from repro.coloring.prune import diameter_rule, peel_chordal_graph
 from repro.graphs import (
     Graph,
     NotChordalError,
@@ -143,8 +143,9 @@ class TestSeparators:
 class TestNotChordal:
     # the vertex the reverse-LexBFS PEO check names on this 5-cycle
     @pytest.mark.parametrize(
-        "build", [build_clique_forest, lambda g: peeling_layers(g, 3)],
-        ids=["build_clique_forest", "peeling_layers"],
+        "build",
+        [build_clique_forest, lambda g: peel_chordal_graph(g, diameter_rule(3))],
+        ids=["build_clique_forest", "peel_chordal_graph"],
     )
     def test_five_cycle_names_the_violating_vertex(self, build):
         with pytest.raises(NotChordalError) as exc:

@@ -7,12 +7,11 @@ from repro.cliquetree import (
     build_clique_forest,
     greedy_path_mis,
     is_interval_graph,
-    maximal_binary_paths,
     nodes_with_subtree_in,
-    path_diameter,
     path_independence_number,
     path_vertices,
 )
+from repro.cliquetree.paths import path_diameter_at_least
 from repro.graphs import (
     FIGURE5_PATH,
     PAPER_CLIQUES,
@@ -24,6 +23,7 @@ from repro.graphs import (
     random_chordal_graph,
     star_graph,
 )
+from tests.oracles import maximal_binary_paths, path_diameter
 
 
 def paper_forest():
@@ -158,6 +158,19 @@ class TestPathMetrics:
         path = [frozenset(range(5))]
         assert path_diameter(g, path) == 1
 
+    def test_diameter_decision_figure5_path(self):
+        g = paper_example_graph()
+        path = [PAPER_CLIQUES[name] for name in FIGURE5_PATH]
+        diam = path_diameter(g, path)
+        for t in range(1, diam + 3):
+            assert path_diameter_at_least(path, t) == (diam >= t)
+
+    def test_diameter_decision_edge_cases(self):
+        assert path_diameter_at_least([], 1) is False
+        assert path_diameter_at_least([frozenset({7})], 1) is False
+        # cliques that do not chain together: unreachable counts as far
+        assert path_diameter_at_least([frozenset({1, 2}), frozenset({3, 4})], 9)
+
     def test_path_mis_is_maximum(self):
         """greedy_path_mis matches brute force on Lemma 7 subgraphs."""
         g = paper_example_graph()
@@ -187,6 +200,26 @@ def test_lemma7_paths_induce_interval_graphs(seed, n):
     for p in maximal_binary_paths(forest):
         sub = g.induced_subgraph(path_vertices(p.cliques))
         assert is_interval_graph(sub)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 10_000), n=st.integers(2, 30))
+def test_subpath_diameter_is_decided_inside_the_path(seed, n):
+    """G[V_P] is isometric in G for every subpath P of the clique forest,
+    so deciding diam(P) >= t on P's own cliques matches BFS in G."""
+    g = random_chordal_graph(n, seed=seed)
+    forest = build_clique_forest(g)
+    for p in maximal_binary_paths(forest):
+        ordered = list(p.cliques)
+        walk = [p.left_attachment] + ordered + [p.right_attachment]
+        walk = [c for c in walk if c is not None]
+        for i in range(len(walk)):
+            for j in range(i + 1, min(len(walk), i + 6) + 1):
+                sub = walk[i:j]
+                diam = path_diameter(g, sub)
+                for t in (1, 2, 3, diam, diam + 1):
+                    if t >= 1:
+                        assert path_diameter_at_least(sub, t) == (diam >= t)
 
 
 @settings(max_examples=25, deadline=None)

@@ -1,10 +1,11 @@
 """Algorithm 3's local decision equals its all-pairs oracle.
 
 The decision orients T(v) with the peeling's ``orient_binary_path`` and
-decides the internal case with ``path_diameter_at_least`` on the
-interior-induced ball.  :func:`tests.oracles.decide_from_view_all_pairs`
-is the decision as first written, with its own orientation and an
-all-pairs BFS diameter; the two must agree on every node of every
+decides the internal case with ``path_diameter_at_least`` inside G[V_P],
+the graph of the walked path's own cliques.
+:func:`tests.oracles.decide_from_view_all_pairs` is the decision as first
+written, with its own orientation and an all-pairs BFS diameter on the
+interior-induced ball; the two must agree on every node of every
 generated instance, under thresholds where the pendant, internal and
 horizon-truncated cases all occur.
 """
@@ -89,8 +90,8 @@ def test_internal_case_is_exercised():
     outcomes = []
     decide = distributed_mvc.path_diameter_at_least
 
-    def spy(*args):
-        outcomes.append(decide(*args))
+    def spy(path, threshold):
+        outcomes.append(decide(path, threshold))
         return outcomes[-1]
 
     with mock.patch.object(distributed_mvc, "path_diameter_at_least", spy):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cliquetree import is_interval_graph
-from repro.coloring.prune import diameter_rule, peel_chordal_graph, peeling_layers
+from repro.coloring.prune import diameter_rule, peel_chordal_graph
 from repro.graphs import (
     Graph,
     caterpillar,
@@ -116,17 +116,21 @@ class TestForestEvolution:
     @settings(max_examples=15, deadline=None)
     @given(seed=st.integers(0, 5_000), n=st.integers(2, 28))
     def test_lemma5_intermediate_forests(self, seed, n):
-        """T_{i+1} equals the clique forest of G[U_{i+1}] at every step."""
+        """T_{i+1} = T_1 minus the removed paths is the clique forest of
+        G[U_{i+1}] at every step."""
         from repro.cliquetree import build_clique_forest
 
         g = random_chordal_graph(n, seed=seed)
         peeling = full_peel(g)
+        t1 = build_clique_forest(g)
         removed = set()
-        for i, layer_paths in enumerate(peeling.layers):
+        removed_cliques = []
+        for layer_paths in peeling.layers:
             for peeled in layer_paths:
                 removed |= peeled.nodes
+                removed_cliques.extend(peeled.cliques)
             remaining = set(g.vertices()) - removed
-            forest = peeling.forests[i + 1]
+            forest = t1.without_cliques(removed_cliques)
             if remaining:
                 assert forest == build_clique_forest(g.induced_subgraph(remaining))
             else:
@@ -148,10 +152,19 @@ class TestPeelingBoundary:
 
     @pytest.mark.parametrize("threshold", ["3", None, 1.5, True, 0, -1])
     def test_peeling_layers_threshold(self, g, threshold):
+        """A bare threshold where the rule belongs is named, not called.
+
+        The layers of the peeling come from one entry point, which takes a
+        rule such as ``diameter_rule(t)``.  A path graph has no internal
+        path, so its peeling never calls the rule; the check names it
+        there too.
+        """
         with pytest.raises(
-            ValueError, match=f"threshold must be >= 1 and an integer, got {threshold!r}"
+            TypeError, match=f"internal_rule must be a callable rule, got {threshold!r}"
         ):
-            peeling_layers(g, threshold)
+            peel_chordal_graph(g, threshold)
+        with pytest.raises(TypeError, match="internal_rule must be a callable rule"):
+            peel_chordal_graph(path_graph(5), threshold)
 
     @pytest.mark.parametrize("threshold", ["3", None, 1.5, True, 0, -1])
     def test_diameter_rule_threshold(self, threshold):
@@ -162,8 +175,14 @@ class TestPeelingBoundary:
 
     @pytest.mark.parametrize("max_iterations", [-2, 0, 1.5, True])
     def test_peeling_layers_max_iterations(self, g, max_iterations):
+        """The Algorithm 6 shape checks its iteration cap too."""
         with pytest.raises(ValueError, match="max_iterations must be >= 1"):
-            peeling_layers(g, 3, max_iterations=max_iterations)
+            peel_chordal_graph(
+                g,
+                diameter_rule(3),
+                max_iterations=max_iterations,
+                last_iteration_rule=diameter_rule(1),
+            )
 
     @pytest.mark.parametrize("max_iterations", [-2, 0, 1.5, True])
     def test_peel_chordal_graph_max_iterations(self, g, max_iterations):
@@ -172,10 +191,23 @@ class TestPeelingBoundary:
 
     @pytest.mark.parametrize("last_threshold", ["3", 0, -1, 2.0, False])
     def test_peeling_layers_last_threshold(self, g, last_threshold):
-        with pytest.raises(ValueError, match="last_threshold must be >= 1"):
-            peeling_layers(g, 3, max_iterations=2, last_threshold=last_threshold)
+        """A bare last threshold where the last rule belongs is named."""
+        with pytest.raises(
+            TypeError,
+            match=f"last_iteration_rule must be a callable rule, got {last_threshold!r}",
+        ):
+            peel_chordal_graph(
+                g, diameter_rule(3), max_iterations=2, last_iteration_rule=last_threshold
+            )
+
+    def test_last_iteration_rule_needs_max_iterations(self, g):
+        with pytest.raises(ValueError, match="last_iteration_rule needs max_iterations"):
+            peel_chordal_graph(g, diameter_rule(3), last_iteration_rule=diameter_rule(1))
 
     def test_smallest_valid_values_run(self, g):
-        fast = peeling_layers(g, 1, max_iterations=1, last_threshold=1)
-        rich = peel_chordal_graph(g, diameter_rule(1), max_iterations=1)
-        assert fast.num_layers() == rich.num_layers() == 1
+        capped = peel_chordal_graph(
+            g, diameter_rule(1), max_iterations=1, last_iteration_rule=diameter_rule(1)
+        )
+        plain = peel_chordal_graph(g, diameter_rule(1), max_iterations=1)
+        assert capped == plain
+        assert capped.num_layers() == 1

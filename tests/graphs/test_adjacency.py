@@ -130,6 +130,29 @@ class TestDerivedGraphs:
         with pytest.raises(KeyError):
             path_graph(3).induced_subgraph([0, 99])
 
+    def test_induced_subgraph_names_the_missing_vertices_sorted(self):
+        with pytest.raises(KeyError, match=r"vertices not in graph: \[7, 42, 99\]"):
+            path_graph(3).induced_subgraph([99, 0, 42, 7])
+
+    def test_induced_subgraph_reads_only_the_requested_vertices(self):
+        """The cost follows the requested set, not the host graph."""
+
+        class CountingDict(dict):
+            reads = 0
+
+            def __contains__(self, v):
+                CountingDict.reads += 1
+                return super().__contains__(v)
+
+            def __iter__(self):
+                raise AssertionError("the host's vertex set was copied")
+
+        g = path_graph(1000)
+        g._adj = CountingDict(g._adj)
+        h = g.induced_subgraph([10, 11, 12])
+        assert h.edges() == [(10, 11), (11, 12)]
+        assert CountingDict.reads == 3
+
     def test_subgraph_without(self):
         g = path_graph(5)
         h = g.subgraph_without([2])

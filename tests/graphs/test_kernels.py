@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.coloring.greedy import peo_greedy_coloring
-from repro.coloring.prune import diameter_rule, peel_chordal_graph, peeling_layers
+from repro.coloring.prune import diameter_rule, peel_chordal_graph
 from repro.cliquetree.wcig import wcig_edges_among
 from repro.graphs import (
     Graph,
@@ -172,29 +172,28 @@ class TestChordalOutputs:
 
     @pytest.mark.parametrize("threshold", [2, 4, 6])
     def test_peeling_layers_match_rich_peeling(self, g, threshold):
+        """The one peeling equals the rebuild-every-forest oracle."""
         if not is_chordal(g):
             with pytest.raises(NotChordalError):
-                peeling_layers(g, threshold)
+                peel_chordal_graph(g, diameter_rule(threshold))
             return
-        rich = peel_chordal_graph(g, diameter_rule(threshold))
-        fast = peeling_layers(g, threshold)
-        assert fast.exhausted == rich.exhausted
-        assert fast.num_layers() == rich.num_layers()
-        for i in range(1, fast.num_layers() + 1):
-            assert fast.nodes_of_layer(i) == rich.nodes_of_layer(i)
-        assert fast.layer_of() == rich.layer_of
+        ours = peel_chordal_graph(g, diameter_rule(threshold))
+        ref = oracles.reference_peeling(g, oracles.reference_diameter_rule(threshold))
+        assert ours == ref
 
     def test_capped_peeling_matches(self, g):
         if not is_chordal(g):
             return
-        rich = peel_chordal_graph(
+        ours = peel_chordal_graph(
             g, diameter_rule(4), max_iterations=2, last_iteration_rule=diameter_rule(1)
         )
-        fast = peeling_layers(g, 4, max_iterations=2, last_threshold=1)
-        assert fast.exhausted == rich.exhausted
-        assert fast.num_layers() == rich.num_layers()
-        for i in range(1, fast.num_layers() + 1):
-            assert fast.nodes_of_layer(i) == rich.nodes_of_layer(i)
+        ref = oracles.reference_peeling(
+            g,
+            oracles.reference_diameter_rule(4),
+            max_iterations=2,
+            last_iteration_rule=oracles.reference_diameter_rule(1),
+        )
+        assert ours == ref
 
 
 class TestLexBFSRegression:

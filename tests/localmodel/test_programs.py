@@ -70,6 +70,25 @@ class TestLeaderElection:
         views = elect_leader(g, budget=3)
         assert views[29] != 0  # node 29 cannot have heard from node 0
 
+    def test_float_budget_is_named(self):
+        with pytest.raises(TypeError, match="budget must be an int, got float"):
+            elect_leader(path_graph(5), budget=1.5)
+
+    def test_negative_budget_is_named(self):
+        with pytest.raises(ValueError, match="budget must be non-negative, got -1"):
+            elect_leader(path_graph(5), budget=-1)
+
+    def test_bool_budget_is_named(self):
+        with pytest.raises(TypeError, match="budget must be an int, got bool"):
+            elect_leader(path_graph(5), budget=True)
+
+    def test_str_budget_is_named(self):
+        with pytest.raises(TypeError, match="budget must be an int, got str"):
+            elect_leader(path_graph(5), budget="3")
+
+    def test_zero_budget_leaves_every_node_its_own_leader(self):
+        assert elect_leader(path_graph(3), budget=0) == {0: 0, 1: 1, 2: 2}
+
 
 class TestTreeCount:
     def test_counts_various_trees(self):
@@ -86,3 +105,14 @@ class TestTreeCount:
         tree = random_tree(25, seed=8)
         for root in list(tree.vertices())[:5]:
             assert tree_count(tree, root) == 25
+
+    @pytest.mark.parametrize("root", ["nope", 99, None])
+    def test_root_not_in_tree_is_named(self, root):
+        with pytest.raises(ValueError, match=f"root {root!r} is not a vertex"):
+            tree_count(path_graph(5), root)
+
+    def test_single_vertex_root_is_checked(self):
+        from repro.graphs import Graph
+
+        with pytest.raises(ValueError, match="root 6 is not a vertex"):
+            tree_count(Graph(vertices=[5]), 6)

@@ -30,6 +30,18 @@ way the paper states it: Kruskal under ``<`` over every edge of W_G
 must return the same forest; ``benchmarks/bench_kernels.py`` times the
 id-space pair as its reference side.
 
+:func:`reference_peeling` is the peeling loop as first written: each
+iteration rebuilds T_{i+1} with ``CliqueForest.without_cliques``, deletes
+the layer from a copy of the graph, finds the maximal binary paths of the
+new forest (:func:`maximal_binary_paths`) and hands its rules the current
+graph G[U_i].  Its diameter rule (:func:`reference_diameter_rule`)
+searches that current graph, so pinning
+:func:`~repro.coloring.prune.peel_chordal_graph`, which never builds it
+and decides inside G[V_P], checks the isometry argument too;
+``benchmarks/bench_kernels.py`` times it as the reference side of its
+peeling rows.  :func:`path_diameter` is the exact all-pairs diameter of a
+path.
+
 :func:`decide_from_view_all_pairs` is Algorithm 3's local layer decision
 as first written: its own orientation of T(v) and an all-pairs BFS
 diameter.  The library's decision reuses the peeling's path code and
@@ -62,6 +74,8 @@ from unittest import mock
 
 from repro.baselines import luby_mis, sequential_greedy_coloring
 from repro.coloring import (
+    PeeledPath,
+    Peeling,
     color_chordal_graph,
     diameter_rule,
     distributed_color_chordal,
@@ -71,9 +85,13 @@ from repro.coloring.distributed_mvc import _walk_binary
 from repro.cliquetree import (
     CliqueForest,
     UnionFind,
+    build_clique_forest,
     maximum_weight_spanning_forest,
+    nodes_with_subtree_in,
+    path_vertices,
     wcig_edges_among,
 )
+from repro.cliquetree.paths import orient_binary_path
 from repro.graphs import Graph, clique_number, num_colors, unit_interval_chain
 from repro.graphs.chordal import maximal_cliques, perfect_elimination_ordering
 from repro.localmodel.gather import BallGatherProgram
@@ -328,6 +346,123 @@ def maximum_weight_spanning_forest_ids(cliques, edges):
 
     uf = UnionFind(range(len(cliques)))
     return [(i, j) for i, j, _w in sorted(edges, key=key, reverse=True) if uf.union(i, j)]
+
+
+def maximal_binary_paths(forest):
+    """All maximal binary paths of ``forest``, sorted by first clique.
+
+    The components of the subforest induced by the cliques of degree
+    <= 2, each oriented by ``orient_binary_path``.
+    """
+    low = [c for c in forest.cliques() if forest.degree(c) <= 2]
+    low_set = set(low)
+    seen = set()
+    paths = []
+    for c in low:
+        if c in seen:
+            continue
+        comp = {c}
+        stack = [c]
+        while stack:
+            x = stack.pop()
+            for y in forest.neighbors(x):
+                if y in low_set and y not in comp:
+                    comp.add(y)
+                    stack.append(y)
+        seen |= comp
+        paths.append(orient_binary_path(forest.neighbors, comp))
+    paths.sort(key=lambda p: tuple(sorted(p.cliques[0])))
+    return paths
+
+
+def path_diameter(graph, path):
+    """diam(P): the largest distance in ``graph`` between nodes of P's cliques."""
+    verts = path_vertices(path)
+    best = 0
+    for s in verts:
+        dist = graph.bfs_distances(s)
+        for t in verts:
+            if t not in dist:
+                raise ValueError("path cliques are not mutually reachable in graph")
+            best = max(best, dist[t])
+    return best
+
+
+def current_graph_diameter_at_least(graph, path, threshold):
+    """Whether ``path_diameter(graph, path) >= threshold``, by BFS in ``graph``.
+
+    The same early exits as the library's decision (one eccentricity
+    bounds the diameter within [ecc, 2 * ecc]; every search is capped at
+    the threshold), but every search runs in the whole current graph.
+    """
+    verts = sorted(path_vertices(path))
+    if not verts:
+        return 0 >= threshold
+    dist = graph.bfs_distances(verts[0], cutoff=threshold)
+    ecc = 0
+    for t in verts:
+        if t not in dist:
+            return True
+        ecc = max(ecc, dist[t])
+    if ecc >= threshold:
+        return True
+    if 2 * ecc < threshold:
+        return False
+    for s in verts[1:]:
+        dist = graph.bfs_distances(s, cutoff=threshold)
+        for t in verts:
+            if t not in dist or dist[t] >= threshold:
+                return True
+    return False
+
+
+def reference_diameter_rule(threshold):
+    """``diameter_rule(threshold)`` for :func:`reference_peeling`: ``(G[U_i], P)``."""
+
+    def rule(current, path):
+        return current_graph_diameter_at_least(current, path.cliques, threshold)
+
+    return rule
+
+
+def reference_peeling(graph, internal_rule, max_iterations=None, last_iteration_rule=None):
+    """The peeling with a rebuilt forest and a shrinking graph per iteration.
+
+    Rules take ``(current_graph, path)``.  Returns the library's
+    :class:`~repro.coloring.prune.Peeling`, so results compare with ``==``.
+    """
+    forest = build_clique_forest(graph)
+    current = graph.copy()
+    layers = []
+    layer_of = {}
+    all_nodes = set(graph.vertices())
+    iteration = 0
+    while len(forest) > 0:
+        iteration += 1
+        if max_iterations is not None and iteration > max_iterations:
+            return Peeling(layers, layer_of, exhausted=False, _all_nodes=all_nodes)
+        rule = internal_rule
+        if last_iteration_rule is not None and iteration == max_iterations:
+            rule = last_iteration_rule
+        peeled_here = []
+        removed_cliques = []
+        removed_nodes = set()
+        for path in maximal_binary_paths(forest):
+            if not (path.is_pendant or rule(current, path)):
+                continue
+            nodes = frozenset(nodes_with_subtree_in(forest, path.cliques))
+            peeled_here.append(PeeledPath(layer=iteration, path=path, nodes=nodes))
+            removed_cliques.extend(path.cliques)
+            removed_nodes |= nodes
+        if not peeled_here:
+            raise AssertionError("peeling stalled")
+        for peeled in peeled_here:
+            for v in peeled.nodes:
+                layer_of[v] = iteration
+        layers.append(peeled_here)
+        forest = forest.without_cliques(removed_cliques)
+        current.remove_vertices(removed_nodes)
+    return Peeling(layers, layer_of, exhausted=True, _all_nodes=all_nodes)
 
 
 def decide_from_view_all_pairs(view, ball_graph, params):

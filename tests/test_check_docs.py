@@ -148,6 +148,21 @@ class TestCheck:
         assert "'clique_forest_from_peo' is never mentioned" not in text
         assert "README.md: names the retired kernel" not in text
 
+    def test_retired_peeling_terms_are_flagged(self, broken_root):
+        docs = broken_root / "docs"
+        docs.mkdir()
+        (docs / "kernels.md").write_text(
+            "clique_forest_from_peo; kernels.peeling_layers is layers only\n"
+        )
+        (docs / "architecture.md").write_text("`_RestrictedBFS` stamps\n")
+        (broken_root / "EXPERIMENTS.md").write_text("## K1 — PeelingLayers\n")
+        text = "\n".join(check_docs.check(broken_root))
+        assert "docs/kernels.md: names the retired 'peeling_layers'" in text
+        assert "docs/architecture.md: names the retired '_RestrictedBFS'" in text
+        assert "EXPERIMENTS.md: names the retired 'PeelingLayers'" in text
+        assert "README.md: names the retired" not in text
+        assert "(peel_chordal_graph is the one peeling)" in text
+
     def test_retired_executor_terms_are_flagged(self, broken_root):
         docs = broken_root / "docs"
         docs.mkdir()

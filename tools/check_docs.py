@@ -52,6 +52,9 @@ instructions can never silently rot:
 * ``docs/kernels.md`` names the clique-forest builder
   ``clique_forest_from_peo``, and no page names the W_G kernels it
   retired (:data:`RETIRED_KERNELS`), which are test oracles now;
+* no page names the retired layer-only peeling
+  (:data:`RETIRED_PEELING_TERMS`): ``peel_chordal_graph`` is the one
+  peeling;
 * ``docs/executor.md`` says the gather kernel runs on "vertex facts",
   and no docs page describes the retired "fact-id" space;
 * ``docs/index.md`` holds the table of accepted epsilon ranges
@@ -87,6 +90,15 @@ RETIRED_PATHS = (
 RETIRED_KERNELS = (
     "clique_intersection_edges",
     "maximum_weight_spanning_forest_ids",
+)
+
+
+#: the layer-only peeling kernel and its wrapper; ``peel_chordal_graph``
+#: is the one peeling
+RETIRED_PEELING_TERMS = (
+    "peeling_layers",
+    "PeelingLayers",
+    "_RestrictedBFS",
 )
 
 
@@ -471,6 +483,12 @@ def check(root: Path) -> List[str]:
                     f"{page.relative_to(root)}: names the retired kernel "
                     f"{retired!r} (the clique forest comes from "
                     "clique_forest_from_peo)"
+                )
+        for retired in RETIRED_PEELING_TERMS:
+            if retired in text:
+                problems.append(
+                    f"{page.relative_to(root)}: names the retired "
+                    f"{retired!r} (peel_chordal_graph is the one peeling)"
                 )
         for retired in RETIRED_EXECUTOR_TERMS:
             if retired in text:
