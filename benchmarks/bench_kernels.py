@@ -20,13 +20,19 @@ W_G (``tests.oracles.clique_intersection_edges``) and Kruskal over all of
 them (``tests.oracles.maximum_weight_spanning_forest_ids``).  Both forests
 are asserted identical before the row is written.
 
+The ``induced_subgraph`` rows time :meth:`repro.graphs.adjacency.Graph.induced_subgraph`
+(one set intersection per kept vertex) against
+``tests.oracles.induced_subgraph_by_edges``, the vertex-by-vertex and
+edge-by-edge builder it replaced, on a seeded random half of the
+vertices.  Both subgraphs are asserted equal before the row is written.
+
 The ``peeling`` rows time :func:`repro.coloring.prune.peel_chordal_graph`,
 the one peeling loop (T_1 walked by clique position, internal paths
 decided inside G[V_P]), against ``tests.oracles.reference_peeling``, the
 loop it replaced (a forest rebuilt and the graph shrunk every iteration,
 diameters searched in the current graph).  Both ``Peeling`` outputs are
 asserted equal before the row is written.  The large-n rows time the one
-loop alone, on every family.  In both kinds of row the two sides are
+loop alone, on every family.  In all three kinds of row the two sides are
 timed in turns, each after a full collection, and each side's best of
 three runs counts.
 
@@ -39,7 +45,8 @@ pytest-benchmark module, because its artifact is the committed JSON:
 ``--quick`` shrinks the sweep to one medium size per family; ``--check``
 exits nonzero unless every output pair matched, the kernel's total
 wall-clock (index build included) beat the legacy total, every
-``clique_forest`` row's builder beat its reference pair, and every
+``clique_forest`` row's builder beat its reference pair, every
+``induced_subgraph`` row beat the edge-by-edge builder, and every
 ``peeling`` row's loop beat the oracle.  The JSON records the machine's
 CPU count and the Python version.
 """
@@ -51,6 +58,7 @@ import gc
 import json
 import os
 import platform
+import random
 import sys
 import time
 from pathlib import Path
@@ -86,8 +94,8 @@ FAMILIES: Dict[str, Callable[[int], Graph]] = {
     "path": path_graph,
 }
 
-#: timed runs per side of a ``clique_forest`` or ``peeling`` row (the
-#: best one counts)
+#: timed runs per side of a ``clique_forest``, ``induced_subgraph`` or
+#: ``peeling`` row (the best one counts)
 BEST_OF = 3
 
 
@@ -240,6 +248,16 @@ def _compare_cell(rows: List[dict], family: str, g: Graph, seed_baseline: bool) 
     )
     _row(rows, family, n, m, "clique_forest", "reference", t_ref, t_k, same)
 
+    half = random.Random(0).sample(g.vertices(), n // 2)
+    same = g.induced_subgraph(half) == oracles.induced_subgraph_by_edges(g, half)
+    assert same
+    t_k, t_ref = _best_in_turns(
+        BEST_OF,
+        lambda: g.induced_subgraph(half),
+        lambda: oracles.induced_subgraph_by_edges(g, half),
+    )
+    _row(rows, family, n, m, "induced_subgraph", "reference", t_ref, t_k, same)
+
 
 def _peel_compare_cell(
     rows: List[dict], family: str, g: Graph, threshold: int
@@ -307,6 +325,9 @@ def run(quick: bool) -> dict:
         return max(cells) if cells else None
 
     forest_speedups = [r["speedup"] for r in compared if r["op"] == "clique_forest"]
+    induced_speedups = [
+        r["speedup"] for r in compared if r["op"] == "induced_subgraph"
+    ]
     peel_speedups = [r["speedup"] for r in compared if r["op"].startswith("peeling")]
     return {
         "benchmark": "repro.graphs.kernels",
@@ -323,6 +344,7 @@ def run(quick: bool) -> dict:
             "maximal_cliques_speedup_at_1e4": _best("maximal_cliques", "reference"),
             "clique_forest_speedup_at_1e4": _best("clique_forest", "reference"),
             "clique_forest_min_speedup": min(forest_speedups, default=None),
+            "induced_subgraph_min_speedup": min(induced_speedups, default=None),
             "peeling_min_speedup": min(peel_speedups, default=None),
         },
     }
@@ -335,7 +357,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--check",
         action="store_true",
         help="exit nonzero unless outputs matched, the kernel total won and "
-        "no clique_forest or peeling row lost",
+        "no clique_forest, induced_subgraph or peeling row lost",
     )
     parser.add_argument("--out", type=Path, default=None, help="JSON output path")
     args = parser.parse_args(argv)
@@ -357,6 +379,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         if slowest is None or slowest < 1:
             print(f"FAIL: a clique_forest row lost to its reference ({slowest}x)")
             return 1
+        induced = payload["acceptance"]["induced_subgraph_min_speedup"]
+        if induced is None or induced < 1:
+            print(
+                "FAIL: an induced_subgraph row lost to the edge-by-edge"
+                f" builder ({induced}x)"
+            )
+            return 1
         peel = payload["acceptance"]["peeling_min_speedup"]
         if peel is None or peel < 1:
             print(f"FAIL: a peeling row lost to the reference loop ({peel}x)")
@@ -364,6 +393,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(
             "check passed: outputs identical, kernel total beat legacy,"
             f" every clique_forest row won (min {slowest}x),"
+            f" every induced_subgraph row won (min {induced}x),"
             f" every peeling row won (min {peel}x)"
         )
 

@@ -11,7 +11,7 @@ forest.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Set, Tuple
 
 from ..graphs import kernels
 from ..graphs.adjacency import Graph, Vertex
@@ -53,7 +53,7 @@ class CliqueForest:
 
     def _check_acyclic(self) -> None:
         n_edges = sum(len(nbrs) for nbrs in self._adj.values()) // 2
-        n_comps = len(self.components())
+        n_comps = sum(1 for _ in self._component_sets())
         if n_edges != len(self._cliques) - n_comps:
             raise ValueError("clique forest contains a cycle")
 
@@ -135,22 +135,26 @@ class CliqueForest:
     # ------------------------------------------------------------------
     def components(self) -> List[List[Clique]]:
         """Connected components, each as a sorted clique list."""
+        return [
+            sorted(comp, key=lambda cl: tuple(sorted(cl)))
+            for comp in self._component_sets()
+        ]
+
+    def _component_sets(self) -> Iterator[Set[Clique]]:
+        """Each connected component as a set, in order of its first clique."""
         seen: Set[Clique] = set()
-        comps: List[List[Clique]] = []
         for c in self._cliques:
             if c in seen:
                 continue
             comp = {c}
             stack = [c]
             while stack:
-                x = stack.pop()
-                for y in self._adj[x]:
+                for y in self._adj[stack.pop()]:
                     if y not in comp:
                         comp.add(y)
                         stack.append(y)
             seen |= comp
-            comps.append(sorted(comp, key=lambda cl: tuple(sorted(cl))))
-        return comps
+            yield comp
 
     def is_linear_forest(self) -> bool:
         """Whether every component is a path (Theorem 1: iff G is interval)."""

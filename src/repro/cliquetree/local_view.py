@@ -87,8 +87,7 @@ class LocalView:
     cliques whose T-degree is fully visible in the fragment; the degree of
     an unconfirmed clique in ``forest`` is only a lower bound on its true
     degree.  ``interior`` holds the nodes u whose complete subtree T(u) is
-    part of the fragment (those in Gamma^{d-1}[center]).  ``ball`` is the
-    graph the view was built from, G[Gamma^d[center]].
+    part of the fragment (those in Gamma^{d-1}[center]).
     """
 
     center: Vertex
@@ -96,7 +95,6 @@ class LocalView:
     forest: CliqueForest
     confirmed: Set[Clique]
     interior: Set[Vertex]
-    ball: Graph
 
     def degree_is_exact(self, clique: Clique) -> bool:
         return frozenset(clique) in self.confirmed
@@ -189,5 +187,4 @@ def _view_from_ball_graph(
         forest=forest,
         confirmed=confirmed,
         interior=interior,
-        ball=ball,
     )

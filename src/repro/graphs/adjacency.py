@@ -98,11 +98,22 @@ class Graph:
         self._adj[v].remove(u)
         self.version += 1
 
-    def copy(self) -> "Graph":
-        g = Graph()
-        g._adj = {v: set(nbrs) for v, nbrs in self._adj.items()}
+    @classmethod
+    def _from_adjacency(cls, adj: Dict[Vertex, Set[Vertex]]) -> "Graph":
+        """A graph that takes ownership of ``adj``, without copying it.
+
+        ``adj`` must be symmetric and loop-free, and no other graph may
+        share its neighbour sets.  :meth:`copy`, :meth:`induced_subgraph`
+        and the gathered balls' graphs build fresh sets and hand them over
+        here, so none of them inserts edge by edge.
+        """
+        g = cls()
+        g._adj = adj
         g.version = 1
         return g
+
+    def copy(self) -> "Graph":
+        return Graph._from_adjacency({v: set(nbrs) for v, nbrs in self._adj.items()})
 
     # ------------------------------------------------------------------
     # basic queries
@@ -226,22 +237,17 @@ class Graph:
     def induced_subgraph(self, vs: Iterable[Vertex]) -> "Graph":
         """G[U]: the subgraph induced by vertex set ``vs``.
 
-        Unknown vertices in ``vs`` raise ``KeyError`` -- asking for an
-        induced subgraph on vertices that do not exist is always a bug in
-        the caller.
+        Built as one set intersection per kept vertex, with no per-edge
+        insertion.  Unknown vertices in ``vs`` raise ``KeyError`` -- asking
+        for an induced subgraph on vertices that do not exist is always a
+        bug in the caller.
         """
         keep = set(vs)
         missing = [v for v in keep if v not in self._adj]
         if missing:
             raise KeyError(f"vertices not in graph: {sorted(missing)!r}")
-        g = Graph()
-        for v in keep:
-            g.add_vertex(v)
-        for v in keep:
-            for u in self._adj[v] & keep:
-                if v < u:
-                    g.add_edge(v, u)
-        return g
+        adj = self._adj
+        return Graph._from_adjacency({v: adj[v] & keep for v in keep})
 
     def subgraph_without(self, vs: Iterable[Vertex]) -> "Graph":
         """G[V - vs]."""

@@ -134,12 +134,29 @@ class KnownBall:
         outside the ball (their IDs are visible but not their states);
         those are kept in :attr:`edges` but excluded here, so the result
         is precisely the subgraph induced by the known vertices.
+
+        A kernel-written ball whose :attr:`edges` were never read
+        intersects the index rows of its own ids with the ball instead,
+        so neither its fringe nor any label edge set is built, and
+        :attr:`edges` stays unbuilt until something reads it.
         """
-        inside = set(self.states)
-        return Graph(
-            vertices=inside,
-            edges=[e for e in self.edges if e[0] in inside and e[1] in inside],
-        )
+        source = self.__dict__.get("_edge_source")
+        if source is not None:
+            index, ids = source
+            verts, indptr, indices = index.verts, index.indptr, index.indices
+            inside = set(ids)
+            return Graph._from_adjacency({
+                verts[i]: {
+                    verts[j] for j in indices[indptr[i]:indptr[i + 1]] if j in inside
+                }
+                for i in ids
+            })
+        adj: Dict[Vertex, Set[Vertex]] = {v: set() for v in self.states}
+        for u, v in self.edges:
+            if u in adj and v in adj:
+                adj[u].add(v)
+                adj[v].add(u)
+        return Graph._from_adjacency(adj)
 
 
 class BallGatherProgram(NodeProgram):

@@ -242,9 +242,12 @@ def k1_cell(family: str, n: int, seed: int, threshold: int) -> Dict[str, Any]:
 
     Runs the kernel-dispatched public API end to end — PEO via LexBFS,
     maximal cliques, greedy coloring, simplicial vertices, and the Lemma 6
-    peeling — and reports structural invariants.  The speedup shows as
-    feasibility: these cells sat far beyond the per-cell timeout on the
-    pre-kernel substrate; wall-clock comparisons live in
+    peeling — and reports structural invariants.  Two of them are checked
+    on the spot, and a violation fails the cell: the greedy coloring of a
+    PEO uses exactly ω colors (chordal graphs are perfect), and an
+    exhausted peeling has at most ⌈log₂ n⌉ layers (Lemma 6).  The speedup
+    shows as feasibility: these cells sat far beyond the per-cell timeout
+    on the pre-kernel substrate; wall-clock comparisons live in
     ``BENCH_kernels.json``.
     """
     if family not in _K1_FAMILIES:
@@ -253,11 +256,24 @@ def k1_cell(family: str, n: int, seed: int, threshold: int) -> Dict[str, Any]:
     cliques = maximal_cliques(g)
     coloring = peo_greedy_coloring(g)
     peeling = peel_chordal_graph(g, diameter_rule(threshold))
+    omega = max((len(c) for c in cliques), default=0)
+    colors = num_colors(coloring)
+    if colors != omega:
+        raise AssertionError(
+            f"K1 {family} n={n}: greedy PEO coloring used {colors} colors, "
+            f"but omega = {omega}"
+        )
+    bound = math.ceil(math.log2(max(2, len(g))))
+    if peeling.exhausted and peeling.num_layers() > bound:
+        raise AssertionError(
+            f"K1 {family} n={n}: peeling took {peeling.num_layers()} layers, "
+            f"over Lemma 6's ceil(log2 n) = {bound}"
+        )
     return {
         "n": len(g),
         "m": g.num_edges(),
-        "omega": max((len(c) for c in cliques), default=0),
-        "colors": num_colors(coloring),
+        "omega": omega,
+        "colors": colors,
         "cliques": len(cliques),
         "simplicial": len(simplicial_vertices(g)),
         "layers": peeling.num_layers(),

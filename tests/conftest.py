@@ -26,6 +26,15 @@ def from_networkx(g: "nx.Graph") -> Graph:
     return Graph(vertices=g.nodes(), edges=g.edges())
 
 
+def string_labels(graph: Graph) -> Graph:
+    """``graph`` with integer vertex ``v`` renamed ``"v%03d" % v`` (same order)."""
+    name = {v: f"v{v:03d}" for v in graph.vertices()}
+    return Graph(
+        vertices=[name[v] for v in graph.vertices()],
+        edges=[(name[u], name[v]) for u, v in graph.edges()],
+    )
+
+
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(0xC0FFEE)

@@ -15,6 +15,9 @@ attaches a trace sink or carries a non-empty fault plan; then it steps a
 * the per-round ``sent`` series pinned against a :class:`MetricsSink`
   on the per-node run, and kernel balls equal to per-node ones before
   their lazily built edge sets are read;
+* a kernel ball's ``as_graph()`` equal to the induced ball and to the
+  per-node ball's graph, before and after its edges are read, without
+  building its edge set or the index's edge-label table;
 * the kernel path builds no program and no network, and
   ``fallback_reason`` names each of the three blockers.
 
@@ -55,6 +58,7 @@ from repro.localmodel.gather import DeltaGatherKernel, DeltaGatherProgram
 from repro.localmodel.network import RunStats
 from repro.localmodel.programs import BFSLayerProgram, bfs_layers
 from repro.localmodel.trace import jsonable_payload
+from tests.conftest import string_labels
 from tests.oracles import reference_bfs_layers, reference_gather, scheduling
 
 SCHEDULERS = ("active", "dense")
@@ -300,6 +304,55 @@ class TestLazyBallEdges:
         with pytest.raises(AttributeError, match="no attribute 'edge'"):
             ball.edge
         assert pickle.loads(pickle.dumps(ball)) == ball
+
+
+class TestKernelBallGraph:
+    """A kernel ball's ``as_graph()`` reads its ids' index rows, not edges."""
+
+    @pytest.fixture(params=["int", "str"])
+    def case(self, request):
+        g = random_chordal_graph(30, seed=4)
+        g.add_vertex(99)  # an isolated vertex: a one-vertex ball
+        if request.param == "str":
+            g = string_labels(g)
+        balls, _ = gather_balls(g, 3)
+        node = SyncNetwork(g, gather_factory(g, 3, {})).run(max_rounds=4)
+        return g, balls, node
+
+    def test_equals_the_induced_ball_and_the_node_ball_graph(self, case):
+        g, balls, node = case
+        for v, ball in balls.items():
+            got = ball.as_graph()
+            assert "edges" not in vars(ball)
+            assert got == g.induced_subgraph(ball.states)
+            assert got == node[v].as_graph()
+            assert got.edges() == node[v].as_graph().edges()
+
+    def test_same_graph_after_edges_are_first_read(self, case):
+        g, balls, node = case
+        for v, ball in balls.items():
+            assert ball.edges == node[v].edges
+            assert "_edge_source" not in vars(ball)
+            assert ball.as_graph() == g.induced_subgraph(ball.states)
+            assert ball.as_graph() == node[v].as_graph()
+
+    def test_each_call_returns_a_fresh_graph(self, case):
+        g, balls, _ = case
+        ball = balls[g.vertices()[0]]
+        first = ball.as_graph()
+        u = next(w for w in first.vertices() if first.degree(w))
+        first.remove_vertex(u)
+        assert ball.as_graph() == g.induced_subgraph(ball.states)
+
+    def test_builds_neither_edges_nor_edge_labels(self):
+        g = random_chordal_graph(30, seed=5)
+        balls, _ = gather_balls(g, 3)
+        for ball in balls.values():
+            ball.as_graph()
+        assert graph_index(g)._edge_labels is None
+        assert not any("edges" in vars(b) for b in balls.values())
+        node = SyncNetwork(g, gather_factory(g, 3, {})).run(max_rounds=4)
+        assert all(balls[v].edges == node[v].edges for v in balls)
 
 
 # ---------------------------------------------------------------------------

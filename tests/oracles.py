@@ -56,6 +56,14 @@ gather must return the same balls in the same number of rounds, and
 message-passing BFS flood (distances, rounds and per-round sends); the
 per-node ``BFSLayerProgram`` must match it.
 
+:func:`induced_subgraph_by_edges` is the induced-subgraph builder that
+added every kept vertex and then every kept edge through
+``Graph.add_vertex``/``add_edge``;
+:meth:`~repro.graphs.adjacency.Graph.induced_subgraph`, one set
+intersection per kept vertex, must build the same graph, and
+``benchmarks/bench_kernels.py`` times it as the reference side of its
+``induced_subgraph`` rows.
+
 :func:`interval_graph_by_slicing` is the interval-graph builder that
 copied the sorted tail once per vertex; the index loop of
 :func:`~repro.graphs.interval.interval_graph_from_intervals` must build
@@ -596,6 +604,22 @@ def interval_graph_by_slicing(intervals):
             if lo_v > hi_u:
                 break
             g.add_edge(u, v)
+    return g
+
+
+def induced_subgraph_by_edges(graph, vs):
+    """G[U] built vertex by vertex and edge by edge, as ``Graph`` first did."""
+    keep = set(vs)
+    missing = [v for v in keep if v not in graph]
+    if missing:
+        raise KeyError(f"vertices not in graph: {sorted(missing)!r}")
+    g = Graph()
+    for v in keep:
+        g.add_vertex(v)
+    for v in keep:
+        for u in graph.neighbors_view(v) & keep:
+            if v < u:
+                g.add_edge(v, u)
     return g
 
 
