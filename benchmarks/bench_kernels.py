@@ -34,7 +34,9 @@ diameters searched in the current graph).  Both ``Peeling`` outputs are
 asserted equal before the row is written.  The large-n rows time the one
 loop alone, on every family.  In all three kinds of row the two sides are
 timed in turns, each after a full collection, and each side's best of
-three runs counts.
+three runs counts; a row where either side's best is under 50 ms takes
+the best of 15 instead, since three turns of a few milliseconds leave
+timer noise room to show a sub-1x row.
 
 Unlike the rest of ``benchmarks/`` this is a standalone script, not a
 pytest-benchmark module, because its artifact is the committed JSON:
@@ -95,8 +97,11 @@ FAMILIES: Dict[str, Callable[[int], Graph]] = {
 }
 
 #: timed runs per side of a ``clique_forest``, ``induced_subgraph`` or
-#: ``peeling`` row (the best one counts)
+#: ``peeling`` row (the best one counts) ...
 BEST_OF = 3
+#: ... and of a row where either side's best is under SHORT_SECONDS
+BEST_OF_SHORT = 15
+SHORT_SECONDS = 0.05
 
 
 def seed_lex_bfs(graph: Graph) -> List:
@@ -131,17 +136,21 @@ def _timed(fn, *args, **kwargs):
     return out, time.perf_counter() - start
 
 
-def _best_in_turns(repeats: int, *calls: Callable[[], object]) -> List[float]:
+def _best_in_turns(*calls: Callable[[], object]) -> List[float]:
     """Best seconds of each call, run in turns, each after a full collection.
 
     Taking turns gives both sides the same machine state, and collecting
-    first keeps one side's garbage out of the other's timing.
+    first keeps one side's garbage out of the other's timing.  The turns
+    stop after :data:`BEST_OF`, or after :data:`BEST_OF_SHORT` while a
+    side's best is under :data:`SHORT_SECONDS`.
     """
     best = [float("inf")] * len(calls)
-    for _ in range(repeats):
+    turns = 0
+    while turns < BEST_OF or (turns < BEST_OF_SHORT and min(best) < SHORT_SECONDS):
         for i, call in enumerate(calls):
             gc.collect()
             best[i] = min(best[i], _timed(call)[1])
+        turns += 1
     return best
 
 
@@ -242,7 +251,6 @@ def _compare_cell(rows: List[dict], family: str, g: Graph, seed_baseline: bool) 
     )
     assert same
     t_k, t_ref = _best_in_turns(
-        BEST_OF,
         lambda: kernels.clique_forest_from_peo(idx, peo_ids),
         lambda: oracle_clique_forest(idx, peo_ids),
     )
@@ -252,7 +260,6 @@ def _compare_cell(rows: List[dict], family: str, g: Graph, seed_baseline: bool) 
     same = g.induced_subgraph(half) == oracles.induced_subgraph_by_edges(g, half)
     assert same
     t_k, t_ref = _best_in_turns(
-        BEST_OF,
         lambda: g.induced_subgraph(half),
         lambda: oracles.induced_subgraph_by_edges(g, half),
     )
@@ -267,7 +274,6 @@ def _peel_compare_cell(
     same = peel_chordal_graph(g, rule) == oracles.reference_peeling(g, ref_rule)
     assert same
     t_k, t_ref = _best_in_turns(
-        BEST_OF,
         lambda: peel_chordal_graph(g, rule),
         lambda: oracles.reference_peeling(g, ref_rule),
     )

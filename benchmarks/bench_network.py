@@ -33,18 +33,34 @@ pytest-benchmark module, because its artifact is the committed JSON:
     PYTHONPATH=src python benchmarks/bench_network.py                  # full sweep
     PYTHONPATH=src python benchmarks/bench_network.py --quick --check  # CI smoke
 
-``--quick`` shrinks the sweep to two small cells; ``--executor`` limits
-which delta paths are timed: ``node`` steps a plain ``SyncNetwork``,
-``batch`` calls ``gather_balls`` and asserts it took the kernel
-(``--executor batch`` is the CI smoke proving kernel eligibility end to
-end -- a silent fallback fails it).  ``--check`` exits nonzero
-unless every output pair matched and the acceptance gates held: on the
-full sweep, volume reduction >= 10x, ``time_speedup`` >= 3.0 *and*
-never < 1.0 (a volume win may not ship a seconds loss again), and the
-n=100000 cell in single-digit seconds; on the quick sweep, identity and
-volume reduction > 1x.  The JSON records the machine's CPU count and the
-Python version, so sweeps from different machines are not compared as if
-they were one.
+``--quick`` shrinks the sweep to two small cells; ``--path`` limits
+which delta paths are timed (K2's ``path`` column names the same two):
+``node`` steps a plain ``SyncNetwork``, ``batch`` calls ``gather_balls``
+and asserts it took the kernel (``--path batch`` is the CI smoke proving
+kernel eligibility end to end -- a silent fallback fails it).
+
+Every row that times the batch path also records its memory, from one
+untimed ``gather_balls`` call under ``tracemalloc``: ``batch_peak_mb``,
+the traced allocation peak of the call, and ``batch_held_mb``, what the
+returned balls still hold.  The kernel frees its round state before it
+builds the balls, so the peak sits in the rounds.  Measured on Python
+3.11 (sizes of the allocations, not the machine, decide it), peak/held
+is 1.01-1.53 on the path cells (1.05 at n=400, 1.50 at n=10^5), 1.00 on
+the interval cells (1.45 on the quick one), and 1.92-2.05 on the
+chordal cells, whose large middle spheres set the peak and whose balls
+are built after them either way; with the round state still alive
+while the balls were built, the path cells read 1.36-1.90 (1.89 at
+n=10^5).  ``--check`` fails a row whose ratio exceeds its family's
+bound in :data:`PEAK_OVER_HELD`.
+
+``--check`` exits nonzero unless every output pair matched and the
+acceptance gates held: on the full sweep, volume reduction >= 10x,
+``time_speedup`` >= 3.0 *and* never < 1.0 (a volume win may not ship a
+seconds loss again), and the n=100000 cell in single-digit seconds; on
+the quick sweep, identity and volume reduction > 1x; on both, the
+memory bound above.  The JSON records the machine's CPU count and the
+Python version, so sweeps from different machines are not compared as
+if they were one.
 """
 
 from __future__ import annotations
@@ -56,6 +72,7 @@ import os
 import platform
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -114,6 +131,11 @@ REQUIRED_TIME_SPEEDUP = 3.0
 REQUIRED_TIME_FLOOR = 1.0
 #: wall-clock gate at the large cell: single-digit seconds
 REQUIRED_LARGE_SECONDS = 10.0
+
+#: per family, the largest batch_peak_mb / batch_held_mb a row may show
+PEAK_OVER_HELD: Dict[str, float] = {"path": 1.6, "interval": 1.6, "chordal": 2.2}
+
+MB = 2**20
 
 FAMILIES: Dict[str, Callable[[int], Graph]] = {
     "path": path_graph,
@@ -188,8 +210,24 @@ def _batch_gather(g: Graph, radius: int):
     return balls, rounds
 
 
-#: the two delta-gather dispatch paths ``--executor`` chooses from
+#: the two delta-gather dispatch paths ``--path`` chooses from
 DELTA_GATHERS: Dict[str, Callable] = {"node": _node_gather, "batch": _batch_gather}
+
+
+def _batch_memory(g: Graph, radius: int) -> Tuple[float, float]:
+    """Traced peak and held MB of one ``gather_balls`` call, untimed.
+
+    Held is what is still allocated when the call returns: the balls,
+    since the graph's index and its caches exist from the timed runs.
+    """
+    gc.collect()
+    tracemalloc.start()
+    try:
+        balls, _ = gather_balls(g, radius)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak / MB, held / MB
 
 
 def _timed_gather(gather: Callable, g: Graph, radius: int, repeats: int):
@@ -214,7 +252,7 @@ def _cell(
     family: str,
     n: int,
     radius: int,
-    executors: Tuple[str, ...],
+    paths: Tuple[str, ...],
     time_flood: bool,
     measure_volume: bool,
 ) -> None:
@@ -225,10 +263,10 @@ def _cell(
     outputs = {}
     seconds: Dict[str, Optional[float]] = {"node": None, "batch": None}
     rounds = None
-    for executor in executors:
-        balls, rounds, t = _timed_gather(DELTA_GATHERS[executor], g, radius, repeats)
-        outputs[executor] = balls
-        seconds[executor] = t
+    for path in paths:
+        balls, rounds, t = _timed_gather(DELTA_GATHERS[path], g, radius, repeats)
+        outputs[path] = balls
+        seconds[path] = t
     flood_seconds = None
     if time_flood:
         # the flood has no batch kernel: it always steps node by node
@@ -250,6 +288,9 @@ def _cell(
         else None
     )
     node_speedup = round(node_s / batch_s, 2) if node_s and batch_s else None
+    peak_mb = held_mb = None
+    if "batch" in paths:
+        peak_mb, held_mb = _batch_memory(g, radius)
 
     delta_facts = flood_facts = delta_messages = flood_messages = None
     volume_reduction = None
@@ -280,13 +321,20 @@ def _cell(
             "delta_messages": delta_messages,
             "flood_messages": flood_messages,
             "volume_reduction": volume_reduction,
+            "batch_peak_mb": round(peak_mb, 2) if peak_mb is not None else None,
+            "batch_held_mb": round(held_mb, 2) if held_mb is not None else None,
             "identical": identical,
         }
+    )
+    memory = (
+        f", batch peak {peak_mb:.1f} MB / held {held_mb:.1f} MB"
+        if peak_mb is not None
+        else ""
     )
     print(
         f"  {family} n={n} r={radius}: node {_fmt(node_s)} batch {_fmt(batch_s)}"
         f" flood {_fmt(flood_seconds)} (speedup {time_speedup}x),"
-        f" volume reduction {volume_reduction}x, identical={identical}"
+        f" volume reduction {volume_reduction}x, identical={identical}{memory}"
     )
 
 
@@ -294,13 +342,13 @@ def _fmt(seconds: Optional[float]) -> str:
     return f"{seconds:.3f}s" if seconds is not None else "-"
 
 
-def run(quick: bool, executors: Tuple[str, ...]) -> dict:
+def run(quick: bool, paths: Tuple[str, ...]) -> dict:
     rows: List[dict] = []
     for family, n, radius, time_flood, measure_volume in (
         QUICK_CELLS if quick else FULL_CELLS
     ):
         print(f"== {family} n={n} r={radius}")
-        _cell(rows, family, n, radius, executors, time_flood, measure_volume)
+        _cell(rows, family, n, radius, paths, time_flood, measure_volume)
 
     def _at(cell: Tuple[str, int, int]) -> Optional[dict]:
         for row in rows:
@@ -318,7 +366,8 @@ def run(quick: bool, executors: Tuple[str, ...]) -> dict:
         "quick": quick,
         "cpu_count": os.cpu_count(),
         "python": platform.python_version(),
-        "executors": list(executors),
+        "paths": list(paths),
+        "peak_over_held_bounds": PEAK_OVER_HELD,
         "rows": rows,
         "all_outputs_identical": all(r["identical"] for r in rows),
         "min_volume_reduction": min(reductions) if reductions else None,
@@ -353,15 +402,29 @@ def run(quick: bool, executors: Tuple[str, ...]) -> dict:
 
 def _check(payload: dict, quick: bool) -> int:
     if not payload["all_outputs_identical"]:
-        print("FAIL: executor/program outputs diverged")
+        print("FAIL: gather outputs diverged between paths and the flood")
         return 1
-    timed_batch = "batch" in payload["executors"]
+    timed_batch = "batch" in payload["paths"]
+    for row in payload["rows"]:
+        if row["batch_held_mb"] is None:
+            continue
+        ratio = row["batch_peak_mb"] / row["batch_held_mb"]
+        bound = PEAK_OVER_HELD[row["family"]]
+        if ratio > bound:
+            print(
+                f"FAIL: {row['family']} n={row['n']} r={row['radius']} gather"
+                f" peaked at {ratio:.2f}x what its balls hold (bound {bound}x)"
+            )
+            return 1
     if quick:
         reduction = payload["min_volume_reduction"]
         if reduction is None or reduction <= 1.0:
             print("FAIL: delta did not reduce message volume")
             return 1
-        print("check passed: outputs identical, delta reduced volume everywhere")
+        print(
+            "check passed: outputs identical, delta reduced volume everywhere,"
+            " gather peaks within bounds"
+        )
         return 0
     acceptance = payload["acceptance"]
     reduction = acceptance["volume_reduction_at_n5000_r24"]
@@ -388,7 +451,10 @@ def _check(payload: dict, quick: bool) -> int:
         if large is None or large >= REQUIRED_LARGE_SECONDS:
             print(f"FAIL: n=100000 batch gather took {large}s (>= 10s)")
             return 1
-    print(f"check passed: outputs identical, {reduction}x at the acceptance cell")
+    print(
+        f"check passed: outputs identical, {reduction}x at the acceptance cell,"
+        " gather peaks within bounds"
+    )
     return 0
 
 
@@ -401,7 +467,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="exit nonzero unless outputs matched and the acceptance gates held",
     )
     parser.add_argument(
-        "--executor",
+        "--path",
         choices=("node", "batch", "all"),
         default="all",
         help="which delta paths to time (batch asserts that gather_balls"
@@ -410,8 +476,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--out", type=Path, default=None, help="JSON output path")
     args = parser.parse_args(argv)
 
-    executors = ("node", "batch") if args.executor == "all" else (args.executor,)
-    payload = run(quick=args.quick, executors=executors)
+    paths = ("node", "batch") if args.path == "all" else (args.path,)
+    payload = run(quick=args.quick, paths=paths)
     if payload["min_volume_reduction"] is not None:
         print(
             f"volume reduction {payload['min_volume_reduction']}x .."

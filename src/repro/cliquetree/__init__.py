@@ -21,7 +21,6 @@ from .local_view import (
     LocalView,
     SubtreeTable,
     compute_local_view,
-    local_cliques_of,
     local_view_from_ball,
 )
 from .paths import (
@@ -50,7 +49,6 @@ __all__ = [
     "LocalView",
     "SubtreeTable",
     "compute_local_view",
-    "local_cliques_of",
     "local_view_from_ball",
     "ForestPath",
     "greedy_path_mis",

@@ -21,13 +21,14 @@ node, which then computes it in step 2).
 Step 2's pair (phi(u), T(u)) depends only on G[Gamma[u]], so every ball
 holding u in its interior rebuilds the same pair.  A :data:`SubtreeTable`
 lets the views of one graph share it: the first view whose interior holds
-u fills the entry, and every later view reads it.
+u fills the entry, and every later view reads it.  A view fills all of
+its missing entries from one clique pass (see :func:`_add_subtrees`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..graphs.adjacency import Graph, Vertex
 from ..graphs.chordal import NotChordalError, maximal_cliques
@@ -41,22 +42,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 __all__ = [
     "LocalView",
     "SubtreeTable",
-    "local_cliques_of",
     "compute_local_view",
     "local_view_from_ball",
 ]
-
-
-def local_cliques_of(ball: Graph, u: Vertex) -> List[Clique]:
-    """phi(u) computed from a ball that contains all of Gamma[u].
-
-    The maximal cliques of G containing u are exactly the maximal cliques
-    of G[Gamma[u]] containing u, and Gamma_G[u] is fully inside the ball by
-    the caller's contract, so this is computable locally.
-    """
-    closed = ball.closed_neighborhood(u)
-    sub = ball.induced_subgraph(closed)
-    return [c for c in maximal_cliques(sub) if u in c]
 
 
 #: T(u) as a view merges it: phi(u) and its forest edges, each edge a
@@ -69,14 +57,39 @@ Subtree = Tuple[List[Clique], List[Tuple[Clique, Clique]]]
 SubtreeTable = Dict[Vertex, Subtree]
 
 
-def _subtree_of(ball: Graph, u: Vertex) -> Subtree:
-    """phi(u) and T(u), the maximum weight spanning forest of W_G[phi(u)]."""
-    phi_u = local_cliques_of(ball, u)
-    chosen = maximum_weight_spanning_forest(
-        sorted(phi_u, key=sigma), wcig_edges_among(phi_u)
-    )
-    edges = [(c1, c2) if sigma(c1) <= sigma(c2) else (c2, c1) for c1, c2 in chosen]
-    return phi_u, edges
+def _add_subtrees(
+    ball: Graph, order: Sequence[Vertex], subtrees: SubtreeTable
+) -> None:
+    """Give every vertex of ``order`` that ``subtrees`` lacks its entry.
+
+    The missing vertices are interior, so each one's Gamma[u] lies in the
+    ball, and one ``maximal_cliques`` pass on G[S], S the union of those
+    closed neighbourhoods, serves them all.  A clique of G holding u lies
+    in Gamma[u], inside S, so the maximal cliques of G[S] holding u are
+    exactly phi(u); the pass sorts by (size, members), as a call on
+    G[Gamma[u]] alone would.  T(u) is the ``<``-maximum spanning forest
+    of W_G[phi(u)].
+    """
+    missing = [u for u in order if u not in subtrees]
+    if not missing:
+        return
+    near = set(missing)
+    near.update(*map(ball.neighbors_view, missing))
+    phi: Dict[Vertex, List[Clique]] = {u: [] for u in missing}
+    sub = ball if len(near) == len(ball) else ball.induced_subgraph(near)
+    for clique in maximal_cliques(sub):
+        for u in clique:
+            found = phi.get(u)
+            if found is not None:
+                found.append(clique)
+    for u in missing:
+        phi_u = phi[u]
+        chosen = maximum_weight_spanning_forest(
+            sorted(phi_u, key=sigma), wcig_edges_among(phi_u)
+        )
+        subtrees[u] = phi_u, [
+            (c1, c2) if sigma(c1) <= sigma(c2) else (c2, c1) for c1, c2 in chosen
+        ]
 
 
 @dataclass
@@ -114,8 +127,11 @@ def compute_local_view(
     ``subtrees`` is a :data:`SubtreeTable` shared by views of ``graph``;
     ``None`` gives the call a fresh one.  Raises
     :class:`~repro.graphs.chordal.NotChordalError` naming ``center`` when
-    the ball has no clique forest.
+    the ball has no clique forest, and ``TypeError`` when ``radius`` is
+    not an int.
     """
+    if isinstance(radius, bool) or not isinstance(radius, int):
+        raise TypeError(f"radius must be an int, got {type(radius).__name__}")
     if radius < 1:
         raise ValueError("a local view needs radius >= 1")
     dist = graph.bfs_distances(center, cutoff=radius)
@@ -166,13 +182,13 @@ def _view_from_ball_graph(
         subtrees = {}
     cliques: Set[Clique] = set()
     edges: Set[Tuple[Clique, Clique]] = set()
+    order = sorted(interior)
     try:
-        for u in sorted(interior):
-            subtree = subtrees.get(u)
-            if subtree is None:
-                subtree = subtrees[u] = _subtree_of(ball, u)
-            cliques.update(subtree[0])
-            edges.update(subtree[1])
+        _add_subtrees(ball, order, subtrees)
+        for u in order:
+            phi_u, tree_u = subtrees[u]
+            cliques.update(phi_u)
+            edges.update(tree_u)
         # On a chordal ball the subtrees merge into a fragment of the
         # global forest (Lemma 2), so a cycle here also means not chordal.
         forest = CliqueForest(cliques, edges)

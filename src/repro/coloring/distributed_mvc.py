@@ -175,6 +175,14 @@ def compute_parent(
     return None
 
 
+def _check_params(params: ColoringParameters) -> None:
+    """Fail at the boundary when ``params`` is not a :class:`ColoringParameters`."""
+    if not isinstance(params, ColoringParameters):
+        raise TypeError(
+            f"params must be ColoringParameters, got {type(params).__name__}"
+        )
+
+
 def local_layer_decision(
     current_graph: Graph,
     v: Vertex,
@@ -190,8 +198,10 @@ def local_layer_decision(
     ``subtrees`` may be shared by decisions on the same ``current_graph``
     (see :func:`~repro.cliquetree.local_view.compute_local_view`).
     Raises :class:`~repro.graphs.chordal.NotChordalError` naming ``v``
-    when its ball is not chordal.
+    when its ball is not chordal, and ``TypeError`` when ``params`` is
+    not a :class:`ColoringParameters`.
     """
+    _check_params(params)
     view = compute_local_view(current_graph, v, params.collect_radius, subtrees)
     return _decide_from_view(view, params)
 
@@ -210,8 +220,10 @@ def local_layer_decision_from_ball(
     (``ball.as_graph()`` equals the induced radius ball).  ``subtrees``
     may be shared by the balls of one gather; raises
     :class:`~repro.graphs.chordal.NotChordalError` naming the ball's
-    center when the ball is not chordal.
+    center when the ball is not chordal, and ``TypeError`` when
+    ``params`` is not a :class:`ColoringParameters`.
     """
+    _check_params(params)
     if ball.radius != params.collect_radius:
         raise ValueError(
             f"ball radius {ball.radius} != collect_radius "
@@ -242,10 +254,7 @@ def message_level_layer_decisions(
     than once per ball holding it.  The table lives only for this call:
     its entries are ``current_graph``'s.
     """
-    if not isinstance(params, ColoringParameters):
-        raise TypeError(
-            f"params must be ColoringParameters, got {type(params).__name__}"
-        )
+    _check_params(params)
     if not is_chordal(current_graph):
         raise NotChordalError("input graph is not chordal")
     balls, rounds = gather_balls(current_graph, params.collect_radius, sealed=sealed)

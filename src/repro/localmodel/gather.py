@@ -362,8 +362,8 @@ class DeltaGatherKernel:
     and ``t`` of ``i``, so subtracting ``F_i(t - 1)`` and ``F_i(t - 2)``
     subtracts ``K_i``; ``K_i`` is then a plain id list, and every step of
     a round is one bulk set or list operation per node.  :meth:`run`
-    builds each ball's ``states`` at once and its ``edges`` only when
-    first read (see :class:`KnownBall`).
+    frees the round state, then builds each ball's ``states`` at once
+    and its ``edges`` only when first read (see :class:`KnownBall`).
     """
 
     def __init__(self, index: GraphIndex, radius: int, states: Mapping[Vertex, Any]):
@@ -426,12 +426,16 @@ class DeltaGatherKernel:
         """Fold rounds ``0 .. radius`` into ``stats``; return every ball.
 
         Balls are keyed in vertex order, like the per-node path's
-        outputs.  An empty graph runs no round on either path.
+        outputs.  An empty graph runs no round on either path.  The
+        round state dies before the first ball is built, so the balls
+        reuse its memory instead of adding to the peak; :meth:`round`
+        cannot run after this.
         """
         index = self.index
         if index.n:
             for _ in range(self.radius + 1):
                 stats.record_round(*self.round())
+        del self._around, self._tails, self._fresh, self._older
         verts = index.verts
         values = self._values
         radius = self.radius

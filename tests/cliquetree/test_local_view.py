@@ -3,11 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.cliquetree import (
-    build_clique_forest,
-    compute_local_view,
-    local_cliques_of,
-)
+from repro.cliquetree import build_clique_forest, compute_local_view
 from repro.graphs import (
     FIGURE3_CENTER,
     PAPER_CLIQUES,
@@ -15,6 +11,7 @@ from repro.graphs import (
     path_graph,
     random_chordal_graph,
 )
+from tests.oracles import local_cliques_of
 
 
 class TestLocalCliques:
@@ -80,6 +77,15 @@ class TestFigure34:
     def test_radius_validation(self):
         with pytest.raises(ValueError):
             compute_local_view(paper_example_graph(), 10, radius=0)
+
+    @pytest.mark.parametrize(
+        "radius,name", [(True, "bool"), (1.5, "float"), ("2", "str")]
+    )
+    def test_non_int_radius_is_a_type_error(self, radius, name):
+        """As at ``gather_balls``: no bool runs as 1, no float as a
+        centre-only view, no string fails inside a comparison."""
+        with pytest.raises(TypeError, match=f"radius must be an int, got {name}"):
+            compute_local_view(paper_example_graph(), 10, radius=radius)
 
 
 @settings(max_examples=20, deadline=None)

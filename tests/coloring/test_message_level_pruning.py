@@ -86,6 +86,17 @@ def test_message_level_decisions_reject_a_non_parameter():
         message_level_layer_decisions(random_chordal_graph(6, seed=1), 1)
 
 
+def test_graph_slice_decision_rejects_a_non_parameter():
+    with pytest.raises(TypeError, match="ColoringParameters, got int"):
+        local_layer_decision(random_chordal_graph(6, seed=1), 0, 1)
+
+
+def test_from_ball_decision_rejects_a_non_parameter():
+    balls, _ = gather_balls(random_chordal_graph(6, seed=1), 2)
+    with pytest.raises(TypeError, match="ColoringParameters, got int"):
+        local_layer_decision_from_ball(balls[0], 1)
+
+
 def _wheel(rim):
     """Hub 0 joined to every vertex of the cycle 1..rim (not chordal)."""
     edges = [(0, i) for i in range(1, rim + 1)]

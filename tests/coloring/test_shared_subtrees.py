@@ -3,11 +3,15 @@
 By Lemma 2 the pair (phi(u), T(u)) a view builds for an interior vertex u
 depends only on G[Gamma[u]], so the balls of one graph may share it
 through a :data:`~repro.cliquetree.local_view.SubtreeTable`.
-``message_level_layer_decisions`` fills one table per call.  These tests
-pin that the sharing changes no decision and no view, that it really
-removes the per-ball rebuilds, and that no table outlives its call.
+``message_level_layer_decisions`` fills one table per call.  A view fills
+every entry it lacks from one ``maximal_cliques`` pass over the closed
+neighbourhoods of its missing interior vertices.  These tests pin that
+the sharing and the one pass change no entry, no decision and no view,
+that they really remove the per-vertex and per-ball rebuilds, and that
+no table outlives its call.
 """
 
+import dataclasses
 import random
 from unittest import mock
 
@@ -15,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.cliquetree import local_view
 from repro.cliquetree.local_view import compute_local_view, local_view_from_ball
-from repro.coloring import ColoringParameters
+from repro.coloring import ColoringParameters, distributed_mvc
 from repro.coloring.distributed_mvc import (
     local_layer_decision,
     local_layer_decision_from_ball,
@@ -30,6 +34,8 @@ from repro.graphs import (
 from repro.localmodel import gather_balls
 from repro.localmodel.gather import KnownBall
 from repro.mis import mis_local_parameters
+from tests.conftest import string_labels
+from tests.oracles import reference_subtree_of
 
 
 def _relabeled(graph, seed):
@@ -122,18 +128,77 @@ def test_shared_table_builds_equal_views(family, n, seed, radius):
             assert shared.interior == fresh.interior
 
 
+def _radius_parameters(radius):
+    """Algorithm 3's paper constants at k = 1, collecting to ``radius``."""
+    return dataclasses.replace(
+        ColoringParameters.paper_constants(1), collect_radius=radius
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    family=st.sampled_from(sorted(FAMILIES)),
+    n=st.integers(2, 24),
+    seed=st.integers(0, 10_000),
+    radius=st.integers(1, 4),
+    strings=st.booleans(),
+)
+def test_one_clique_pass_fills_the_per_vertex_entries(
+    family, n, seed, radius, strings
+):
+    """Views from balls and from the graph, with fresh and shared tables:
+    every entry equals the per-vertex oracle's, list order included, and
+    every view and decision equals one read off the oracle's table."""
+    graph = FAMILIES[family](n, seed)
+    if strings:
+        graph = string_labels(graph)
+    params = _radius_parameters(radius)
+    oracle = {u: reference_subtree_of(graph, u) for u in graph.vertices()}
+    balls, _ = gather_balls(graph, radius)
+    from_balls, from_graph = {}, {}
+    for v in graph.vertices():
+        expected = compute_local_view(graph, v, radius, dict(oracle))
+        joins = local_layer_decision(graph, v, params, dict(oracle))
+        ball = (
+            lambda t: local_view_from_ball(balls[v], t),
+            lambda t: local_layer_decision_from_ball(balls[v], params, t),
+        )
+        sliced = (
+            lambda t: compute_local_view(graph, v, radius, t),
+            lambda t: local_layer_decision(graph, v, params, t),
+        )
+        for table, (view, decide) in (
+            ({}, ball), (from_balls, ball), ({}, sliced), (from_graph, sliced)
+        ):
+            # the decision fills a copy, so it runs the same pass the view does
+            decided = decide(dict(table))
+            got = view(table)
+            assert (got.forest, got.confirmed, got.interior) == (
+                expected.forest,
+                expected.confirmed,
+                expected.interior,
+            )
+            assert decided == joins
+            for u, entry in table.items():
+                assert entry == oracle[u]
+
+
 def test_one_call_builds_each_subtree_once():
-    """phi(u) once per vertex, and one ball graph per ball.
+    """One clique pass per view at most, none for a view whose interior
+    the table already holds, and one ball graph per ball.
 
     Without the table every ball holding u in its interior rebuilt
-    phi(u): about 116 ``maximal_cliques`` calls per vertex here.
+    phi(u): about 116 ``maximal_cliques`` calls per vertex here; with it
+    but one call per vertex, 120.
     """
     graph = random_chordal_graph(120, seed=0)
     params = ColoringParameters.paper_constants(1)
     phi_calls = []
     ball_graphs = []
+    views = []
     cliques = local_view.maximal_cliques
     as_graph = KnownBall.as_graph
+    view_from_ball = distributed_mvc.local_view_from_ball
 
     def counting_cliques(sub):
         phi_calls.append(sub)
@@ -143,11 +208,20 @@ def test_one_call_builds_each_subtree_once():
         ball_graphs.append(ball.center)
         return as_graph(ball)
 
+    def counting_view(ball, subtrees):
+        held = set(subtrees)
+        before = len(phi_calls)
+        view = view_from_ball(ball, subtrees)
+        views.append((view.interior <= held, len(phi_calls) - before))
+        return view
+
     with mock.patch.object(local_view, "maximal_cliques", counting_cliques), \
-            mock.patch.object(KnownBall, "as_graph", counting_as_graph):
+            mock.patch.object(KnownBall, "as_graph", counting_as_graph), \
+            mock.patch.object(distributed_mvc, "local_view_from_ball", counting_view):
         decisions, _ = message_level_layer_decisions(graph, params)
-    assert len(decisions) == len(graph)
-    assert 0 < len(phi_calls) <= len(graph)
+    assert len(decisions) == len(graph) == len(views)
+    assert [calls for _, calls in views] == [int(not held) for held, _ in views]
+    assert 0 < len(phi_calls) < len(graph)
     assert sorted(ball_graphs) == sorted(graph.vertices())
 
 

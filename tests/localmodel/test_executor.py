@@ -18,8 +18,9 @@ attaches a trace sink or carries a non-empty fault plan; then it steps a
 * a kernel ball's ``as_graph()`` equal to the induced ball and to the
   per-node ball's graph, before and after its edges are read, without
   building its edge set or the index's edge-label table;
-* the kernel path builds no program and no network, and
-  ``fallback_reason`` names each of the three blockers.
+* the kernel path builds no program and no network, its round state is
+  gone before the first ball is built, and ``fallback_reason`` names
+  each of the three blockers.
 
 The message-passing BFS and Linial programs have no kernel: their
 per-node runs are pinned against closed forms instead
@@ -54,7 +55,8 @@ from repro.localmodel import (
     three_color_path,
 )
 from repro.localmodel.colorreduction import LinialPathProgram
-from repro.localmodel.gather import DeltaGatherKernel, DeltaGatherProgram
+from repro.localmodel import gather
+from repro.localmodel.gather import DeltaGatherKernel, DeltaGatherProgram, KnownBall
 from repro.localmodel.network import RunStats
 from repro.localmodel.programs import BFSLayerProgram, bfs_layers
 from repro.localmodel.trace import jsonable_payload
@@ -209,6 +211,28 @@ class TestKernelPathBuildsNoProgram:
                 gather_balls(g, 3, states, sealed=True)
         assert info["executed"] == "batch"
         assert balls == expected
+
+
+    def test_round_state_is_freed_before_the_first_ball(self):
+        """The balls reuse the rounds' memory instead of adding to the peak."""
+        g = random_chordal_graph(30, seed=4)
+        kernel = DeltaGatherKernel(graph_index(g), 3, {})
+        round_state = ("_around", "_tails", "_fresh", "_older")
+        assert all(hasattr(kernel, name) for name in round_state)
+        alive = []
+
+        class SpyBall(KnownBall):
+            def __new__(cls, *args, **kwargs):
+                alive.append([name for name in round_state if hasattr(kernel, name)])
+                return super().__new__(cls)
+
+        with mock.patch.object(gather, "KnownBall", SpyBall):
+            balls = kernel.run(RunStats())
+        assert alive == [[]] * len(g)
+        expected, _ = gather_balls(g, 3)
+        assert list(map(dataclasses.astuple, balls.values())) == list(
+            map(dataclasses.astuple, expected.values())
+        )
 
 
 def _disconnected_with_isolated(n, seed):

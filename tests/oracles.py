@@ -47,6 +47,13 @@ as first written: its own orientation of T(v) and an all-pairs BFS
 diameter.  The library's decision reuses the peeling's path code and
 must decide identically.
 
+:func:`local_cliques_of` and :func:`reference_subtree_of` build one
+vertex's phi(u) and T(u) the way a local view first did: one
+``maximal_cliques`` call on G[Gamma[u]] per interior vertex.  A view now
+fills every missing :data:`~repro.cliquetree.local_view.SubtreeTable`
+entry from one clique pass, and each entry must equal this oracle's,
+list order included.
+
 :func:`reference_gather` is the full-flood ball gather (every node
 re-broadcasts everything it knows, every round).  The library's delta
 gather must return the same balls in the same number of rounds, and
@@ -97,6 +104,7 @@ from repro.cliquetree import (
     maximum_weight_spanning_forest,
     nodes_with_subtree_in,
     path_vertices,
+    sigma,
     wcig_edges_among,
 )
 from repro.cliquetree.paths import orient_binary_path
@@ -471,6 +479,28 @@ def reference_peeling(graph, internal_rule, max_iterations=None, last_iteration_
         forest = forest.without_cliques(removed_cliques)
         current.remove_vertices(removed_nodes)
     return Peeling(layers, layer_of, exhausted=True, _all_nodes=all_nodes)
+
+
+def local_cliques_of(ball, u):
+    """phi(u) computed from a ball that contains all of Gamma[u].
+
+    The maximal cliques of G containing u are exactly the maximal cliques
+    of G[Gamma[u]] containing u, and Gamma_G[u] is fully inside the ball by
+    the caller's contract, so this is computable locally.
+    """
+    closed = ball.closed_neighborhood(u)
+    sub = ball.induced_subgraph(closed)
+    return [c for c in maximal_cliques(sub) if u in c]
+
+
+def reference_subtree_of(ball, u):
+    """phi(u) and T(u), the maximum weight spanning forest of W_G[phi(u)]."""
+    phi_u = local_cliques_of(ball, u)
+    chosen = maximum_weight_spanning_forest(
+        sorted(phi_u, key=sigma), wcig_edges_among(phi_u)
+    )
+    edges = [(c1, c2) if sigma(c1) <= sigma(c2) else (c2, c1) for c1, c2 in chosen]
+    return phi_u, edges
 
 
 def decide_from_view_all_pairs(view, ball_graph, params):
