@@ -57,11 +57,11 @@ def _timed(fn, *args, **kwargs):
 
 def bench_soak(rows: List[dict], quick: bool) -> Dict[str, Any]:
     """The seeded fuzz soak over the quick suite, repro-gated."""
-    from repro.cli import CHAOS_QUICK_PROGRAMS, _faults_suite
     from repro.localmodel.chaos import chaos_soak
+    from repro.localmodel.stock import QUICK_PROGRAMS, stock_suite
 
     trials = 25 if quick else 100
-    suite = [e for e in _faults_suite() if e[0] in CHAOS_QUICK_PROGRAMS]
+    suite = [e for e in stock_suite() if e[0] in QUICK_PROGRAMS]
     report, t = _timed(chaos_soak, suite, trials=trials, seed=0)
     rows.append({"stage": f"soak:{trials}-trials", "seconds": round(t, 6)})
     summary = report.summary()

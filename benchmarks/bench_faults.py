@@ -121,15 +121,15 @@ def bench_overhead(rows: List[dict], quick: bool) -> Dict[str, Any]:
 
 def bench_sweep(rows: List[dict]) -> Dict[str, Any]:
     """The resilience classification of every stock program, both modes."""
-    from repro.cli import _faults_suite
     from repro.localmodel import resilience_check, with_retries
+    from repro.localmodel.stock import stock_suite
 
     classifications: Dict[str, Dict[str, str]] = {"bare": {}, "retries": {}}
     drift = []
     total = 0.0
     for retry in (False, True):
         mode = "retries" if retry else "bare"
-        for name, graph, factory, validator in _faults_suite():
+        for name, graph, factory, validator in stock_suite():
             if retry:
                 factory = with_retries(factory)
             report, t = _timed(resilience_check, graph, factory, validator)

@@ -101,13 +101,14 @@ def bench_static(rows: List[dict]) -> Dict[str, Any]:
 
 def bench_sanitize(rows: List[dict], quick: bool) -> Dict[str, Any]:
     from repro.graphs import cycle_graph
-    from repro.lint.cli import _sanitize_suite
     from repro.localmodel import shadow_check
+    from repro.localmodel.stock import stock_suite
 
     seeds = (1,) if quick else (1, 2, 3)
     failures = []
     total = 0.0
-    for name, graph, factory in _sanitize_suite():
+    suite = stock_suite()
+    for name, graph, factory, _validator in suite:
         report, t = _timed(shadow_check, graph, factory, seeds=seeds)
         rows.append({"stage": f"shadow:{name}", "seconds": round(t, 6)})
         total += t
@@ -123,7 +124,7 @@ def bench_sanitize(rows: List[dict], quick: bool) -> Dict[str, Any]:
     planted, t = _timed(shadow_check, cycle_graph(8), GossipOrderProgram, seeds=seeds)
     rows.append({"stage": "shadow:planted-fixture", "seconds": round(t, 6)})
     return {
-        "programs": len(_sanitize_suite()),
+        "programs": len(suite),
         "seeds": list(seeds),
         "false_positives": failures,
         "planted_fixture_caught": not planted.deterministic,

@@ -62,6 +62,7 @@ from .graphs import (
     triangulate,
     unit_interval_chain,
 )
+from .localmodel.stock import QUICK_PROGRAMS, STOCK, default_root, stock_suite
 from .mis import chordal_mis, independence_number_chordal, mis_peeling_parameters
 
 __all__ = ["main", "build_parser"]
@@ -145,7 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
         "trace", help="run a stock program with trace sinks attached"
     )
     trace.add_argument("graph")
-    trace.add_argument("--program", choices=sorted(TRACE_PROGRAMS), default="bfs",
+    trace.add_argument("--program", choices=sorted(STOCK), default="bfs",
                        help="which stock NodeProgram to run (default: bfs)")
     trace.add_argument("--root", type=int, default=None,
                        help="root vertex for bfs/echo (default: smallest id)")
@@ -179,7 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
     faults.add_argument("--plan", default="", metavar="SPEC",
                         help="fault plan: drop=P,dup=P,delay=P:K,burst=R1-R2,"
                         "crash=V@R[-R2],seed=N (grammar in docs/faults.md)")
-    faults.add_argument("--program", choices=sorted(TRACE_PROGRAMS), default="bfs",
+    faults.add_argument("--program", choices=sorted(STOCK), default="bfs",
                         help="stock NodeProgram for a single run (default: bfs)")
     faults.add_argument("--root", type=int, default=None,
                         help="root vertex for bfs/echo (default: smallest id)")
@@ -292,89 +293,55 @@ def _prepare(graph: Graph, allow_triangulate: bool, out) -> Graph:
     return tri.chordal_graph
 
 
-#: The stock programs ``repro trace`` can put on the wire.
-TRACE_PROGRAMS = (
-    "bfs", "leader", "echo", "gather", "gather-delta", "luby", "coloring"
-)
+def _describe(program: str, graph: Graph, root, radius: int):
+    """describe(outputs) -> the one-line result ``trace`` / ``faults`` print."""
+
+    def largest(outputs):
+        return max(len(ball.states) for ball in outputs.values())
+
+    return {
+        "bfs": lambda outputs: (
+            f"bfs from {root}: eccentricity "
+            f"{max((d for d in outputs.values() if d is not None), default=0)}"
+        ),
+        "leader": lambda outputs: f"leader: {min(outputs.values(), default=None)}",
+        "echo": lambda outputs: f"echo count at root {root}: {outputs[root]}",
+        "gather": lambda outputs: (
+            f"gathered radius-{radius} balls; largest has {largest(outputs)} vertices"
+        ),
+        "gather-delta": lambda outputs: (
+            f"delta-gathered radius-{radius} balls; largest has "
+            f"{largest(outputs)} vertices"
+        ),
+        "luby": lambda outputs: (
+            f"luby MIS size: {sum(1 for joined in outputs.values() if joined)}"
+        ),
+        "coloring": lambda outputs: (
+            f"(Delta+1)-coloring used {len(set(outputs.values()))} colors "
+            f"(palette {graph.max_degree() + 1})"
+        ),
+        "linial": lambda outputs: (
+            f"linial path coloring used {len(set(outputs.values()))} colors"
+        ),
+    }[program]
 
 
-def _trace_factory(args, graph: Graph):
-    """(program factory, describe(outputs) -> str) for ``repro trace``."""
-    import random as _random
-
-    n = len(graph)
+def _stock_program(args, graph: Graph):
+    """(factory, validator, describe(outputs) -> str) for ``--program`` on GRAPH."""
     root = args.root
     if root is None:
-        from .localmodel import vertex_key
-
-        root = min(graph.vertices(), key=vertex_key)
+        root = default_root(graph)
     elif root not in graph:
         raise _BadInput(f"--root {root} is not a vertex of the graph")
     if args.radius < 0:
         raise _BadInput(f"--radius must be >= 0, got {args.radius}")
-    if args.program == "bfs":
-        from .localmodel import BFSLayerProgram
-
-        budget = n + 1
-        factory = lambda v, nbrs: BFSLayerProgram(v, nbrs, root, budget)
-        describe = lambda outputs: (
-            f"bfs from {root}: eccentricity "
-            f"{max((d for d in outputs.values() if d is not None), default=0)}"
+    try:
+        factory, validator = STOCK[args.program].build(
+            graph, seed=args.seed, root=root, radius=args.radius
         )
-    elif args.program == "leader":
-        from .localmodel import LeaderElectionProgram
-
-        budget = n + 1
-        factory = lambda v, nbrs: LeaderElectionProgram(v, nbrs, budget)
-        describe = lambda outputs: f"leader: {min(outputs.values(), default=None)}"
-    elif args.program == "echo":
-        from .localmodel import EchoCountProgram
-
-        factory = lambda v, nbrs: EchoCountProgram(v, nbrs, root)
-        describe = lambda outputs: f"echo count at root {root}: {outputs[root]}"
-    elif args.program == "gather":
-        from .localmodel import BallGatherProgram
-
-        factory = lambda v, nbrs: BallGatherProgram(v, nbrs, args.radius, None)
-        describe = lambda outputs: (
-            f"gathered radius-{args.radius} balls; largest has "
-            f"{max(len(ball.states) for ball in outputs.values())} vertices"
-        )
-    elif args.program == "gather-delta":
-        from .graphs.index import graph_index
-        from .localmodel import DeltaGatherProgram
-
-        index = graph_index(graph)
-        factory = lambda v, nbrs: DeltaGatherProgram(
-            v, nbrs, args.radius, None, index
-        )
-        describe = lambda outputs: (
-            f"delta-gathered radius-{args.radius} balls; largest has "
-            f"{max(len(ball.states) for ball in outputs.values())} vertices"
-        )
-    elif args.program == "luby":
-        from .baselines.luby import LubyMISProgram
-
-        master = _random.Random(args.seed)
-        seeds = {v: master.randrange(2**62) for v in graph.vertices()}
-        factory = lambda v, nbrs: LubyMISProgram(v, nbrs, _random.Random(seeds[v]))
-        describe = lambda outputs: (
-            f"luby MIS size: {sum(1 for joined in outputs.values() if joined)}"
-        )
-    else:  # coloring
-        from .baselines.coloring_baselines import RandomizedColoringProgram
-
-        palette = graph.max_degree() + 1
-        master = _random.Random(args.seed)
-        seeds = {v: master.randrange(2**62) for v in graph.vertices()}
-        factory = lambda v, nbrs: RandomizedColoringProgram(
-            v, nbrs, palette, _random.Random(seeds[v])
-        )
-        describe = lambda outputs: (
-            f"(Delta+1)-coloring used {len(set(outputs.values()))} colors "
-            f"(palette {palette})"
-        )
-    return factory, describe
+    except ValueError as exc:
+        raise _BadInput(str(exc)) from None
+    return factory, validator, _describe(args.program, graph, root, args.radius)
 
 
 def _cmd_trace(args, out) -> int:
@@ -385,7 +352,7 @@ def _cmd_trace(args, out) -> int:
     if len(graph) == 0:
         print("graph is empty; nothing to trace", file=out)
         return 0
-    factory, describe = _trace_factory(args, graph)
+    factory, _validator, describe = _stock_program(args, graph)
 
     plan = None
     if args.faults:
@@ -397,18 +364,22 @@ def _cmd_trace(args, out) -> int:
             raise _BadInput(f"bad --faults spec: {exc}") from None
 
     metrics = MetricsSink()
-    sinks = [metrics]
+    try:
+        traced = TracedNetwork(
+            graph,
+            factory,
+            sealed=args.sealed,
+            sinks=[metrics],
+            faults=plan,
+        )
+    except ValueError as exc:
+        # e.g. --program linial on a graph of maximum degree above 2
+        raise _BadInput(str(exc)) from None
     jsonl_sink = None
     if args.jsonl:
-        jsonl_sink = JSONLTraceSink(args.jsonl, payloads=not args.no_payloads)
-        sinks.append(jsonl_sink)
-    traced = TracedNetwork(
-        graph,
-        factory,
-        sealed=args.sealed,
-        sinks=sinks,
-        faults=plan,
-    )
+        jsonl_sink = traced.network.add_sink(
+            JSONLTraceSink(args.jsonl, payloads=not args.no_payloads)
+        )
     try:
         outputs = traced.run(max_rounds=args.max_rounds)
     except RuntimeError as exc:
@@ -456,40 +427,6 @@ def _cmd_trace(args, out) -> int:
     return 0
 
 
-#: ``repro faults`` validator kind per stock program (see ``stock_validator``).
-FAULT_VALIDATORS = {
-    "bfs": "bfs",
-    "leader": "leader",
-    "echo": "echo",
-    "gather": "gather",
-    "gather-delta": "gather",
-    "luby": "mis",
-    "coloring": "coloring",
-    "linial": "coloring",
-}
-
-
-def _faults_suite():
-    """(name, graph, factory, validator) for the ``--sweep`` classification.
-
-    Programs and graphs come from the ``lint --sanitize`` suite so the
-    classification covers exactly the stock inventory; each entry pairs
-    the program with its safety validator (properness, independence,
-    distance lower bounds, ...) from :mod:`repro.localmodel.resilience`.
-    """
-    from .lint.cli import _sanitize_suite
-    from .localmodel import stock_validator, vertex_key
-
-    suite = []
-    for name, graph, factory in _sanitize_suite():
-        kind = FAULT_VALIDATORS[name]
-        root = None
-        if kind == "bfs":
-            root = min(graph.vertices(), key=vertex_key)
-        suite.append((name, graph, factory, stock_validator(kind, graph, root=root)))
-    return suite
-
-
 def _cmd_faults_sweep(args, out) -> int:
     """``repro faults --sweep``: classify every stock program."""
     from .analysis.tables import format_table
@@ -501,7 +438,7 @@ def _cmd_faults_sweep(args, out) -> int:
         ) if args.drops else (0.05, 0.15, 0.3)
     )
     results = []
-    for name, graph, factory, validator in _faults_suite():
+    for name, graph, factory, validator in stock_suite():
         if args.retries:
             factory = with_retries(factory)
         report = resilience_check(
@@ -572,8 +509,7 @@ def _cmd_faults(args, out) -> int:
         MetricsSink,
         TracedNetwork,
         ValidityMonitor,
-        stock_validator,
-        vertex_key,
+        run_validated,
         with_retries,
     )
 
@@ -587,14 +523,9 @@ def _cmd_faults(args, out) -> int:
     if args.stock:
         # the generated sweep graph + seeded factory: the environment
         # every `repro chaos` repro spec refers to
-        entry = next(
-            (e for e in _faults_suite() if e[0] == args.program), None
+        _, graph, factory, validator = next(
+            e for e in stock_suite() if e[0] == args.program
         )
-        if entry is None:
-            raise SystemExit(
-                f"no stock suite entry for --program {args.program}"
-            )
-        _, graph, factory, validator = entry
 
         def describe(outputs):
             committed = sum(1 for v in outputs.values() if v is not None)
@@ -606,14 +537,7 @@ def _cmd_faults(args, out) -> int:
         if len(graph) == 0:
             print("graph is empty; nothing to run", file=out)
             return 0
-        factory, describe = _trace_factory(args, graph)
-        kind = FAULT_VALIDATORS[args.program]
-        root = args.root
-        if root is None:
-            root = min(graph.vertices(), key=vertex_key)
-        validator = stock_validator(
-            kind, graph, root=root if kind == "bfs" else None
-        )
+        factory, validator, describe = _stock_program(args, graph)
     if args.retries:
         factory = with_retries(factory)
 
@@ -631,13 +555,12 @@ def _cmd_faults(args, out) -> int:
         raise _BadInput(str(exc)) from None
     monitor = ValidityMonitor(traced.network, validator)
     traced.network.add_sink(monitor)
-
-    outputs = None
-    error = None
-    try:
-        outputs = traced.run(max_rounds=args.max_rounds)
-    except RuntimeError as exc:
-        error = str(exc).splitlines()[0]
+    # the *final* outputs are validated too: a corruption landing after
+    # the last monitored round (e.g. on a quiesced network) is invisible
+    # to the per-round monitor but must still fail the replay
+    outputs, error, final_problems = run_validated(
+        traced.network, validator, args.max_rounds
+    )
 
     summary = metrics.summary()
     print(
@@ -663,13 +586,8 @@ def _cmd_faults(args, out) -> int:
         print(f"still crashed: {', '.join(str(v) for v in crashed)}", file=out)
     if error is not None:
         print(f"run did not complete: {error}", file=out)
-    elif outputs is not None:
+    else:
         print(describe(outputs), file=out)
-    # validate the *final* outputs too: a corruption landing after the
-    # last monitored round (e.g. on a quiesced network) is invisible to
-    # the per-round monitor but must still fail the replay
-    final = {v: p.output for v, p in traced.network.programs.items()}
-    final_problems = validator(graph, final)
     if monitor.first_violation_round is None and not final_problems:
         print("output validity: OK (no round ever violated the invariant)",
               file=out)
@@ -691,11 +609,6 @@ def _cmd_faults(args, out) -> int:
     return 0 if monitor.first_violation_round is None and not final_problems else 1
 
 
-#: the CI smoke subset for ``repro chaos --quick``: one representative per
-#: output invariant (distances, coloring, independence)
-CHAOS_QUICK_PROGRAMS = ("bfs", "coloring", "luby")
-
-
 def _cmd_chaos(args, out) -> int:
     """``repro chaos``: the seeded fuzz soak with failure minimization."""
     from .analysis.tables import format_table
@@ -703,9 +616,9 @@ def _cmd_chaos(args, out) -> int:
 
     if args.trials < 1:
         raise _BadInput(f"--trials must be >= 1, got {args.trials}")
-    suite = _faults_suite()
+    suite = stock_suite()
     if args.quick:
-        suite = [e for e in suite if e[0] in CHAOS_QUICK_PROGRAMS]
+        suite = [e for e in suite if e[0] in QUICK_PROGRAMS]
     if args.programs:
         wanted = {tok for tok in args.programs.split(",") if tok}
         unknown = wanted - {e[0] for e in suite}

@@ -16,7 +16,7 @@ from .chordal_mvc import (
     conflict_boundary,
     correct_path_colors,
 )
-from .decomposition import PathBags, path_bags_from_cliques
+from .decomposition import PathBags
 from .distributed_mvc import (
     DistributedColoringReport,
     compute_parent,
@@ -50,7 +50,6 @@ __all__ = [
     "conflict_boundary",
     "correct_path_colors",
     "PathBags",
-    "path_bags_from_cliques",
     "DistributedColoringReport",
     "compute_parent",
     "distributed_color_chordal",

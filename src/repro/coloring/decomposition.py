@@ -17,13 +17,13 @@ positions of the bags containing it.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set
 
 from ..graphs.adjacency import Graph, Vertex
 
 Bag = FrozenSet[Vertex]
 
-__all__ = ["PathBags", "path_bags_from_cliques"]
+__all__ = ["PathBags"]
 
 
 class PathBags:
@@ -148,7 +148,3 @@ class PathBags:
             i += 1
         return cuts
 
-
-def path_bags_from_cliques(cliques: Sequence[Iterable[Vertex]]) -> PathBags:
-    """Wrap an ordered clique sequence (e.g. a ForestPath) as a PathBags."""
-    return PathBags(cliques)

@@ -32,6 +32,7 @@ import ast
 from pathlib import Path
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
+from .dataflow import NODE_PROGRAM_ROOT, inheriting, node_program_closure
 from .findings import Finding, sort_findings
 from .suppressions import Suppressions, parse_suppressions
 
@@ -44,9 +45,6 @@ __all__ = [
     "load_modules",
     "NODE_PROGRAM_ROOT",
 ]
-
-#: The root of the subclass closure the analyzer walks.
-NODE_PROGRAM_ROOT = "NodeProgram"
 
 #: Names that constitute global graph state when referenced from a node
 #: program, regardless of which module they were imported from.
@@ -186,29 +184,6 @@ def iter_python_files(paths: Iterable[Path]) -> List[Path]:
             if any(p.endswith(".egg-info") for p in candidate.parts):
                 continue
             out.append(candidate)
-    return out
-
-
-def _subclass_closure(modules: Sequence[_ModuleInfo]) -> Dict[str, List[Tuple[_ModuleInfo, ast.ClassDef]]]:
-    """Resolve which scanned classes are (transitive) NodeProgram subclasses.
-
-    Returns class name -> definitions (a name can recur across modules;
-    every definition is analyzed).
-    """
-    known: Set[str] = {NODE_PROGRAM_ROOT}
-    changed = True
-    while changed:
-        changed = False
-        for info in modules:
-            for name, bases in info.base_names.items():
-                if name not in known and bases & known:
-                    known.add(name)
-                    changed = True
-    out: Dict[str, List[Tuple[_ModuleInfo, ast.ClassDef]]] = {}
-    for info in modules:
-        for name, node in info.classes.items():
-            if name in known and name != NODE_PROGRAM_ROOT:
-                out.setdefault(name, []).append((info, node))
     return out
 
 
@@ -773,30 +748,15 @@ def _declarers(
     modules: Sequence[_ModuleInfo], declares: "Callable[[ast.ClassDef], bool]"
 ) -> Set[str]:
     """Class names satisfying ``declares``, own or inherited (by name)."""
-    declared: Set[str] = set()
-    for info in modules:
-        for name, node in info.classes.items():
-            if declares(node):
-                declared.add(name)
-    changed = True
-    while changed:
-        changed = False
-        for info in modules:
-            for name, bases in info.base_names.items():
-                if name not in declared and bases & declared:
-                    declared.add(name)
-                    changed = True
-    return declared
-
-
-def _always_active_declarers(modules: Sequence[_ModuleInfo]) -> Set[str]:
-    """Class names that declare ``always_active``, own or inherited (by name)."""
-    return _declarers(modules, _declares_always_active)
-
-
-def _repairable_declarers(modules: Sequence[_ModuleInfo]) -> Set[str]:
-    """Class names that declare ``repairable``, own or inherited (by name)."""
-    return _declarers(modules, _declares_repairable)
+    return inheriting(
+        modules,
+        {
+            name
+            for info in modules
+            for name, node in info.classes.items()
+            if declares(node)
+        },
+    )
 
 
 def _analyze_modules(modules: Sequence[_ModuleInfo]) -> List[Finding]:
@@ -805,17 +765,16 @@ def _analyze_modules(modules: Sequence[_ModuleInfo]) -> List[Finding]:
     from .bandwidth import bandwidth_findings
 
     findings: List[Finding] = []
-    declarers = _always_active_declarers(modules)
-    repairers = _repairable_declarers(modules)
-    for name, definitions in _subclass_closure(modules).items():
-        for info, node in definitions:
-            _ClassChecker(
-                info,
-                node,
-                findings,
-                inherits_always_active=name in declarers,
-                inherits_repairable=name in repairers,
-            ).run()
+    declarers = _declarers(modules, _declares_always_active)
+    repairers = _declarers(modules, _declares_repairable)
+    for info, node in node_program_closure(modules):
+        _ClassChecker(
+            info,
+            node,
+            findings,
+            inherits_always_active=node.name in declarers,
+            inherits_repairable=node.name in repairers,
+        ).run()
     findings.extend(bandwidth_findings(modules))
     return sort_findings(findings)
 

@@ -113,67 +113,18 @@ def _stale_suppressions(modules) -> List[Tuple[str, int, str]]:
 # the shadow-execution suite (``--sanitize``)
 # ---------------------------------------------------------------------------
 
-def _sanitize_suite():
-    """(name, graph, program factory) triples for every stock program.
+def _run_sanitize(fmt: str, out) -> int:
+    """Shadow-check every stock program on its suite graph.
 
     Imported lazily: the static linter must stay importable (and fast)
     without pulling in the graph substrate.
     """
-    import random
-
-    from ..baselines.coloring_baselines import RandomizedColoringProgram
-    from ..baselines.luby import LubyMISProgram
-    from ..graphs import cycle_graph, path_graph, random_chordal_graph
-    from ..graphs.index import graph_index
-    from ..localmodel import (
-        BallGatherProgram,
-        BFSLayerProgram,
-        DeltaGatherProgram,
-        EchoCountProgram,
-        LeaderElectionProgram,
-        LinialPathProgram,
-        vertex_key,
-    )
-
-    chordal = random_chordal_graph(14, seed=7, tree_size=14)
-    cycle = cycle_graph(8)
-    path = path_graph(9)
-    tree_n = len(chordal)
-
-    def seeded(cls, *extra):
-        master = random.Random(11)
-        seeds = {v: master.randrange(2**62) for v in chordal.vertices()}
-        return lambda v, nbrs: cls(v, nbrs, *extra, random.Random(seeds[v]))
-
-    root = min(chordal.vertices(), key=vertex_key)
-    return [
-        ("bfs", chordal, lambda v, nbrs: BFSLayerProgram(v, nbrs, root, tree_n + 1)),
-        ("leader", chordal, lambda v, nbrs: LeaderElectionProgram(v, nbrs, tree_n + 1)),
-        ("echo", path, lambda v, nbrs: EchoCountProgram(v, nbrs, 0)),
-        ("gather", cycle, lambda v, nbrs: BallGatherProgram(v, nbrs, 2, ("s", v))),
-        (
-            "gather-delta",
-            cycle,
-            lambda v, nbrs: DeltaGatherProgram(
-                v, nbrs, 2, ("s", v), graph_index(cycle)
-            ),
-        ),
-        ("luby", chordal, seeded(LubyMISProgram)),
-        (
-            "coloring",
-            chordal,
-            seeded(RandomizedColoringProgram, chordal.max_degree() + 1),
-        ),
-        ("linial", path, lambda v, nbrs: LinialPathProgram(v, nbrs, id_bound=9)),
-    ]
-
-
-def _run_sanitize(fmt: str, out) -> int:
     from ..localmodel import shadow_check
+    from ..localmodel.stock import stock_suite
 
     results: List[Dict[str, Any]] = []
     failures = 0
-    for name, graph, factory in _sanitize_suite():
+    for name, graph, factory, _validator in stock_suite():
         report = shadow_check(graph, factory)
         results.append(
             {

@@ -71,7 +71,9 @@ __all__ = [
     "ClassDataflow",
     "ModuleLike",
     "analyze_dataflow",
+    "inheriting",
     "node_program_closure",
+    "NODE_PROGRAM_ROOT",
 ]
 
 #: Abstract sizes, ordered: O(1) words < one forwarded message < an
@@ -80,8 +82,8 @@ WORD, MSG, ACC = 0, 1, 2
 
 SIZE_NAMES = {WORD: "words", MSG: "forwarded-message", ACC: "accumulated-state"}
 
-#: The root of the subclass closure (kept in sync with the analyzer).
-_NODE_PROGRAM_ROOT = "NodeProgram"
+#: The root of the subclass closure every lint pass walks.
+NODE_PROGRAM_ROOT = "NodeProgram"
 
 #: Aggregating builtins whose result is O(1) words whatever the argument.
 _WORD_CALLS = frozenset(
@@ -195,16 +197,13 @@ class ClassDataflow:
 # class resolution (subclass closure + inherited method lookup)
 # ---------------------------------------------------------------------------
 
-def node_program_closure(
-    modules: Sequence[ModuleLike],
-) -> List[Tuple[ModuleLike, ast.ClassDef]]:
-    """Every (module, class) definition in the NodeProgram subclass closure.
+def inheriting(modules: Sequence[ModuleLike], names: Set[str]) -> Set[str]:
+    """``names`` plus every scanned class inheriting from one, by name.
 
-    Name-based, transitive across modules -- same resolution rule as the
-    conformance analyzer, so the two passes always agree on what counts
-    as a node program.
+    Name-based and transitive across modules: the linter must work on
+    files that cannot be imported.
     """
-    known: Set[str] = {_NODE_PROGRAM_ROOT}
+    known = set(names)
     changed = True
     while changed:
         changed = False
@@ -213,12 +212,24 @@ def node_program_closure(
                 if name not in known and bases & known:
                     known.add(name)
                     changed = True
-    out: List[Tuple[ModuleLike, ast.ClassDef]] = []
-    for info in modules:
-        for name, node in info.classes.items():
-            if name in known and name != _NODE_PROGRAM_ROOT:
-                out.append((info, node))
-    return out
+    return known
+
+
+def node_program_closure(
+    modules: Sequence[ModuleLike],
+) -> List[Tuple[ModuleLike, ast.ClassDef]]:
+    """Every (module, class) definition in the NodeProgram subclass closure.
+
+    Both the conformance analyzer and the bandwidth certifier walk this
+    list, so the two passes always agree on what counts as a node program.
+    """
+    known = inheriting(modules, {NODE_PROGRAM_ROOT})
+    return [
+        (info, node)
+        for info in modules
+        for name, node in info.classes.items()
+        if name in known and name != NODE_PROGRAM_ROOT
+    ]
 
 
 def _method_resolution(

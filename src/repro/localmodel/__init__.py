@@ -9,8 +9,9 @@
   witness of the "r rounds = radius-r knowledge" equivalence: an
   output-sensitive delta-flooding program (the default) plus the
   full-flood reference it is equivalence-tested against.
-* :mod:`repro.localmodel.rounds` -- ledgers and per-node clocks used by the
-  layered algorithms to account rounds under that equivalence.
+* :mod:`repro.localmodel.rounds` -- per-node completion clocks
+  (:class:`NodeClocks`) the layered algorithms use to account rounds
+  under that equivalence.
 * :mod:`repro.localmodel.colorreduction` -- Linial/Cole-Vishkin O(log* n)
   3-coloring of paths, both lock-step and message-passing.
 * :mod:`repro.localmodel.rulingset` -- distance-k selections on paths and
@@ -45,6 +46,10 @@
 * :mod:`repro.localmodel.chaos` -- the chaos-soak harness: seeded
   randomized fault plans fuzzed over the stock suite, failing plans
   delta-debugged to minimal deterministic repro specs (``repro chaos``).
+* :mod:`repro.localmodel.stock` -- the catalogue of the eight stock
+  programs (class, graph family, validator kind, builder) every harness
+  builds them from.  Import it directly: ``import repro.localmodel``
+  does not load it.
 """
 
 from .colorreduction import (
@@ -100,7 +105,7 @@ from .programs import (
     tree_count,
 )
 from .meter import MessageMeter, payload_bytes, payload_words
-from .rounds import NodeClocks, RoundLedger
+from .rounds import NodeClocks
 from .resilience import (
     CLASSIFICATIONS,
     DEFAULT_FAULT_GRID,
@@ -108,12 +113,12 @@ from .resilience import (
     ReliableProgram,
     ResilienceReport,
     ValidityMonitor,
-    corruption_grid,
     fault_grid,
     independent_set_validator,
     maximal_independent_set_validator,
     proper_coloring_validator,
     resilience_check,
+    run_validated,
     stock_validator,
     with_retries,
 )
@@ -187,19 +192,18 @@ __all__ = [
     "payload_bytes",
     "payload_words",
     "NodeClocks",
-    "RoundLedger",
     "CLASSIFICATIONS",
     "DEFAULT_FAULT_GRID",
     "FaultOutcome",
     "ReliableProgram",
     "ResilienceReport",
     "ValidityMonitor",
-    "corruption_grid",
     "fault_grid",
     "independent_set_validator",
     "maximal_independent_set_validator",
     "proper_coloring_validator",
     "resilience_check",
+    "run_validated",
     "stock_validator",
     "with_retries",
     "ColoringRepair",

@@ -33,7 +33,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 from ..graphs.adjacency import Graph, Vertex
 from .faults import CORRUPT_KINDS, CorruptSpec, CrashSpec, FaultPlan
 from .network import NodeProgram, SyncNetwork, vertex_key
-from .resilience import Validator
+from .resilience import Validator, run_validated
 
 __all__ = [
     "ChaosTrial",
@@ -205,16 +205,12 @@ def _evaluate(
 ) -> Tuple[Optional[str], Tuple[str, ...], Optional[str], int]:
     """Run one plan: (failure kind or None, problems, error, rounds)."""
     net = SyncNetwork(graph, factory, faults=plan)
-    error: Optional[str] = None
-    kind: Optional[str] = None
     try:
-        net.run(max_rounds=max_rounds)
-    except RuntimeError as exc:
-        kind, error = "stalled", str(exc).splitlines()[0]
+        _outputs, error, problems = run_validated(net, validator, max_rounds)
+        kind = None if error is None else "stalled"
     except Exception as exc:  # noqa: BLE001 - a fuzz harness records, never hides
         kind, error = "error", f"{type(exc).__name__}: {exc}"
-    final = {v: p.output for v, p in net.programs.items()}
-    problems = tuple(validator(graph, final))
+        problems = tuple(validator(graph, net.outputs()))
     if problems:
         kind = "invalid"  # silently-wrong trumps loud failures
     return kind, problems, error, net.stats.rounds

@@ -67,8 +67,8 @@ __all__ = [
     "FaultOutcome",
     "ResilienceReport",
     "resilience_check",
+    "run_validated",
     "fault_grid",
-    "corruption_grid",
     "DEFAULT_FAULT_GRID",
     "proper_coloring_validator",
     "independent_set_validator",
@@ -536,47 +536,14 @@ def fault_grid(
     drop_rates: Sequence[float] = (0.05, 0.15, 0.3),
     seeds: Sequence[int] = (1, 2),
     burst: Optional[Tuple[int, int]] = (2, 4),
-    extra: Sequence[FaultPlan] = (),
 ) -> Tuple[FaultPlan, ...]:
-    """The default sweep grid: Bernoulli drops crossed with seeds + a burst.
-
-    ``extra`` appends arbitrary additional plans -- the pluggability hook
-    that lets corruption plans (:func:`corruption_grid`) or any
-    hand-built :class:`~repro.localmodel.faults.FaultPlan` join the same
-    classifier loop without copy-pasting it.
-    """
+    """The default sweep grid: Bernoulli drops crossed with seeds + a burst."""
     plans = [
         FaultPlan(seed=seed, drop=rate) for rate in drop_rates for seed in seeds
     ]
     if burst is not None:
         plans.append(FaultPlan(bursts=(burst,)))
-    plans.extend(extra)
     return tuple(plans)
-
-
-def corruption_grid(
-    victims: Sequence[Vertex],
-    rounds: Sequence[int],
-    kinds: Sequence[str] = ("color", "mis", "ball", "scramble"),
-    seed: int = 1,
-) -> Tuple[FaultPlan, ...]:
-    """Single-corruption plans: one per (victim, round, kind) combination.
-
-    Each plan injects exactly one transient :class:`~repro.localmodel
-    .faults.CorruptSpec`, which is the granularity the stabilization
-    table classifies at (one corrupted node, measured recovery).  Feed
-    the result to :func:`resilience_check` directly, or through
-    ``fault_grid(..., extra=...)`` to mix corruption into a channel
-    sweep.
-    """
-    from .faults import CorruptSpec
-
-    return tuple(
-        FaultPlan(seed=seed, corrupts=(CorruptSpec(v, r, kind),))
-        for v in victims
-        for r in rounds
-        for kind in kinds
-    )
 
 
 #: The grid ``repro faults --sweep`` and the F7 experiment run by default.
@@ -621,28 +588,25 @@ class ResilienceReport:
         return max(completed) if completed else None
 
 
-def _run_once(
-    graph: Graph,
-    factory: Callable[[Vertex, List[Vertex]], NodeProgram],
-    faults: Optional[FaultPlan],
-    max_rounds: int,
-    recovery: str = "intact",
-    checkpoint_every: Optional[int] = None,
-) -> Tuple[SyncNetwork, Optional[Dict[Vertex, Any]], Optional[str]]:
-    net = SyncNetwork(
-        graph,
-        factory,
-        faults=faults,
-        recovery=recovery,
-        checkpoint_every=checkpoint_every,
-    )
+def run_validated(
+    network: SyncNetwork, validator: Validator, max_rounds: int
+) -> Tuple[Optional[Dict[Vertex, Any]], Optional[str], Tuple[str, ...]]:
+    """Run an already-built network and validate its final outputs.
+
+    Returns ``(outputs, error, problems)``.  A run that starves or
+    exhausts ``max_rounds`` is a *loud* failure, not a silently wrong
+    answer: ``outputs`` is then ``None`` and ``error`` the first line of
+    the ``RuntimeError``.  ``problems`` are the validator's findings on
+    the final, possibly partial, outputs.  Callers build the network
+    themselves, so monitors and sinks can be attached first.
+    """
+    outputs: Optional[Dict[Vertex, Any]] = None
+    error: Optional[str] = None
     try:
-        outputs = net.run(max_rounds=max_rounds)
+        outputs = network.run(max_rounds=max_rounds)
     except RuntimeError as exc:
-        # starvation or budget exhaustion: a *loud* failure, not a
-        # silently wrong answer -- the partial outputs still get validated
-        return net, None, str(exc).splitlines()[0]
-    return net, outputs, None
+        error = str(exc).splitlines()[0]
+    return outputs, error, tuple(validator(network.graph, network.outputs()))
 
 
 def resilience_check(
@@ -651,8 +615,6 @@ def resilience_check(
     validator: Validator,
     grid: Sequence[FaultPlan] = DEFAULT_FAULT_GRID,
     max_rounds: int = 10_000,
-    recovery: str = "intact",
-    checkpoint_every: Optional[int] = None,
 ) -> ResilienceReport:
     """Run one program across a grid of fault plans and classify it.
 
@@ -663,33 +625,23 @@ def resilience_check(
     the one unforgivable outcome is an *invalid* output, which makes the
     whole program ``unsafe``.  Analogous to
     :func:`~repro.localmodel.shadow.shadow_check`, and like it requires
-    a re-constructible program factory.
-
-    ``grid`` is fully pluggable: any sequence of plans works, including
-    corruption plans from :func:`corruption_grid` or a mixed grid from
-    ``fault_grid(..., extra=...)``.  ``recovery``/``checkpoint_every``
-    pass through to every faulty :class:`~repro.localmodel.network
-    .SyncNetwork` (the baseline always runs fault-free with defaults).
+    a re-constructible program factory.  ``grid`` is any sequence of
+    plans, corruption plans included.
     """
-    base_net, baseline, error = _run_once(graph, program_factory, None, max_rounds)
-    if error is not None or baseline is None:
+    base_net = SyncNetwork(graph, program_factory)
+    try:
+        baseline = base_net.run(max_rounds=max_rounds)
+    except RuntimeError as exc:
         raise RuntimeError(
-            f"baseline (fault-free) run did not complete: {error}"
-        )
+            "baseline (fault-free) run did not complete: "
+            f"{str(exc).splitlines()[0]}"
+        ) from None
     baseline_rounds = base_net.stats.rounds
 
     report = ResilienceReport(baseline_rounds=baseline_rounds)
     for plan in grid:
-        net, outputs, error = _run_once(
-            graph,
-            program_factory,
-            plan,
-            max_rounds,
-            recovery=recovery,
-            checkpoint_every=checkpoint_every,
-        )
-        tentative = {v: p.output for v, p in net.programs.items()}
-        problems = validator(graph, tentative)
+        net = SyncNetwork(graph, program_factory, faults=plan)
+        outputs, error, problems = run_validated(net, validator, max_rounds)
         complete = outputs is not None
         report.outcomes.append(
             FaultOutcome(
@@ -700,7 +652,7 @@ def resilience_check(
                 rounds=net.stats.rounds,
                 extra_rounds=net.stats.rounds - baseline_rounds,
                 injected=net.fault_summary() or {},
-                problems=tuple(problems),
+                problems=problems,
                 error=error,
             )
         )

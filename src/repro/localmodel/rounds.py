@@ -5,15 +5,12 @@ radius-Theta(k) balls from every node in every peeling iteration -- faithful
 but quadratically wasteful.  The standard LOCAL-model equivalence (r rounds
 of unbounded messages = knowledge of the radius-r ball, demonstrated
 executably by :mod:`repro.localmodel.gather` and its tests) lets the
-algorithm implementations instead *charge* rounds to a ledger whenever they
-consume non-local information:
-
-* ``charge(label, rounds)`` for a lock-step phase all nodes perform
-  together (e.g. one peeling iteration's ball collection);
-* per-node *completion clocks* for the asynchronous phases of Algorithm 2,
-  where layers finish pruning at different times and the color correction
-  waits on parents (Lemma 12's induction is exactly a recurrence over these
-  clocks; :class:`NodeClocks` evaluates it).
+algorithm implementations instead *account* the rounds they would spend
+whenever they consume non-local information.  The Algorithm 2 and
+Theorem 8 drivers do so with per-node *completion clocks*: layers finish
+pruning at different times and the color correction waits on parents
+(Lemma 12's induction is exactly a recurrence over these clocks;
+:class:`NodeClocks` evaluates it).
 
 The reported totals are what the paper's analysis counts: the number of
 synchronous communication rounds until the last node terminates.
@@ -21,39 +18,9 @@ synchronous communication rounds until the last node terminates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Hashable, Iterable, List, Optional, Tuple
+from typing import Dict, Hashable, Iterable
 
-__all__ = ["RoundLedger", "NodeClocks"]
-
-
-@dataclass
-class RoundLedger:
-    """Labeled, ordered round charges for lock-step phases."""
-
-    charges: List[Tuple[str, int]] = field(default_factory=list)
-
-    def charge(self, label: str, rounds: int) -> None:
-        """Append a labeled, non-negative round charge."""
-        if rounds < 0:
-            raise ValueError("cannot charge negative rounds")
-        self.charges.append((label, rounds))
-
-    def total(self) -> int:
-        """Sum of all charges."""
-        return sum(r for _, r in self.charges)
-
-    def by_label(self) -> Dict[str, int]:
-        """Charges aggregated per label, insertion-ordered."""
-        out: Dict[str, int] = {}
-        for label, rounds in self.charges:
-            out[label] = out.get(label, 0) + rounds
-        return out
-
-    def merge(self, other: "RoundLedger", prefix: str = "") -> None:
-        """Append another ledger's charges, labels prefixed by ``prefix``."""
-        for label, rounds in other.charges:
-            self.charge(prefix + label, rounds)
+__all__ = ["NodeClocks"]
 
 
 class NodeClocks:

@@ -49,7 +49,7 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 from ..graphs.adjacency import Graph, Vertex
 from .faults import FaultPlan
 from .network import NodeContext, NodeProgram, SyncNetwork, vertex_key
-from .resilience import Validator, ValidityMonitor
+from .resilience import Validator, ValidityMonitor, run_validated
 
 __all__ = [
     "RepairPolicy",
@@ -434,8 +434,6 @@ def stabilization_run(
     validator: Validator,
     faults: FaultPlan,
     max_rounds: int = 4_000,
-    recovery: str = "intact",
-    checkpoint_every: Optional[int] = None,
 ) -> StabilizationReport:
     """Run one factory under one fault plan with validity monitoring.
 
@@ -449,23 +447,10 @@ def stabilization_run(
     baseline = base_net.run(max_rounds=max_rounds)
     baseline_rounds = base_net.stats.rounds
 
-    net = SyncNetwork(
-        graph,
-        program_factory,
-        faults=faults,
-        recovery=recovery,
-        checkpoint_every=checkpoint_every,
-    )
+    net = SyncNetwork(graph, program_factory, faults=faults)
     monitor = ValidityMonitor(net, validator)
     net.add_sink(monitor)
-    error: Optional[str] = None
-    outputs: Optional[Dict[Vertex, Any]] = None
-    try:
-        outputs = net.run(max_rounds=max_rounds)
-    except RuntimeError as exc:
-        error = str(exc).splitlines()[0]
-    final = {v: p.output for v, p in net.programs.items()}
-    problems = validator(graph, final)
+    outputs, error, problems = run_validated(net, validator, max_rounds)
     valid = not problems
     complete = outputs is not None
     if not valid:
@@ -492,6 +477,6 @@ def stabilization_run(
             if isinstance(p, RepairableProgram)
         ),
         injected=net.fault_summary() or {},
-        problems=tuple(problems),
+        problems=problems,
         error=error,
     )

@@ -297,19 +297,15 @@ def k2_cell(
     against the BFS ground truth.  Wall-clock comparisons live in
     ``BENCH_network.json``.
     """
-    from ..graphs.index import graph_index
-    from ..localmodel import DeltaGatherProgram, SyncNetwork, gather_balls
+    from ..localmodel import SyncNetwork, gather_balls
+    from ..localmodel.stock import STOCK
 
     if path not in ("node", "batch"):
         raise ValueError(f"unknown K2 path {path!r}")
     g, cache_hit = _cached_graph(family, n, seed)
 
     if path == "node":
-        index = graph_index(g)
-
-        def factory(v, nbrs):
-            return DeltaGatherProgram(v, nbrs, radius, None, index)
-
+        factory, _validator = STOCK["gather-delta"].build(g, radius=radius)
         net = SyncNetwork(g, factory)
         balls = net.run(max_rounds=radius + 1)
         stats = net.stats
@@ -481,75 +477,6 @@ def figure_cell(figure: str) -> List[Dict[str, Any]]:
     return checks
 
 
-def _c1_instance(program: str, n: int, seed: int):
-    """(class, graph, factory) for one named stock program at size n.
-
-    The graph family per program matches the ``--sanitize`` suite of
-    :mod:`repro.lint.cli`: the ball-structured programs run on chordal
-    instances, the path/cycle specialists on their native topology.
-    """
-    import random
-
-    from ..baselines.coloring_baselines import RandomizedColoringProgram
-    from ..baselines.luby import LubyMISProgram
-    from ..graphs import cycle_graph, path_graph, random_chordal_graph
-    from ..localmodel import (
-        BallGatherProgram,
-        BFSLayerProgram,
-        EchoCountProgram,
-        LeaderElectionProgram,
-        LinialPathProgram,
-        vertex_key,
-    )
-
-    if program in ("bfs", "leader", "luby", "coloring"):
-        g = random_chordal_graph(n, seed=seed, tree_size=n)
-    elif program == "gather":
-        g = cycle_graph(n)
-    else:
-        g = path_graph(n)
-
-    def seeded(cls, *extra):
-        master = random.Random(seed * 1_000_003 + 13)
-        seeds = {v: master.randrange(2**62) for v in g.vertices()}
-        return lambda v, nbrs: cls(v, nbrs, *extra, random.Random(seeds[v]))
-
-    if program == "bfs":
-        # a max-degree root: the generator may leave low-id vertices
-        # isolated, and a silent BFS measures nothing
-        root = min(
-            g.vertices(),
-            key=lambda v: (-len(list(g.neighbors_view(v))), vertex_key(v)),
-        )
-        return BFSLayerProgram, g, (
-            lambda v, nbrs: BFSLayerProgram(v, nbrs, root, n + 1)
-        )
-    if program == "leader":
-        return LeaderElectionProgram, g, (
-            lambda v, nbrs: LeaderElectionProgram(v, nbrs, n + 1)
-        )
-    if program == "echo":
-        return EchoCountProgram, g, (lambda v, nbrs: EchoCountProgram(v, nbrs, 0))
-    if program == "gather":
-        # radius scales with n so the `ball` class visibly grows while
-        # every `const` program stays flat
-        radius = max(2, n // 8)
-        return BallGatherProgram, g, (
-            lambda v, nbrs: BallGatherProgram(v, nbrs, radius, ("s", v))
-        )
-    if program == "linial":
-        return LinialPathProgram, g, (
-            lambda v, nbrs: LinialPathProgram(v, nbrs, id_bound=n)
-        )
-    if program == "luby":
-        return LubyMISProgram, g, seeded(LubyMISProgram)
-    if program == "coloring":
-        return RandomizedColoringProgram, g, seeded(
-            RandomizedColoringProgram, g.max_degree() + 1
-        )
-    raise ValueError(f"unknown C1 program {program!r}")
-
-
 def c1_cell(program: str, n: int, seed: int) -> Dict[str, Any]:
     """C1: one metered run of a stock program vs its static certificate.
 
@@ -565,8 +492,10 @@ def c1_cell(program: str, n: int, seed: int) -> Dict[str, Any]:
 
     from ..lint import certificates_for_modules, load_modules
     from ..localmodel import MessageMeter, SyncNetwork
+    from ..localmodel.stock import STOCK, sized_instance
 
-    cls, g, factory = _c1_instance(program, n, seed)
+    g, factory, _validator = sized_instance(program, n, seed)
+    cls = STOCK[program].cls
     meter = MessageMeter()
     net = SyncNetwork(g, factory, sinks=[meter])
     net.run(max_rounds=4 * n + 8)
@@ -692,33 +621,16 @@ def f7_cell(program: str, drop: float, retry: bool, n: int, seed: int) -> Dict[s
     """F7: resilience of one stock program at one Bernoulli drop rate.
 
     Runs :func:`~repro.localmodel.resilience.resilience_check` on the
-    same program/graph pairing as C1 (``_c1_instance``) against three
+    same stock instance as C1 (``sized_instance``) against three
     seeded fault plans at ``drop``, optionally wrapping the program in
     the :class:`~repro.localmodel.resilience.ReliableProgram` retry/ack
     envelope.  Returns the classification plus the validity/recovery
     accounting the F7 table pins.
     """
-    from ..localmodel import (
-        fault_grid,
-        resilience_check,
-        stock_validator,
-        vertex_key,
-        with_retries,
-    )
+    from ..localmodel import fault_grid, resilience_check, with_retries
+    from ..localmodel.stock import sized_instance
 
-    _cls, g, factory = _c1_instance(program, n, seed)
-    kind = {
-        "bfs": "bfs", "leader": "leader", "echo": "echo", "gather": "gather",
-        "luby": "mis", "coloring": "coloring", "linial": "coloring",
-    }[program]
-    root = None
-    if kind == "bfs":
-        # must match the root _c1_instance wired into the program
-        root = min(
-            g.vertices(),
-            key=lambda v: (-len(list(g.neighbors_view(v))), vertex_key(v)),
-        )
-    validator = stock_validator(kind, g, root=root)
+    g, factory, validator = sized_instance(program, n, seed)
     if retry:
         factory = with_retries(factory)
     report = resilience_check(
@@ -760,9 +672,10 @@ def _s1_instance(program: str, n: int, seed: int, repaired: bool):
         proper_coloring_validator,
         repairable,
     )
+    from ..localmodel.stock import sized_instance
 
     inner_name = "coloring" if program == "coloring" else "luby"
-    _cls, g, inner = _c1_instance(inner_name, n, seed)
+    g, inner, _validator = sized_instance(inner_name, n, seed)
     if program == "coloring":
         validator = proper_coloring_validator
         palette = g.max_degree() + 1
@@ -866,21 +779,10 @@ def s1_chaos_cell(program: str, trials: int, seed: int, n: int) -> Dict[str, Any
     reproduces (``all_reproduce``), which is what makes chaos findings
     actionable.
     """
-    from ..localmodel import stock_validator, vertex_key
     from ..localmodel.chaos import chaos_soak
+    from ..localmodel.stock import sized_instance
 
-    _cls, g, factory = _c1_instance(program, n, seed)
-    kind = {
-        "bfs": "bfs", "leader": "leader", "echo": "echo", "gather": "gather",
-        "luby": "mis", "coloring": "coloring", "linial": "coloring",
-    }[program]
-    root = None
-    if kind == "bfs":
-        root = min(
-            g.vertices(),
-            key=lambda v: (-len(list(g.neighbors_view(v))), vertex_key(v)),
-        )
-    validator = stock_validator(kind, g, root=root)
+    g, factory, validator = sized_instance(program, n, seed)
     report = chaos_soak(
         [(program, g, factory, validator)],
         trials=trials,

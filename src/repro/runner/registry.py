@@ -27,6 +27,7 @@ from itertools import groupby
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..analysis.tables import format_table
+from ..localmodel.stock import QUICK_PROGRAMS
 from .cells import GRAPH_FAMILIES
 
 __all__ = [
@@ -71,7 +72,6 @@ class Experiment:
     deps: Tuple[str, ...]
     plan: Callable[..., List[CellSpec]]
     render: Callable[[List[CellSpec], List[Any]], str]
-    defaults: Dict[str, Any] = field(default_factory=dict)
 
 
 # --------------------------------------------------------------------------
@@ -214,14 +214,10 @@ def _plan_f7(programs=F7_PROGRAMS, drops=(0.1, 0.3), n=16, seed=0):
 #: the S1 stabilization matrix: repaired vs plain under state corruption
 S1_PROGRAMS = ("coloring", "mis")
 
-#: the S1 chaos-soak programs: one per output invariant class
-S1_CHAOS_PROGRAMS = ("bfs", "coloring", "luby")
-
-
 def _plan_s1(
     programs=S1_PROGRAMS,
     kinds=("flip", "scramble"),
-    chaos_programs=S1_CHAOS_PROGRAMS,
+    chaos_programs=QUICK_PROGRAMS,
     trials=8,
     n=14,
     seed=0,
@@ -790,7 +786,6 @@ REGISTRY: Dict[str, Experiment] = {
             ("repro.coloring",) + _GENERATOR_DEPS,
             _plan_t3,
             _render_t3,
-            {"eps_values": (1.0, 0.5, 0.25), "n": 150, "seeds": (0, 1, 2)},
         ),
         Experiment(
             "T4",
@@ -798,7 +793,6 @@ REGISTRY: Dict[str, Experiment] = {
             ("repro.coloring", "repro.localmodel") + _GENERATOR_DEPS,
             _plan_t4,
             _render_t4,
-            {"ns": (100, 200, 400, 800), "eps_values": (2.0, 1.0, 0.5, 0.25)},
         ),
         Experiment(
             "T5/T6",
@@ -806,7 +800,6 @@ REGISTRY: Dict[str, Experiment] = {
             ("repro.mis",) + _GENERATOR_DEPS,
             _plan_t56,
             _render_t56,
-            {"eps_values": (0.8, 0.4, 0.2), "n": 300, "seeds": (0, 1, 2)},
         ),
         Experiment(
             "T7/T8",
@@ -814,7 +807,6 @@ REGISTRY: Dict[str, Experiment] = {
             ("repro.mis",) + _GENERATOR_DEPS,
             _plan_t78,
             _render_t78,
-            {"eps_values": (0.45, 0.3, 0.2), "n": 150, "seeds": (0, 1)},
         ),
         Experiment(
             "T9",
@@ -822,7 +814,6 @@ REGISTRY: Dict[str, Experiment] = {
             ("repro.lowerbounds",),
             _plan_t9,
             _render_t9,
-            {"r_values": (4, 8, 16, 32, 64), "n": 4000, "trials": 8},
         ),
         Experiment(
             "L6",
@@ -830,7 +821,6 @@ REGISTRY: Dict[str, Experiment] = {
             ("repro.coloring.prune",) + _GENERATOR_DEPS,
             _plan_l6,
             _render_l6,
-            {"ns": (50, 100, 200, 400, 800), "family": "chordal"},
         ),
         Experiment(
             "B1",
@@ -838,7 +828,6 @@ REGISTRY: Dict[str, Experiment] = {
             ("repro.baselines", "repro.coloring", "repro.mis") + _GENERATOR_DEPS,
             _plan_b1,
             _render_b1,
-            {"n": 200, "seeds": (0, 1, 2)},
         ),
         Experiment(
             "F1-F6",
@@ -846,7 +835,6 @@ REGISTRY: Dict[str, Experiment] = {
             ("repro.cliquetree", "repro.graphs.examples"),
             _plan_figures,
             _render_figures,
-            {"figures": ("F1", "F2", "F3/F4", "F5/F6")},
         ),
         Experiment(
             "X1",
@@ -854,7 +842,6 @@ REGISTRY: Dict[str, Experiment] = {
             ("repro.extensions.k_chordal",),
             _plan_x1,
             _render_x1,
-            {"handle_lengths": (3, 5, 7, 9), "n": 20, "handles": 3},
         ),
         Experiment(
             "A1-A3",
@@ -866,7 +853,6 @@ REGISTRY: Dict[str, Experiment] = {
             ) + _GENERATOR_DEPS,
             _plan_a13,
             _render_a13,
-            {"multipliers": (0.25, 0.5, 1.0, 2.0), "chi_values": (4, 16, 64)},
         ),
         Experiment(
             "K1",
@@ -874,20 +860,19 @@ REGISTRY: Dict[str, Experiment] = {
             ("repro.graphs", "repro.coloring.prune", "repro.coloring.greedy"),
             _plan_k1,
             _render_k1,
-            {"ns": (10000, 30000, 100000), "threshold": 12},
         ),
         Experiment(
             "C1",
             "CONGEST readiness: metered payload words vs static certificate",
             (
                 "repro.localmodel",
+                "repro.localmodel.stock",
                 "repro.lint",
                 "repro.baselines",
                 "repro.graphs.generators",
             ),
             _plan_c1,
             _render_c1,
-            {"programs": C1_PROGRAMS, "ns": (16, 32, 64)},
         ),
         Experiment(
             "D1",
@@ -900,56 +885,37 @@ REGISTRY: Dict[str, Experiment] = {
             ),
             _plan_d1,
             _render_d1,
-            {
-                "pipelines": D1_PIPELINES,
-                "path_ns": (2000, 20000),
-                "interval_ns": (500, 2000),
-                "chordal_ns": (200, 500),
-                "sample": 64,
-            },
         ),
         Experiment(
             "K2",
             "Batch executor: whole-round kernel gathering at large n",
-            ("repro.localmodel", "repro.graphs"),
+            ("repro.localmodel", "repro.localmodel.stock", "repro.graphs"),
             _plan_k2,
             _render_k2,
-            {
-                "pairs": K2_PAIR_CELLS,
-                "large": K2_LARGE_CELLS,
-                "paths": ("node", "batch"),
-                "sample": 32,
-            },
         ),
         Experiment(
             "F7",
             "Fault resilience: classification and recovery vs drop rate",
             (
                 "repro.localmodel",
+                "repro.localmodel.stock",
                 "repro.baselines",
                 "repro.graphs.generators",
             ),
             _plan_f7,
             _render_f7,
-            {"programs": F7_PROGRAMS, "drops": (0.1, 0.3), "n": 16},
         ),
         Experiment(
             "S1",
             "Self-stabilization: repair under state corruption + chaos soak",
             (
                 "repro.localmodel",
+                "repro.localmodel.stock",
                 "repro.baselines",
                 "repro.graphs.generators",
             ),
             _plan_s1,
             _render_s1,
-            {
-                "programs": S1_PROGRAMS,
-                "kinds": ("flip", "scramble"),
-                "chaos_programs": S1_CHAOS_PROGRAMS,
-                "trials": 8,
-                "n": 14,
-            },
         ),
     ]
 }

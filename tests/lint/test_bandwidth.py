@@ -15,8 +15,8 @@ import pytest
 
 from repro.graphs import cycle_graph, path_graph
 from repro.lint import CLASS_ORDER, certificates_for_modules, load_modules
-from repro.lint.cli import _sanitize_suite
 from repro.localmodel import MessageMeter, SyncNetwork, shadow_check
+from repro.localmodel.stock import stock_suite
 
 from .conftest import BANDWIDTH_CHEATERS
 from .fixtures.bandwidth_programs import (
@@ -110,7 +110,7 @@ class TestShadowChecker:
             assert shadow_check(cycle_graph(8), cls).deterministic, cls.__name__
 
     def test_every_shipped_program_is_deterministic(self):
-        for name, graph, factory in _sanitize_suite():
+        for name, graph, factory, _validator in stock_suite():
             report = shadow_check(graph, factory)
             assert report.deterministic, (name, report.divergences)
 

@@ -1,31 +1,8 @@
-"""Round ledgers and per-node completion clocks."""
+"""Per-node completion clocks."""
 
 import pytest
 
-from repro.localmodel import NodeClocks, RoundLedger
-
-
-class TestRoundLedger:
-    def test_charges_accumulate(self):
-        ledger = RoundLedger()
-        ledger.charge("collect", 10)
-        ledger.charge("color", 5)
-        ledger.charge("collect", 10)
-        assert ledger.total() == 25
-        assert ledger.by_label() == {"collect": 20, "color": 5}
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            RoundLedger().charge("x", -1)
-
-    def test_merge_with_prefix(self):
-        a, b = RoundLedger(), RoundLedger()
-        b.charge("phase", 7)
-        a.merge(b, prefix="layer1/")
-        assert a.by_label() == {"layer1/phase": 7}
-
-    def test_empty_total(self):
-        assert RoundLedger().total() == 0
+from repro.localmodel import NodeClocks
 
 
 class TestNodeClocks:

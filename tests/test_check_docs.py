@@ -179,6 +179,24 @@ class TestCheck:
         assert "names the retired 'LinialPathKernel'" not in text
         assert "docs/executor.md: 'BatchExecutor' is never mentioned" not in text
 
+    def test_retired_stock_terms_are_flagged(self, broken_root):
+        docs = broken_root / "docs"
+        docs.mkdir()
+        (docs / "faults.md").write_text(
+            "mix plans with corruption_grid; kinds from FAULT_VALIDATORS\n"
+        )
+        (docs / "lint.md").write_text("the `_sanitize_suite` programs\n")
+        (docs / "architecture.md").write_text("| `rounds` | RoundLedger |\n")
+        (broken_root / "EXPERIMENTS.md").write_text("## C1 — see _c1_instance\n")
+        text = "\n".join(check_docs.check(broken_root))
+        assert "docs/faults.md: names the retired 'corruption_grid'" in text
+        assert "docs/faults.md: names the retired 'FAULT_VALIDATORS'" in text
+        assert "docs/lint.md: names the retired '_sanitize_suite'" in text
+        assert "docs/architecture.md: names the retired 'RoundLedger'" in text
+        assert "EXPERIMENTS.md: names the retired '_c1_instance'" in text
+        assert "README.md: names the retired" not in text
+        assert "(repro.localmodel.stock is the one catalogue)" in text
+
     def test_gather_doc_must_name_the_subtree_table(self, broken_root):
         docs = broken_root / "docs"
         docs.mkdir()

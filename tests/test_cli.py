@@ -11,6 +11,7 @@ import pytest
 
 from repro.cli import main
 from repro.graphs import cycle_graph, to_edge_list
+from repro.localmodel.stock import stock_suite
 from tests.oracles import scheduling
 
 
@@ -465,6 +466,14 @@ class TestFaultsCommand:
         assert code == 1
         assert "output validity: VIOLATED" in out
 
+    @pytest.mark.parametrize("program", [name for name, *_ in stock_suite()])
+    def test_stock_replay_runs_every_soaked_program(self, program):
+        # `repro chaos` soaks the stock suite and prints a `repro faults
+        # --stock --program NAME` replay line for each failure it finds
+        code, out = run_cli(["faults", "--stock", "--program", program, "--plan", ""])
+        assert code == 0
+        assert "output validity: OK" in out
+
     def test_stock_checkpoint_recovery_flags(self):
         code, out = run_cli(
             ["faults", "--stock", "--program", "bfs",
@@ -559,6 +568,10 @@ CONTRACT = [
     (["trace", "{graph}", "--program", "gather", "--radius", "-3"],
      "repro trace: --radius"),
     (["chaos", "--trials", "0"], "repro chaos: --trials"),
+    (["trace", "{graph}", "--program", "linial"],
+     "repro trace: LinialPathProgram requires maximum degree 2"),
+    (["faults", "{graph}", "--program", "linial"],
+     "repro faults: LinialPathProgram requires maximum degree 2"),
     (["faults", "--stock", "--program", "bfs", "--recovery", "checkpoint",
       "--checkpoint-every", "0"], "repro faults: checkpoint_every"),
     (["color", "{c4}"], "repro color: input graph is not chordal"),

@@ -55,6 +55,9 @@ instructions can never silently rot:
 * no page names the retired layer-only peeling
   (:data:`RETIRED_PEELING_TERMS`): ``peel_chordal_graph`` is the one
   peeling;
+* no page names a retired stock-program inventory or harness helper
+  (:data:`RETIRED_STOCK_TERMS`): ``repro.localmodel.stock`` is the one
+  catalogue;
 * ``docs/executor.md`` says the gather kernel runs on "vertex facts",
   and no docs page describes the retired "fact-id" space;
 * ``docs/index.md`` holds the table of accepted epsilon ranges
@@ -99,6 +102,17 @@ RETIRED_PEELING_TERMS = (
     "peeling_layers",
     "PeelingLayers",
     "_RestrictedBFS",
+)
+
+
+#: per-harness inventories of the stock programs and harness helpers with
+#: no caller; ``repro.localmodel.stock`` is the one catalogue
+RETIRED_STOCK_TERMS = (
+    "corruption_grid",
+    "RoundLedger",
+    "FAULT_VALIDATORS",
+    "_c1_instance",
+    "_sanitize_suite",
 )
 
 
@@ -495,6 +509,12 @@ def check(root: Path) -> List[str]:
                 problems.append(
                     f"{page.relative_to(root)}: names the retired "
                     f"{retired!r} (gather_balls dispatches itself)"
+                )
+        for retired in RETIRED_STOCK_TERMS:
+            if retired in text:
+                problems.append(
+                    f"{page.relative_to(root)}: names the retired "
+                    f"{retired!r} (repro.localmodel.stock is the one catalogue)"
                 )
 
     return problems
