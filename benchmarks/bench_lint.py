@@ -10,7 +10,9 @@ meter's runtime overhead, and the acceptance facts CI asserts with
 * every stock program's certificate matches the pinned class table;
 * the shadow suite passes every stock program and still catches the
   planted order-dependent fixture;
-* metering a run costs less than a fixed multiple of the bare run.
+* metering a run costs less than a fixed multiple of the bare run;
+* the committed ``BENCH_lint.json`` describes this tree: its
+  ``static.modules`` equals the live scan's module count.
 
 Like ``bench_kernels.py`` this is a standalone script, not a
 pytest-benchmark module, because its artifact is the committed JSON:
@@ -19,13 +21,17 @@ pytest-benchmark module, because its artifact is the committed JSON:
     PYTHONPATH=src python benchmarks/bench_lint.py --quick --check  # CI smoke
 
 ``--quick`` shrinks the shadow suite to one seed and skips the repeated
-timing passes.
+timing passes.  The JSON records the machine's CPU count and the Python
+version, so runs from different machines are not compared as if they
+were one.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
+import platform
 import sys
 import time
 from pathlib import Path
@@ -48,6 +54,9 @@ EXPECTED_CLASSES = {
     "LubyMISProgram": ("const", None),
     "RandomizedColoringProgram": ("const", None),
 }
+
+#: how to regenerate the committed file when it no longer describes the tree
+REGENERATE = "PYTHONPATH=src python benchmarks/bench_lint.py"
 
 #: metering must cost less than this per message (the sink serializes
 #: every payload, so the bound is absolute per-message, not a ratio
@@ -178,11 +187,28 @@ def run(quick: bool) -> dict:
     return {
         "benchmark": "repro.lint",
         "quick": quick,
+        "cpu_count": os.cpu_count(),
+        "python": platform.python_version(),
         "rows": rows,
         "static": static,
         "sanitize": sanitize,
         "meter": meter,
     }
+
+
+def committed_module_problem(scanned: int, path: Path = OUT_PATH) -> Optional[str]:
+    """Why the committed file at ``path`` does not describe a tree of
+    ``scanned`` modules, or None when its ``static.modules`` matches."""
+    try:
+        committed = json.loads(path.read_text())["static"]["modules"]
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        return f"{path.name} is unreadable ({exc!r}); regenerate it with `{REGENERATE}`"
+    if committed != scanned:
+        return (
+            f"{path.name} records {committed} modules but the live scan found "
+            f"{scanned}; regenerate it with `{REGENERATE}`"
+        )
+    return None
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -209,6 +235,9 @@ def main(argv: Optional[List[str]] = None) -> int:
             problems.append("certificate table drifted from the pinned classes")
         if not static["planted_fixture_is_unbounded"]:
             problems.append("EndlessFloodProgram no longer certifies unbounded")
+        stale = committed_module_problem(static["modules"])
+        if stale is not None:
+            problems.append(stale)
         sanitize = payload["sanitize"]
         if sanitize["false_positives"]:
             problems.append(

@@ -101,7 +101,7 @@ class RandomizedColoringProgram(NodeProgram):
 
 
 def distributed_delta_plus_one(
-    graph: Graph, seed: int = 0, sealed: bool = False
+    graph: Graph, seed: int = 0
 ) -> Tuple[Dict[Vertex, Color], int]:
     """Randomized distributed (Delta + 1)-coloring; returns (coloring, rounds)."""
     palette_size = graph.max_degree() + 1
@@ -112,7 +112,6 @@ def distributed_delta_plus_one(
         lambda v, nbrs: RandomizedColoringProgram(
             v, nbrs, palette_size, random.Random(seeds[v])
         ),
-        sealed=sealed,
     )
     outputs = net.run(max_rounds=80 * (len(graph).bit_length() + 2) + 30)
     return outputs, net.stats.rounds

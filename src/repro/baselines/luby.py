@@ -85,16 +85,12 @@ class LubyMISProgram(NodeProgram):
         return {}
 
 
-def luby_mis(
-    graph: Graph, seed: int = 0, sealed: bool = False
-) -> Tuple[Set[Vertex], int]:
+def luby_mis(graph: Graph, seed: int = 0) -> Tuple[Set[Vertex], int]:
     """Run Luby's MIS; returns (independent set, communication rounds)."""
     master = random.Random(seed)
     seeds = {v: master.randrange(2**62) for v in graph.vertices()}
     net = SyncNetwork(
-        graph,
-        lambda v, nbrs: LubyMISProgram(v, nbrs, random.Random(seeds[v])),
-        sealed=sealed,
+        graph, lambda v, nbrs: LubyMISProgram(v, nbrs, random.Random(seeds[v]))
     )
     outputs = net.run(max_rounds=50 * (len(graph).bit_length() + 2) + 20)
     chosen = {v for v, joined in outputs.items() if joined}

@@ -15,11 +15,13 @@ Commands:
 * ``trace GRAPH``      -- run a stock message-passing program with trace
   sinks attached: per-round metrics, an optional ``--timeline``, and
   ``--jsonl`` export (schema in docs/tracing.md); ``--faults SPEC``
-  attaches a fault plan (grammar in docs/faults.md).  Sinks observe
-  every message, so a trace always steps node by node (docs/executor.md)
+  attaches a fault plan (grammar in docs/faults.md) and ``--sealed``
+  seals the contexts.  All three are options of the one ``SyncNetwork``
+  the trace steps node by node (docs/gather.md)
 * ``faults``           -- fault-injection front-end: a single run under a
   ``--plan`` with validity monitoring (``--stock`` replays a plan on a
-  program's generated sweep graph), or ``--sweep`` to classify every
+  program's fixed stock-suite instance, so it takes no ``--root``,
+  ``--radius`` or ``--seed``), or ``--sweep`` to classify every
   stock program as self-healing / degraded-but-valid / unsafe
 * ``chaos``            -- chaos soak: N seeded randomized fault plans
   (channel + state corruption) against the stock suite, every failure
@@ -33,7 +35,8 @@ the completion).
 
 Bad input (an unreadable, malformed or, without ``--triangulate``,
 non-chordal ``GRAPH``; a missing one; an out-of-range option; a bad
-``--plan`` / ``--faults`` spec; an unknown ``--programs`` name) exits 2
+``--plan`` / ``--faults`` spec; an unknown ``--programs`` name;
+``--root``, ``--radius`` or ``--seed`` with ``faults --stock``) exits 2
 with one ``repro <command>: ...`` line on stderr.
 """
 
@@ -183,11 +186,14 @@ def build_parser() -> argparse.ArgumentParser:
     faults.add_argument("--program", choices=sorted(STOCK), default="bfs",
                         help="stock NodeProgram for a single run (default: bfs)")
     faults.add_argument("--root", type=int, default=None,
-                        help="root vertex for bfs/echo (default: smallest id)")
-    faults.add_argument("--radius", type=int, default=2,
-                        help="gathering radius for --program gather")
-    faults.add_argument("--seed", type=int, default=0,
-                        help="seed for the randomized programs (luby, coloring)")
+                        help="root vertex for bfs/echo (default: smallest id; "
+                        "not with --stock)")
+    faults.add_argument("--radius", type=int, default=None,
+                        help="gathering radius for --program gather "
+                        "(default: 2; not with --stock)")
+    faults.add_argument("--seed", type=int, default=None,
+                        help="seed for the randomized programs (luby, coloring; "
+                        "default: 0; not with --stock)")
     faults.add_argument("--sweep", action="store_true",
                         help="classify every stock program under the default "
                         "fault grid (self-healing / degraded-but-valid / unsafe)")
@@ -327,26 +333,31 @@ def _describe(program: str, graph: Graph, root, radius: int):
 
 
 def _stock_program(args, graph: Graph):
-    """(factory, validator, describe(outputs) -> str) for ``--program`` on GRAPH."""
+    """(factory, validator, describe(outputs) -> str) for ``--program`` on GRAPH.
+
+    An unset ``--radius`` is 2 and an unset ``--seed`` 0.
+    """
     root = args.root
     if root is None:
         root = default_root(graph)
     elif root not in graph:
         raise _BadInput(f"--root {root} is not a vertex of the graph")
-    if args.radius < 0:
-        raise _BadInput(f"--radius must be >= 0, got {args.radius}")
+    radius = 2 if args.radius is None else args.radius
+    if radius < 0:
+        raise _BadInput(f"--radius must be >= 0, got {radius}")
+    seed = 0 if args.seed is None else args.seed
     try:
         factory, validator = STOCK[args.program].build(
-            graph, seed=args.seed, root=root, radius=args.radius
+            graph, seed=seed, root=root, radius=radius
         )
     except ValueError as exc:
         raise _BadInput(str(exc)) from None
-    return factory, validator, _describe(args.program, graph, root, args.radius)
+    return factory, validator, _describe(args.program, graph, root, radius)
 
 
 def _cmd_trace(args, out) -> int:
     """The ``repro trace`` front-end over the trace sinks."""
-    from .localmodel import JSONLTraceSink, MetricsSink, TracedNetwork
+    from .localmodel import JSONLTraceSink, MetricsSink, RecordingSink, SyncNetwork
 
     graph = _read_graph(args.graph)
     if len(graph) == 0:
@@ -365,29 +376,24 @@ def _cmd_trace(args, out) -> int:
 
     metrics = MetricsSink()
     try:
-        traced = TracedNetwork(
-            graph,
-            factory,
-            sealed=args.sealed,
-            sinks=[metrics],
-            faults=plan,
+        net = SyncNetwork(
+            graph, factory, sealed=args.sealed, sinks=[metrics], faults=plan
         )
     except ValueError as exc:
         # e.g. --program linial on a graph of maximum degree above 2
         raise _BadInput(str(exc)) from None
+    recording = net.add_sink(RecordingSink()) if args.timeline else None
     jsonl_sink = None
     if args.jsonl:
-        jsonl_sink = traced.network.add_sink(
+        jsonl_sink = net.add_sink(
             JSONLTraceSink(args.jsonl, payloads=not args.no_payloads)
         )
     try:
-        outputs = traced.run(max_rounds=args.max_rounds)
+        outputs = net.run(max_rounds=args.max_rounds)
     except RuntimeError as exc:
         # starvation / round-budget exhaustion: e.g. --program echo on a
         # non-tree graph, where the convergecast can never complete
-        raise SystemExit(
-            f"trace aborted after {traced.network.stats.rounds} round(s): {exc}"
-        )
+        raise SystemExit(f"trace aborted after {net.stats.rounds} round(s): {exc}")
     finally:
         if jsonl_sink is not None:
             jsonl_sink.close()
@@ -411,7 +417,7 @@ def _cmd_trace(args, out) -> int:
     )
     print(describe(outputs), file=out)
     if plan is not None and not plan.is_empty():
-        summary_faults = traced.network.fault_summary() or {}
+        summary_faults = net.fault_summary() or {}
         print(
             "faults injected: "
             + "  ".join(f"{k}: {v}" for k, v in summary_faults.items()),
@@ -422,8 +428,8 @@ def _cmd_trace(args, out) -> int:
             f"trace written to {args.jsonl} ({jsonl_sink.rounds_written} rounds)",
             file=out,
         )
-    if args.timeline:
-        print(traced.timeline(), file=out)
+    if recording is not None:
+        print(recording.timeline(), file=out)
     return 0
 
 
@@ -507,7 +513,8 @@ def _cmd_faults(args, out) -> int:
         FaultPlan,
         FaultPlanError,
         MetricsSink,
-        TracedNetwork,
+        RecordingSink,
+        SyncNetwork,
         ValidityMonitor,
         run_validated,
         with_retries,
@@ -522,7 +529,18 @@ def _cmd_faults(args, out) -> int:
 
     if args.stock:
         # the generated sweep graph + seeded factory: the environment
-        # every `repro chaos` repro spec refers to
+        # every `repro chaos` repro spec refers to, which fixes the root,
+        # the radius and the seed
+        given = "/".join(
+            f"--{name}"
+            for name in ("root", "radius", "seed")
+            if getattr(args, name) is not None
+        )
+        if given:
+            raise _BadInput(
+                f"{given} cannot be combined with --stock: the replay runs "
+                "the stock suite's fixed instance"
+            )
         _, graph, factory, validator = next(
             e for e in stock_suite() if e[0] == args.program
         )
@@ -543,7 +561,7 @@ def _cmd_faults(args, out) -> int:
 
     metrics = MetricsSink()
     try:
-        traced = TracedNetwork(
+        net = SyncNetwork(
             graph,
             factory,
             sinks=[metrics],
@@ -553,14 +571,13 @@ def _cmd_faults(args, out) -> int:
         )
     except ValueError as exc:
         raise _BadInput(str(exc)) from None
-    monitor = ValidityMonitor(traced.network, validator)
-    traced.network.add_sink(monitor)
+    recording = net.add_sink(RecordingSink()) if args.timeline else None
+    monitor = ValidityMonitor(net, validator)
+    net.add_sink(monitor)
     # the *final* outputs are validated too: a corruption landing after
     # the last monitored round (e.g. on a quiesced network) is invisible
     # to the per-round monitor but must still fail the replay
-    outputs, error, final_problems = run_validated(
-        traced.network, validator, args.max_rounds
-    )
+    outputs, error, final_problems = run_validated(net, validator, args.max_rounds)
 
     summary = metrics.summary()
     print(
@@ -574,14 +591,14 @@ def _cmd_faults(args, out) -> int:
         f"quiet rounds: {summary['quiet_rounds']}",
         file=out,
     )
-    injected = traced.network.fault_summary()
+    injected = net.fault_summary()
     if injected is not None:
         print(
             "faults injected: "
             + "  ".join(f"{k}: {v}" for k, v in injected.items()),
             file=out,
         )
-    crashed = traced.network.crashed_nodes()
+    crashed = net.crashed_nodes()
     if crashed:
         print(f"still crashed: {', '.join(str(v) for v in crashed)}", file=out)
     if error is not None:
@@ -604,8 +621,8 @@ def _cmd_faults(args, out) -> int:
             f"{final_problems[0]}",
             file=out,
         )
-    if args.timeline:
-        print(traced.timeline(), file=out)
+    if recording is not None:
+        print(recording.timeline(), file=out)
     return 0 if monitor.first_violation_round is None and not final_problems else 1
 
 

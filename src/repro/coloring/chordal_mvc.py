@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..graphs.adjacency import Graph, Vertex
-from ..graphs.chordal import clique_number, is_chordal, NotChordalError
+from ..graphs.chordal import clique_number, is_chordal, not_chordal_error
 from .decomposition import PathBags
 from .extension import extend_path_coloring
 from .interval_coloring import color_interval_component
@@ -72,7 +72,9 @@ def color_chordal_graph(
     """Run Algorithm 1.  Provide either ``epsilon`` or ``k`` = ceil(2/eps).
 
     Raises :class:`~repro.graphs.chordal.NotChordalError` on non-chordal
-    input (the clique forest machinery would produce garbage otherwise).
+    input (the clique forest machinery would produce garbage otherwise),
+    naming the vertex :func:`~repro.graphs.chordal.perfect_elimination_ordering`
+    names.
     """
     if (epsilon is None) == (k is None):
         raise ValueError("provide exactly one of epsilon and k")
@@ -82,7 +84,7 @@ def color_chordal_graph(
         else ColoringParameters.from_k(k)
     )
     if not is_chordal(graph):
-        raise NotChordalError("input graph is not chordal")
+        raise not_chordal_error(graph)
     if len(graph) == 0:
         return ChordalColoringResult({}, Peeling([], {}, True), params, 1, 0, [])
 

@@ -43,7 +43,7 @@ from ..cliquetree.local_view import (
 )
 from ..cliquetree.paths import orient_binary_path, path_diameter_at_least
 from ..graphs.adjacency import Graph, Vertex
-from ..graphs.chordal import NotChordalError, is_chordal
+from ..graphs.chordal import is_chordal, not_chordal_error
 from ..localmodel.gather import KnownBall, gather_balls
 from ..localmodel.rounds import NodeClocks
 from .chordal_mvc import ChordalColoringResult, color_chordal_graph, conflict_boundary
@@ -233,9 +233,7 @@ def local_layer_decision_from_ball(
 
 
 def message_level_layer_decisions(
-    current_graph: Graph,
-    params: ColoringParameters,
-    sealed: bool = False,
+    current_graph: Graph, params: ColoringParameters
 ) -> Tuple[Dict[Vertex, bool], int]:
     """Per-node layer decisions via real message-passing ball gathering.
 
@@ -244,9 +242,10 @@ def message_level_layer_decisions(
     its own ball alone.  Returns ``(decisions, rounds)`` where
     ``rounds`` is the simulator's round count
     (``collect_radius + 1``, one final round to detect quiescence).
-    The gather runs as its whole-round kernel unless ``sealed`` asks
-    for per-node dispatch, with identical decisions and round counts.  Raises :class:`~repro.graphs.chordal.NotChordalError`
-    on non-chordal input before any round runs, and ``TypeError`` when
+    The gather runs as its whole-round kernel.  Raises
+    :class:`~repro.graphs.chordal.NotChordalError`, naming the vertex
+    :func:`~repro.graphs.chordal.perfect_elimination_ordering` names, on
+    non-chordal input before any round runs, and ``TypeError`` when
     ``params`` is not a :class:`ColoringParameters`.
 
     The balls share one :data:`~repro.cliquetree.local_view.SubtreeTable`,
@@ -256,8 +255,8 @@ def message_level_layer_decisions(
     """
     _check_params(params)
     if not is_chordal(current_graph):
-        raise NotChordalError("input graph is not chordal")
-    balls, rounds = gather_balls(current_graph, params.collect_radius, sealed=sealed)
+        raise not_chordal_error(current_graph)
+    balls, rounds = gather_balls(current_graph, params.collect_radius)
     subtrees: SubtreeTable = {}
     decisions = {
         v: local_layer_decision_from_ball(ball, params, subtrees)

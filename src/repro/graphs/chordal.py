@@ -34,6 +34,7 @@ from .index import graph_index
 
 __all__ = [
     "NotChordalError",
+    "not_chordal_error",
     "lex_bfs",
     "maximum_cardinality_search",
     "perfect_elimination_ordering",
@@ -137,6 +138,20 @@ def is_chordal(graph: Graph) -> bool:
     order = kernels.lexbfs(index)
     order.reverse()
     return kernels.is_peo(index, order)
+
+
+def not_chordal_error(graph: Graph) -> NotChordalError:
+    """The error :func:`perfect_elimination_ordering` raises on ``graph``.
+
+    For a driver whose :func:`is_chordal` check failed: the error names
+    the same vertex at every chordal entry point.  ``ValueError`` if
+    ``graph`` is chordal after all.
+    """
+    index = graph_index(graph)
+    _order, bad = kernels.peo_and_violation(index)
+    if bad is None:
+        raise ValueError("graph is chordal")
+    return _not_chordal(index.verts[bad])
 
 
 def is_simplicial(graph: Graph, v: Vertex) -> bool:

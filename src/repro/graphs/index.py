@@ -24,8 +24,7 @@ queries already wins.
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .adjacency import Graph, Vertex
 
@@ -97,25 +96,6 @@ class GraphIndex:
             degs = [indptr[i + 1] - indptr[i] for i in range(self.n)]
             self._degrees = degs
         return degs
-
-    # -- id-space queries ------------------------------------------------
-    def neighbors_of(self, i: int) -> List[int]:
-        """The sorted neighbor ids of id ``i`` (a fresh list)."""
-        return self.indices[self.indptr[i]:self.indptr[i + 1]]
-
-    def iter_neighbors(self, i: int) -> Iterator[int]:
-        indices = self.indices
-        for k in range(self.indptr[i], self.indptr[i + 1]):
-            yield indices[k]
-
-    def degree_of(self, i: int) -> int:
-        return self.indptr[i + 1] - self.indptr[i]
-
-    def has_edge_ids(self, i: int, j: int) -> bool:
-        """Whether ``ij`` is an edge (binary search in the CSR row of i)."""
-        lo, hi = self.indptr[i], self.indptr[i + 1]
-        k = bisect_left(self.indices, j, lo, hi)
-        return k < hi and self.indices[k] == j
 
     # -- label translation ----------------------------------------------
     def ids_of(self, vs: Sequence[Vertex]) -> List[int]:

@@ -48,7 +48,7 @@ __all__ = [
 
 #: Names that constitute global graph state when referenced from a node
 #: program, regardless of which module they were imported from.
-_GRAPH_STATE_NAMES = frozenset({"Graph", "SyncNetwork", "TracedNetwork"})
+_GRAPH_STATE_NAMES = frozenset({"Graph", "SyncNetwork"})
 
 #: Pure type aliases exported by the graphs package; naming a vertex *type*
 #: is not the same as touching the graph, so these never trigger L1.

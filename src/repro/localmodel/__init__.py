@@ -3,12 +3,13 @@
 * :mod:`repro.localmodel.network` -- synchronous message-passing engine
   (:class:`SyncNetwork`) driving per-node :class:`NodeProgram` instances,
   with active-set scheduling and pluggable :class:`TraceSink` observers.
-* :mod:`repro.localmodel.trace` -- the stock sinks (recording, metrics,
-  JSONL export) and the :class:`TracedNetwork` convenience wrapper.
+* :mod:`repro.localmodel.trace` -- the stock sinks (recording with its
+  timeline, metrics, JSONL export).
 * :mod:`repro.localmodel.gather` -- ball gathering, the executable
-  witness of the "r rounds = radius-r knowledge" equivalence: an
-  output-sensitive delta-flooding program (the default) plus the
-  full-flood reference it is equivalence-tested against.
+  witness of the "r rounds = radius-r knowledge" equivalence: the
+  whole-round delta kernel :func:`gather_balls` runs, the per-node
+  delta program it is equivalence-tested against, and the full-flood
+  program.
 * :mod:`repro.localmodel.rounds` -- per-node completion clocks
   (:class:`NodeClocks`) the layered algorithms use to account rounds
   under that equivalence.
@@ -137,7 +138,6 @@ from .trace import (
     MetricsSink,
     RecordingSink,
     RoundTrace,
-    TracedNetwork,
 )
 from .sealed import FrozenMessageDict, SealedContextError, SealedInbox, freeze
 from .rulingset import (
@@ -221,7 +221,6 @@ __all__ = [
     "MetricsSink",
     "RecordingSink",
     "RoundTrace",
-    "TracedNetwork",
     "FrozenMessageDict",
     "SealedContextError",
     "SealedInbox",

@@ -13,13 +13,13 @@ Two node programs realize the primitive on
   each node re-broadcasts everything it has learned so far.  Simple, but
   the volume is Theta(r * sum-of-ball-sizes-squared) facts -- the reason
   the message-level experiments were historically pinned at small n.
-* :class:`DeltaGatherProgram` is the *output-sensitive* rewrite that
-  :func:`gather_balls` runs: each node forwards only facts (states,
-  edges) first learned in the previous round, excluding per neighbor
-  whatever that neighbor itself delivered, so no fact ever crosses the
-  same edge twice in the same direction.  Total volume is O(sum over
-  edges of the facts that actually cross them), and payloads intern
-  vertex labels to the dense integer ids of
+* :class:`DeltaGatherProgram` is the *output-sensitive* rewrite whose
+  schedule :func:`gather_balls` replays: each node forwards only facts
+  (states, edges) first learned in the previous round, excluding per
+  neighbor whatever that neighbor itself delivered, so no fact ever
+  crosses the same edge twice in the same direction.  Total volume is
+  O(sum over edges of the facts that actually cross them), and payloads
+  intern vertex labels to the dense integer ids of
   :class:`~repro.graphs.index.GraphIndex` so the hot path hashes ints,
   not arbitrary labels.
 
@@ -34,18 +34,18 @@ round we learned it), which are no-op merges at the receiver.
 Termination is the same ``round_number >= radius`` countdown in both
 programs, so outputs *and* round counts are identical.
 
-:func:`gather_balls` packages a full run and picks its dispatch from its
-own arguments before it builds anything.  Unless the call is sealed,
-attaches a trace sink or carries a non-empty fault plan, it runs
-:class:`DeltaGatherKernel`, which replays the delta program's schedule on
-vertex ids alone, straight from the graph index, and builds each ball's
-edge set only when it is first read; balls, rounds and stats are the
-same as on the per-node path.  The equivalence tests check its output
-against direct BFS, which is what entitles the layered algorithms to use
-the cheaper accounting of :mod:`repro.localmodel.rounds`.  A full-flood
-gather, ``reference_gather`` in ``tests/oracles.py``, is the oracle of
-the equivalence tests and the flood side of
-``benchmarks/bench_network.py``.
+:func:`gather_balls` packages a full run as one
+:class:`DeltaGatherKernel`, which replays the delta program's schedule
+on vertex ids alone, straight from the graph index, and builds each
+ball's edge set only when it is first read; balls, rounds and stats are
+the same as a :class:`~repro.localmodel.network.SyncNetwork` of
+:class:`DeltaGatherProgram` nodes produces.  A run that must be sealed,
+traced or given a fault plan builds that network itself.  The
+equivalence tests check the kernel's output against direct BFS, which is
+what entitles the layered algorithms to use the cheaper accounting of
+:mod:`repro.localmodel.rounds`.  A full-flood gather,
+``reference_gather`` in ``tests/oracles.py``, is the oracle of the
+equivalence tests and the flood side of ``benchmarks/bench_network.py``.
 """
 
 from __future__ import annotations
@@ -55,7 +55,6 @@ from collections import deque
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import (
-    TYPE_CHECKING,
     Any,
     Callable,
     Dict,
@@ -69,7 +68,7 @@ from typing import (
 
 from ..graphs.adjacency import Graph, Vertex
 from ..graphs.index import GraphIndex, graph_index
-from .network import NodeContext, NodeProgram, RunStats, SyncNetwork, TraceSink
+from .network import NodeContext, NodeProgram, RunStats
 
 __all__ = [
     "KnownBall",
@@ -78,9 +77,6 @@ __all__ = [
     "DeltaGatherKernel",
     "gather_balls",
 ]
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
-    from .faults import FaultPlan
 
 
 def _consume(iterator: Iterable[Any]) -> None:
@@ -453,87 +449,42 @@ class DeltaGatherKernel:
         return balls
 
 
-def _per_node_blockers(
-    sealed: bool,
-    sinks: Optional[List[TraceSink]],
-    faults: Optional["FaultPlan"],
-) -> List[str]:
-    """Why a gather must step node by node ([] when the kernel runs)."""
-    blockers: List[str] = []
-    if faults is not None and not faults.is_empty():
-        blockers.append(
-            "fault plan is non-empty: fault injection is per-message "
-            "and requires the per-node path"
-        )
-    if sealed:
-        blockers.append(
-            "sealed=True: sealed contexts are built by per-node dispatch only"
-        )
-    if sinks:
-        blockers.append(
-            "trace sinks are attached: per-message records require "
-            "the per-node path"
-        )
-    return blockers
-
-
 def gather_balls(
     graph: Graph,
     radius: int,
     states: Optional[Dict[Vertex, Any]] = None,
-    sealed: bool = False,
-    sinks: Optional[List[TraceSink]] = None,
-    faults: Optional["FaultPlan"] = None,
     info: Optional[Dict[str, Any]] = None,
 ) -> Tuple[Dict[Vertex, KnownBall], int]:
     """Run delta gathering; returns per-node balls and rounds used.
 
     Outputs and round counts equal those of the full flood (the
-    equivalence suite asserts the full matrix).  A sealed run, attached
-    ``sinks`` or a non-empty ``faults`` plan steps a
-    :class:`~repro.localmodel.network.SyncNetwork` of
-    :class:`DeltaGatherProgram` nodes, which those options pass through
-    to; otherwise the run is one :class:`DeltaGatherKernel`, built
-    without any program or network.  Balls and
-    :class:`~repro.localmodel.network.RunStats` are identical either
-    way.  A caller-supplied ``info`` dict receives ``executed``
-    (``"batch"`` or ``"node"``), ``fallback_reason`` (the blockers, or
-    None) and the run's ``stats``.
+    equivalence suite asserts the full matrix).  The run is one
+    :class:`DeltaGatherKernel`, built without any program or network;
+    its balls and :class:`~repro.localmodel.network.RunStats` equal
+    those of a :class:`~repro.localmodel.network.SyncNetwork` of
+    :class:`DeltaGatherProgram` nodes, which is what a sealed, traced or
+    faulty gather builds itself.  A caller-supplied ``info`` dict
+    receives ``executed`` (always ``"batch"``) and the run's ``stats``.
     """
     if isinstance(radius, bool) or not isinstance(radius, int):
         raise TypeError(f"radius must be an int, got {type(radius).__name__}")
     if radius < 0:
         raise ValueError(f"radius must be non-negative, got {radius}")
-    state_of = states or {}
     index = graph_index(graph)
-    blockers = _per_node_blockers(sealed, sinks, faults)
-    # Building balls (and, per node, programs and payloads) allocates
-    # containers at a rate that makes the cyclic GC's generation scans a
-    # measurable fraction of wall-clock, and none of them hold cycles, so
-    # the scans never free anything; pause collection for the run and let
-    # the deferred pass run once at the end.
+    # Building balls allocates containers at a rate that makes the cyclic
+    # GC's generation scans a measurable fraction of wall-clock, and none
+    # of them hold cycles, so the scans never free anything; pause
+    # collection for the run and let the deferred pass run once at the end.
     was_enabled = gc.isenabled()
     if was_enabled:
         gc.disable()
     try:
-        if blockers:
-
-            def factory(v: Vertex, nbrs: List[Vertex]) -> NodeProgram:
-                return DeltaGatherProgram(v, nbrs, radius, state_of.get(v), index)
-
-            net = SyncNetwork(graph, factory, sealed=sealed, sinks=sinks, faults=faults)
-            # exact budget: rounds 0..radius inclusive, so slack cannot
-            # mask an off-by-one in the program's cutoff
-            balls = net.run(max_rounds=radius + 1)
-            stats = net.stats
-        else:
-            stats = RunStats()
-            balls = DeltaGatherKernel(index, radius, state_of).run(stats)
+        stats = RunStats()
+        balls = DeltaGatherKernel(index, radius, states or {}).run(stats)
     finally:
         if was_enabled:
             gc.enable()
     if info is not None:
-        info["executed"] = "node" if blockers else "batch"
-        info["fallback_reason"] = "; ".join(blockers) or None
+        info["executed"] = "batch"
         info["stats"] = stats
     return balls, stats.rounds

@@ -58,9 +58,11 @@ receives ``on_round(round_no, messages, completed, active_count)`` with:
   by :func:`vertex_key`;
 * ``active_count`` -- how many nodes were actually stepped.
 
-Sinks fire in attachment order.  :class:`~repro.localmodel.trace.TracedNetwork`
-is a thin convenience wrapper over one recording sink; see
-``docs/tracing.md`` for the protocol and the JSONL export schema.
+Sinks fire in attachment order.  The stock sinks live in
+:mod:`repro.localmodel.trace`; see ``docs/tracing.md`` for the protocol
+and the JSONL export schema.  This class is the one place a run is
+sealed, traced or given a fault plan: every driver that wants one of
+those builds its own :class:`SyncNetwork`.
 """
 
 from __future__ import annotations
@@ -857,10 +859,6 @@ class SyncNetwork:
         if self._fault_runtime is None:
             return []
         return sorted(self._fault_runtime.crashed, key=vertex_key)
-
-    def active_nodes(self) -> List[Vertex]:
-        """The nodes the scheduler would step next round."""
-        return self._scheduled()
 
     def outputs(self) -> Dict[Vertex, Any]:
         """Snapshot of ``{node: program.output}`` (``None`` while undecided)."""

@@ -89,7 +89,6 @@ def bfs_layers(
     graph: Graph,
     root: Vertex,
     budget: Optional[int] = None,
-    sealed: bool = False,
 ) -> Dict[Vertex, Optional[int]]:
     """Distances from ``root`` computed by message passing.
 
@@ -101,11 +100,7 @@ def bfs_layers(
     """
     _check_root(graph, root)
     budget = _round_budget(graph, budget)
-    net = SyncNetwork(
-        graph,
-        lambda v, nbrs: BFSLayerProgram(v, nbrs, root, budget),
-        sealed=sealed,
-    )
+    net = SyncNetwork(graph, lambda v, nbrs: BFSLayerProgram(v, nbrs, root, budget))
     return net.run(max_rounds=budget + 2)
 
 
@@ -140,11 +135,7 @@ class LeaderElectionProgram(NodeProgram):
         return {}
 
 
-def elect_leader(
-    graph: Graph,
-    budget: Optional[int] = None,
-    sealed: bool = False,
-) -> Dict[Vertex, Vertex]:
+def elect_leader(graph: Graph, budget: Optional[int] = None) -> Dict[Vertex, Vertex]:
     """Every node's view of the leader after ``budget`` rounds.
 
     ``budget`` defaults to enough rounds to cross the graph; it raises
@@ -152,11 +143,7 @@ def elect_leader(
     :func:`bfs_layers`.
     """
     budget = _round_budget(graph, budget)
-    net = SyncNetwork(
-        graph,
-        lambda v, nbrs: LeaderElectionProgram(v, nbrs, budget),
-        sealed=sealed,
-    )
+    net = SyncNetwork(graph, lambda v, nbrs: LeaderElectionProgram(v, nbrs, budget))
     return net.run(max_rounds=budget + 2)
 
 
@@ -202,7 +189,7 @@ class EchoCountProgram(NodeProgram):
         return {}
 
 
-def tree_count(tree: Graph, root: Vertex, sealed: bool = False) -> int:
+def tree_count(tree: Graph, root: Vertex) -> int:
     """The number of tree nodes, learned by the root via convergecast.
 
     Raises ``ValueError`` when ``root`` is not a vertex of ``tree``.
@@ -210,10 +197,6 @@ def tree_count(tree: Graph, root: Vertex, sealed: bool = False) -> int:
     _check_root(tree, root)
     if len(tree) == 1:
         return 1
-    net = SyncNetwork(
-        tree,
-        lambda v, nbrs: EchoCountProgram(v, nbrs, root),
-        sealed=sealed,
-    )
+    net = SyncNetwork(tree, lambda v, nbrs: EchoCountProgram(v, nbrs, root))
     outputs = net.run(max_rounds=4 * len(tree) + 8)
     return outputs[root]

@@ -328,16 +328,6 @@ class ValidityMonitor(TraceSink):
             return None
         return self.violations[-1][0] - self.violations[0][0] + 1
 
-    def stabilization(self) -> Dict[str, Any]:
-        """The stabilization profile as a JSON-plain dict."""
-        return {
-            "corruption_round": self.corruption_round,
-            "first_violation_round": self.first_violation_round,
-            "detection_latency": self.detection_latency,
-            "recovery_rounds": self.recovery_rounds,
-            "recovered": self.recovered,
-        }
-
     def on_round(
         self,
         round_no: int,

@@ -29,14 +29,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..graphs.adjacency import Graph, Vertex
 from .network import NodeProgram, SyncNetwork
 from .trace import RecordingSink, jsonable_payload
-
-if TYPE_CHECKING:  # pragma: no cover - types only
-    from .faults import FaultPlan
 
 __all__ = ["Divergence", "ShadowReport", "shadow_check", "canonical_transcript"]
 
@@ -109,9 +106,6 @@ def shadow_check(
     graph: Graph,
     program_factory: Callable[[Vertex, List[Vertex]], NodeProgram],
     seeds: Sequence[int] = DEFAULT_SHADOW_SEEDS,
-    sealed: bool = False,
-    max_rounds: int = 10_000,
-    faults: Optional["FaultPlan"] = None,
 ) -> ShadowReport:
     """Diff a baseline run against shadow runs with permuted inbox order.
 
@@ -120,36 +114,19 @@ def shadow_check(
     already imposes.  Raises whatever the program run raises (a shadow
     run that crashes is a determinism bug of a different color and
     should fail loudly).
-
-    ``faults`` attaches the same :class:`~repro.localmodel.faults
-    .FaultPlan` to the baseline and every shadow run.  Fault decisions
-    are functions of ``(seed, round, sender, receiver)`` only, never of
-    inbox order, so a conforming program must stay transcript-identical
-    under any plan -- in particular an empty plan changes nothing.
     """
     base_sink = RecordingSink()
-    base_net = SyncNetwork(
-        graph,
-        program_factory,
-        sealed=sealed,
-        sinks=[base_sink],
-        faults=faults,
-    )
-    base_outputs = _canonical_outputs(base_net.run(max_rounds=max_rounds))
+    base_net = SyncNetwork(graph, program_factory, sinks=[base_sink])
+    base_outputs = _canonical_outputs(base_net.run())
     base_transcript = canonical_transcript(base_sink)
 
     report = ShadowReport(seeds=tuple(seeds), rounds=len(base_transcript))
     for seed in seeds:
         shadow_sink = RecordingSink()
         shadow_net = SyncNetwork(
-            graph,
-            program_factory,
-            sealed=sealed,
-            sinks=[shadow_sink],
-            inbox_order=seed,
-            faults=faults,
+            graph, program_factory, sinks=[shadow_sink], inbox_order=seed
         )
-        shadow_outputs = _canonical_outputs(shadow_net.run(max_rounds=max_rounds))
+        shadow_outputs = _canonical_outputs(shadow_net.run())
         shadow_transcript = canonical_transcript(shadow_sink)
         report.divergences.extend(
             _diff(seed, base_transcript, base_outputs, shadow_transcript, shadow_outputs)

@@ -9,26 +9,26 @@ every executed round, with messages and completions already in canonical
 natural-vertex order (``0, 1, 2, ..., 10, 11`` for integer ids).  This
 module provides the stock sinks:
 
-* :class:`RecordingSink` -- keeps every round as a :class:`RoundTrace`;
-* :class:`MetricsSink` -- per-round message/active-node histograms and
-  per-round wall time, without retaining payloads;
+* :class:`RecordingSink` -- keeps every round as a :class:`RoundTrace`
+  and renders a textual timeline (:meth:`RecordingSink.timeline`) like::
+
+      round 0: 4 msgs | sent: 0->1, 1->0, 1->2, 2->1
+      round 1: 2 msgs | done: 0, 2 | sent: 1->0, 1->2
+      round 2: 0 msgs | done: 1
+
+* :class:`MetricsSink` -- per-round message, active-node and completion
+  counts and per-round wall time, without retaining payloads;
 * :class:`JSONLTraceSink` -- streams one JSON object per round (the
   ``repro trace --jsonl`` export; schema in ``docs/tracing.md``).
 
-:class:`TracedNetwork` remains the one-line convenience wrapper: a
-:class:`SyncNetwork` with a :class:`RecordingSink` attached, rendering a
-textual timeline (:meth:`TracedNetwork.timeline`) like::
-
-    round 0: 4 msgs | sent: 0->1, 1->0, 1->2, 2->1
-    round 1: 2 msgs | done: 0, 2 | sent: 1->0, 1->2
-    round 2: 0 msgs | done: 1
-
-Traces are plain data (:class:`RoundTrace`), so tests can assert on exact
+A run is sealed, traced or given a fault plan in one place: the
+:class:`SyncNetwork` it runs on, built with the sinks it needs.  Traces
+are plain data (:class:`RoundTrace`), so tests can assert on exact
 communication patterns -- e.g. that the paper's ball-gathering really
 floods only for ``radius`` rounds, or that Luby's algorithm goes quiet
 exactly when every node decides.  Because sinks fire from inside the
 network, traces stay complete and correctly numbered even when a caller
-interleaves direct ``network.step_round()`` calls with the wrapper's:
+interleaves direct ``network.step_round()`` calls with ``run()``:
 ``RoundTrace.round_number`` is the network's own round counter, never a
 separately maintained count.
 """
@@ -39,14 +39,11 @@ import dataclasses
 import json
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Dict, IO, List, Optional, Tuple, Union
+from typing import Any, Dict, IO, List, Union
 
-from ..graphs.adjacency import Graph, Vertex
-from .network import MessageRecord, NodeProgram, SyncNetwork, TraceSink, vertex_key
+from ..graphs.adjacency import Vertex
+from .network import MessageRecord, TraceSink
 from .sealed import FrozenMessageDict
-
-if TYPE_CHECKING:  # pragma: no cover - types only
-    from .faults import FaultPlan
 
 __all__ = [
     "MessageRecord",
@@ -54,7 +51,6 @@ __all__ = [
     "RecordingSink",
     "MetricsSink",
     "JSONLTraceSink",
-    "TracedNetwork",
     "jsonable_payload",
 ]
 
@@ -74,7 +70,7 @@ class RoundTrace:
 
 
 class RecordingSink(TraceSink):
-    """Keeps every round as a :class:`RoundTrace` (what TracedNetwork uses)."""
+    """Keeps every round as a :class:`RoundTrace`; renders the timeline."""
 
     def __init__(self) -> None:
         """Start with an empty round log."""
@@ -95,6 +91,24 @@ class RecordingSink(TraceSink):
             RoundTrace(round_no, list(messages), list(completed), active_count)
         )
 
+    def timeline(self, max_messages_per_round: int = 8) -> str:
+        """Human-readable per-round log, payloads elided beyond the cap."""
+        lines = []
+        for r in self.rounds:
+            parts = [f"round {r.round_number}: {r.message_count} msgs"]
+            if r.completed:
+                parts.append("done: " + ", ".join(str(v) for v in r.completed))
+            if r.messages:
+                shown = r.messages[:max_messages_per_round]
+                rendered = ", ".join(
+                    f"{m.sender}->{m.receiver}" for m in shown
+                )
+                if len(r.messages) > len(shown):
+                    rendered += f", ... (+{len(r.messages) - len(shown)})"
+                parts.append("sent: " + rendered)
+            lines.append(" | ".join(parts))
+        return "\n".join(lines)
+
 
 class MetricsSink(TraceSink):
     """Per-round metrics without payload retention.
@@ -102,8 +116,7 @@ class MetricsSink(TraceSink):
     Records, per round: message count, active (stepped) node count,
     completion count, and wall-clock time (measured between successive
     ``on_round`` calls, so a round's figure includes its delivery and
-    bookkeeping).  Histograms aggregate the per-round series for quick
-    "how quiet was this run" answers.
+    bookkeeping); :meth:`summary` aggregates the series.
     """
 
     def __init__(self) -> None:
@@ -122,21 +135,6 @@ class MetricsSink(TraceSink):
         self.message_counts.append(len(messages))
         self.active_counts.append(active_count)
         self.completed_counts.append(len(completed))
-
-    @staticmethod
-    def _histogram(series: List[int]) -> Dict[int, int]:
-        out: Dict[int, int] = {}
-        for value in series:
-            out[value] = out.get(value, 0) + 1
-        return dict(sorted(out.items()))
-
-    def message_histogram(self) -> Dict[int, int]:
-        """messages-per-round -> number of rounds with that count."""
-        return self._histogram(self.message_counts)
-
-    def active_histogram(self) -> Dict[int, int]:
-        """active-nodes-per-round -> number of rounds with that count."""
-        return self._histogram(self.active_counts)
 
     def summary(self) -> Dict[str, Any]:
         """Aggregates: rounds, totals, maxima, quiet rounds, wall time."""
@@ -230,76 +228,3 @@ class JSONLTraceSink(TraceSink):
 
     def __exit__(self, *_exc) -> None:
         self.close()
-
-
-class TracedNetwork:
-    """A SyncNetwork with a recording sink: per-round message/completion logs."""
-
-    def __init__(
-        self,
-        graph: Graph,
-        program_factory: Callable[[Vertex, List[Vertex]], NodeProgram],
-        sealed: bool = False,
-        sinks: Optional[List[TraceSink]] = None,
-        faults: Optional["FaultPlan"] = None,
-        recovery: str = "intact",
-        checkpoint_every: Optional[int] = None,
-    ):
-        """Build the network with a :class:`RecordingSink` ahead of ``sinks``.
-
-        ``recovery``/``checkpoint_every`` pass straight through to
-        :class:`~repro.localmodel.network.SyncNetwork` (crash-recover
-        state policy and checkpoint cadence; see docs/faults.md).
-        """
-        self._sink = RecordingSink()
-        self.network = SyncNetwork(
-            graph,
-            program_factory,
-            sealed=sealed,
-            sinks=[self._sink, *(sinks or [])],
-            faults=faults,
-            recovery=recovery,
-            checkpoint_every=checkpoint_every,
-        )
-
-    @property
-    def rounds(self) -> List[RoundTrace]:
-        """The recorded :class:`RoundTrace` log so far."""
-        return self._sink.rounds
-
-    def run(self, max_rounds: int = 10_000) -> Dict[Vertex, Any]:
-        """Run the wrapped network to completion."""
-        return self.network.run(max_rounds=max_rounds)
-
-    def step_round(self) -> None:
-        """Advance the wrapped network one round."""
-        self.network.step_round()
-
-    # ------------------------------------------------------------------
-    # reporting
-    # ------------------------------------------------------------------
-    def total_messages(self) -> int:
-        """Messages sent across all recorded rounds."""
-        return sum(r.message_count for r in self.rounds)
-
-    def quiet_rounds(self) -> List[int]:
-        """Rounds in which nothing was sent."""
-        return [r.round_number for r in self.rounds if r.message_count == 0]
-
-    def timeline(self, max_messages_per_round: int = 8) -> str:
-        """Human-readable per-round log, payloads elided beyond the cap."""
-        lines = []
-        for r in self.rounds:
-            parts = [f"round {r.round_number}: {r.message_count} msgs"]
-            if r.completed:
-                parts.append("done: " + ", ".join(str(v) for v in r.completed))
-            if r.messages:
-                shown = r.messages[:max_messages_per_round]
-                rendered = ", ".join(
-                    f"{m.sender}->{m.receiver}" for m in shown
-                )
-                if len(r.messages) > len(shown):
-                    rendered += f", ... (+{len(r.messages) - len(shown)})"
-                parts.append("sent: " + rendered)
-            lines.append(" | ".join(parts))
-        return "\n".join(lines)

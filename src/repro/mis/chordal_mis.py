@@ -32,7 +32,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from ..cliquetree.paths import ForestPath, path_independence_number
 from ..graphs.adjacency import Graph, Vertex
-from ..graphs.chordal import NotChordalError, is_chordal
+from ..graphs.chordal import is_chordal, not_chordal_error
 from ..coloring.prune import Peeling, diameter_rule, peel_chordal_graph
 from .absorbing import absorbing_mis
 from .exact import independence_number_chordal, maximum_independent_set_chordal
@@ -66,10 +66,15 @@ def mis_peeling_parameters(epsilon: float) -> Tuple[int, int]:
 
 
 def chordal_mis(graph: Graph, epsilon: float) -> ChordalMISResult:
-    """Run Algorithm 6 (centralized reference; rounds are accounted too)."""
+    """Run Algorithm 6 (centralized reference; rounds are accounted too).
+
+    Raises :class:`~repro.graphs.chordal.NotChordalError` on non-chordal
+    input, naming the vertex
+    :func:`~repro.graphs.chordal.perfect_elimination_ordering` names.
+    """
     d, kappa = mis_peeling_parameters(epsilon)
     if not is_chordal(graph):
-        raise NotChordalError("input graph is not chordal")
+        raise not_chordal_error(graph)
     if len(graph) == 0:
         return ChordalMISResult(set(), Peeling([], {}, True), epsilon, d, kappa, 0)
 

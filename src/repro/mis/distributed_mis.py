@@ -88,9 +88,7 @@ def mis_local_parameters(d: int) -> ColoringParameters:
 
 
 def message_level_mis_decisions(
-    current_graph: Graph,
-    d: int,
-    sealed: bool = False,
+    current_graph: Graph, d: int
 ) -> Tuple[Dict[Vertex, bool], int]:
     """Per-node MIS-peeling layer decisions via real ball gathering.
 
@@ -104,9 +102,7 @@ def message_level_mis_decisions(
     Returns ``(decisions, rounds)``; raises
     :class:`~repro.graphs.chordal.NotChordalError` on non-chordal input.
     """
-    return message_level_layer_decisions(
-        current_graph, mis_local_parameters(d), sealed=sealed
-    )
+    return message_level_layer_decisions(current_graph, mis_local_parameters(d))
 
 
 def distributed_chordal_mis(graph: Graph, epsilon: float) -> DistributedMISReport:

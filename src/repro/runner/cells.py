@@ -11,14 +11,12 @@ A *cell* is the atomic unit of work: one (experiment, family, n, seed,
 * **JSON-valued** — payloads survive the disk cache round-trip exactly
   (binary64 floats round-trip through ``json`` bit-for-bit).
 
-The one sanctioned exception to purity is the diagnostics family: the
-``graph_cache_hit`` flag (the large-instance cells share a per-worker
-graph cache, :func:`_cached_graph`, and each payload records whether
-its instance was rebuilt or reused) and the gather's ``fallback_reason``
-(why a D1/K2 run left the batch path, verbatim from
-:func:`~repro.localmodel.gather.gather_balls`).  Both reach the
-per-cell JSONL log only — no render consumes them — so reports stay
-byte-identical across ``--jobs`` counts and cache states.
+The one sanctioned exception to purity is the ``graph_cache_hit``
+diagnostic: the large-instance cells share a per-worker graph cache,
+:func:`_cached_graph`, and each payload records whether its instance
+was rebuilt or reused.  It reaches the per-cell JSONL log only — no
+render consumes it — so reports stay byte-identical across ``--jobs``
+counts and cache states.
 
 The reduction from cell payloads back to EXPERIMENTS.md rows lives in
 :mod:`repro.runner.registry`.  Its folds replicate the nested serial
@@ -289,9 +287,9 @@ def k2_cell(
 
     ``path="node"`` steps a :class:`~repro.localmodel.network.SyncNetwork`
     of :class:`~repro.localmodel.gather.DeltaGatherProgram` nodes;
-    ``path="batch"`` calls :func:`~repro.localmodel.gather.gather_balls`
-    and reports the path it actually took, with the rounds and messages
-    of that run.  Rows of the same cell must agree on rounds and
+    ``path="batch"`` calls :func:`~repro.localmodel.gather.gather_balls`,
+    which runs the whole-round kernel, and reports the path its ``info``
+    names, with the rounds and messages of that run.  Rows of the same cell must agree on rounds and
     messages, which is the table-level witness of the gather's
     equivalence contract.  ``sample`` evenly spaced balls are checked
     against the BFS ground truth.  Wall-clock comparisons live in
@@ -309,12 +307,12 @@ def k2_cell(
         net = SyncNetwork(g, factory)
         balls = net.run(max_rounds=radius + 1)
         stats = net.stats
-        executed, fallback_reason = "node", None
+        executed = "node"
     else:
         info: Dict[str, Any] = {}
         balls, _rounds = gather_balls(g, radius, info=info)
         stats = info["stats"]
-        executed, fallback_reason = info["executed"], info["fallback_reason"]
+        executed = info["executed"]
     verts = sorted(g.vertices())
     step = max(1, len(verts) // sample)
     sampled = verts[::step][:sample]
@@ -335,7 +333,6 @@ def k2_cell(
         "sampled": len(sampled),
         "agree": agree,
         "graph_cache_hit": cache_hit,
-        "fallback_reason": fallback_reason,
     }
 
 
@@ -549,8 +546,8 @@ def d1_cell(
     rule on the global graph.  Feasibility is the point — these sizes
     were unreachable under the full flood — and the wall-clock /
     message-volume comparison against the flood lives in
-    ``BENCH_network.json``.  The gather takes the whole-round batch
-    kernel; ``path`` reports the dispatch it actually took.
+    ``BENCH_network.json``.  The gather is the whole-round batch
+    kernel; ``path`` reports the path its ``info`` names.
 
     The from-ball decisions share one subtree table, and the global-graph
     validations another: filling the oracle's table from ``g`` rather
@@ -589,7 +586,6 @@ def d1_cell(
         "joined": joined,
         "path": info.get("executed"),
         "graph_cache_hit": cache_hit,
-        "fallback_reason": info.get("fallback_reason"),
     }
 
 

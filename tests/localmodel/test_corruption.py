@@ -17,6 +17,7 @@ from repro.localmodel import (
 )
 from repro.localmodel.faults import _PROTECTED_FIELDS
 from repro.localmodel.programs import BFSLayerProgram
+from repro.localmodel.stock import STOCK
 from tests.oracles import scheduling
 
 
@@ -199,15 +200,17 @@ class TestEmptyCorruptionByteIdentity:
     @pytest.mark.parametrize("path", ["batch", "node"])
     def test_executor_grid(self, path):
         g = path_graph(7)
+        factory = (
+            bfs_factory() if path == "node" else STOCK["gather-delta"].build(g, radius=3)[0]
+        )
         runs = []
         for faults in (None, FaultPlan()):
-            if path == "node":
-                net = SyncNetwork(g, bfs_factory(), faults=faults)
-                runs.append((net.run(), net.stats))
-                continue
-            info = {}
-            balls, _rounds = gather_balls(g, 3, faults=faults, info=info)
-            # an empty plan is no blocker: the gather kernel still runs
-            assert info["executed"] == "batch"
-            runs.append((balls, info["stats"]))
+            net = SyncNetwork(g, factory, faults=faults)
+            runs.append((net.run(), net.stats))
         assert runs[0] == runs[1]
+        if path == "batch":
+            # the gather's per-node programs under an empty plan equal the
+            # whole-round kernel gather_balls runs
+            info = {}
+            balls, _rounds = gather_balls(g, 3, info=info)
+            assert runs[1] == (balls, info["stats"])

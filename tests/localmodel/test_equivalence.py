@@ -33,7 +33,6 @@ from repro.localmodel import (
     SyncNetwork,
 )
 from repro.localmodel.gather import BallGatherProgram
-from repro.localmodel.trace import TracedNetwork
 from tests.oracles import dense_scheduling, scheduling
 
 
@@ -99,17 +98,18 @@ CASES = {
 
 def _run(case, scheduler, sealed):
     graph, factory = CASES[case]()
+    sink = RecordingSink()
     with scheduling(scheduler):
-        traced = TracedNetwork(graph, factory, sealed=sealed)
-        outputs = traced.run()
-    stats = traced.network.stats
+        net = SyncNetwork(graph, factory, sealed=sealed, sinks=[sink])
+        outputs = net.run()
+    stats = net.stats
     return {
         "outputs": outputs,
         "stats": (stats.rounds, stats.messages_sent, stats.max_messages_per_round),
         # active_count is the one field *allowed* to differ (it is the
         # scheduler's work measure); everything else must be identical
-        "trace": [(r.round_number, r.messages, r.completed) for r in traced.rounds],
-        "steps": sum(r.active_count for r in traced.rounds),
+        "trace": [(r.round_number, r.messages, r.completed) for r in sink.rounds],
+        "steps": sum(r.active_count for r in sink.rounds),
     }
 
 
@@ -244,18 +244,18 @@ class TestTraceOrderingRegression:
 
     def test_messages_sort_numerically_past_ten(self):
         g = path_graph(12)  # vertices 0..11: two-digit ids present
-        traced = TracedNetwork(g, Chatter)
-        traced.run()
-        senders = [m.sender for m in traced.rounds[0].messages]
+        sink = RecordingSink()
+        SyncNetwork(g, Chatter, sinks=[sink]).run()
+        senders = [m.sender for m in sink.rounds[0].messages]
         assert senders == sorted(senders)  # numeric, not lexicographic
         # the lexicographic bug put 10 and 11 between 1 and 2
         assert senders.index(2) < senders.index(10) < senders.index(11)
 
     def test_completed_sort_numerically_past_ten(self):
         g = path_graph(12)
-        traced = TracedNetwork(g, Chatter)
-        traced.run()
-        assert traced.rounds[0].completed == list(range(12))
+        sink = RecordingSink()
+        SyncNetwork(g, Chatter, sinks=[sink]).run()
+        assert sink.rounds[0].completed == list(range(12))
 
     def test_vertex_key_orders_naturally(self):
         from repro.localmodel import vertex_key
@@ -276,25 +276,24 @@ class TestRoundNumberAgreesWithNetwork:
 
     def _traced(self):
         g = path_graph(5)
-        return TracedNetwork(
-            g, lambda v, nbrs: BFSLayerProgram(v, nbrs, root=0, budget=6)
+        sink = RecordingSink()
+        net = SyncNetwork(
+            g, lambda v, nbrs: BFSLayerProgram(v, nbrs, root=0, budget=6), sinks=[sink]
         )
+        return net, sink
 
     def test_interleaved_direct_steps_stay_in_sync(self):
-        traced = self._traced()
-        traced.network.step_round()  # direct engine call, bypassing wrapper
-        traced.step_round()
-        traced.network.step_round()
-        traced.step_round()
-        assert [r.round_number for r in traced.rounds] == [0, 1, 2, 3]
-        assert traced.rounds[-1].round_number == traced.network.stats.rounds - 1
+        net, sink = self._traced()
+        net.step_round()  # direct engine calls, then the run loop
+        net.step_round()
+        net.run()
+        assert [r.round_number for r in sink.rounds] == list(range(net.stats.rounds))
+        assert sink.rounds[-1].round_number == net.stats.rounds - 1
 
     def test_full_run_round_numbers_are_the_networks(self):
-        traced = self._traced()
-        traced.run()
-        assert [r.round_number for r in traced.rounds] == list(
-            range(traced.network.stats.rounds)
-        )
+        net, sink = self._traced()
+        net.run()
+        assert [r.round_number for r in sink.rounds] == list(range(net.stats.rounds))
 
     def test_recording_sink_rejects_drift(self):
         sink = RecordingSink()

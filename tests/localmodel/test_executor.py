@@ -1,10 +1,10 @@
-"""gather_balls' dispatch: the kernel path must be observationally per-node.
+"""gather_balls' one path: the kernel must be observationally per-node.
 
-:func:`~repro.localmodel.gather.gather_balls` runs
+:func:`~repro.localmodel.gather.gather_balls` always runs
 :class:`~repro.localmodel.gather.DeltaGatherKernel` straight from the
-graph index, the radius and the states, unless the call is sealed,
-attaches a trace sink or carries a non-empty fault plan; then it steps a
-:class:`SyncNetwork` of :class:`DeltaGatherProgram` nodes.  The contract:
+graph index, the radius and the states; a sealed, traced or faulty
+gather is a :class:`SyncNetwork` of :class:`DeltaGatherProgram` nodes
+that its caller builds.  The contract:
 
 * byte-identical balls vs a :class:`SyncNetwork` stepped node by node,
   across the scheduler{active,dense} x sealed{True,False} matrix on the
@@ -19,8 +19,8 @@ attaches a trace sink or carries a non-empty fault plan; then it steps a
   per-node ball's graph, before and after its edges are read, without
   building its edge set or the index's edge-label table;
 * the kernel path builds no program and no network, its round state is
-  gone before the first ball is built, and ``fallback_reason`` names
-  each of the three blockers.
+  gone before the first ball is built, and ``gather_balls`` takes none
+  of the per-node options (``sealed``, ``sinks``, ``faults``).
 
 The message-passing BFS and Linial programs have no kernel: their
 per-node runs are pinned against closed forms instead
@@ -65,14 +65,6 @@ from tests.oracles import reference_bfs_layers, reference_gather, scheduling
 
 SCHEDULERS = ("active", "dense")
 
-#: the three blockers that send a gather node by node, and the text its
-#: ``fallback_reason`` must carry for each
-BLOCKERS = {
-    "faults": ({"faults": FaultPlan(drop=0.5, seed=1)}, "fault plan is non-empty"),
-    "sealed": ({"sealed": True}, "sealed=True"),
-    "sinks": ({"sinks": [MetricsSink()]}, "trace sinks are attached"),
-}
-
 
 def stats_tuple(stats):
     return (
@@ -95,7 +87,7 @@ def kernel_gather(graph, radius, states=None):
     """``gather_balls``, which must take the kernel: (balls, stats tuple)."""
     info = {}
     balls, rounds = gather_balls(graph, radius, states, info=info)
-    assert info["executed"] == "batch", info["fallback_reason"]
+    assert info["executed"] == "batch"
     assert rounds == info["stats"].rounds
     return balls, stats_tuple(info["stats"])
 
@@ -171,7 +163,6 @@ class TestDeltaGatherKernelEquivalence:
         info = {}
         balls, rounds = gather_balls(g, 3, info=info)
         assert info["executed"] == "batch"
-        assert info["fallback_reason"] is None
         node = SyncNetwork(g, gather_factory(g, 3))
         assert balls == node.run(max_rounds=4)
         assert rounds == node.stats.rounds
@@ -183,12 +174,12 @@ class TestDeltaGatherKernelEquivalence:
             gather_balls(path_graph(4), 1, executor="batch")
 
     def test_sealed_gather_takes_the_node_path(self):
+        # only a SyncNetwork seals: a sealed gather steps the delta
+        # programs node by node and equals the kernel's run
         g = random_chordal_graph(25, seed=9)
-        info = {}
-        sealed_balls, rounds = gather_balls(g, 3, sealed=True, info=info)
-        assert info["executed"] == "node"
-        assert "sealed" in info["fallback_reason"]
-        assert (sealed_balls, rounds) == gather_balls(g, 3)
+        net = SyncNetwork(g, gather_factory(g, 3), sealed=True)
+        sealed_balls = net.run(max_rounds=4)
+        assert (sealed_balls, net.stats.rounds) == gather_balls(g, 3)
 
 
 class TestKernelPathBuildsNoProgram:
@@ -197,7 +188,7 @@ class TestKernelPathBuildsNoProgram:
     def test_no_program_and_no_network_are_built(self):
         g = random_chordal_graph(30, seed=4)
         states = {v: ("s", v) for v in g.vertices()}
-        expected = gather_balls(g, 3, states, sealed=True)
+        expected = SyncNetwork(g, gather_factory(g, 3, states)).run(max_rounds=4)
 
         def refuse(*args, **kwargs):
             raise AssertionError("the kernel path built a per-node object")
@@ -205,10 +196,10 @@ class TestKernelPathBuildsNoProgram:
         info = {}
         with mock.patch.object(DeltaGatherProgram, "__init__", refuse), \
                 mock.patch.object(SyncNetwork, "__init__", refuse):
-            balls = gather_balls(g, 3, states, info=info)
-            # the blockers do build them, so the patches are live
+            balls, _rounds = gather_balls(g, 3, states, info=info)
+            # a per-node gather does build them, so the patches are live
             with pytest.raises(AssertionError, match="per-node object"):
-                gather_balls(g, 3, states, sealed=True)
+                SyncNetwork(g, gather_factory(g, 3, states))
         assert info["executed"] == "batch"
         assert balls == expected
 
@@ -279,7 +270,7 @@ class TestDeltaGatherRoundByRound:
         info = {}
         with mock.patch.object(RunStats, "record_round", spy):
             out_batch, _rounds = gather_balls(graph, radius, states, info=info)
-        assert info["executed"] == "batch", info["fallback_reason"]
+        assert info["executed"] == "batch"
         assert recorded == [(sent, sent) for sent in sink.message_counts]
         assert out_batch == out_node
 
@@ -419,20 +410,22 @@ class TestBFSLayerKernelEquivalence:
             bfs_layers(path_graph(4), 0, executor="batch")
 
     def test_sealed_bfs_layers_takes_the_node_path(self):
+        # bfs_layers builds one plain SyncNetwork; sealing its programs
+        # means building a sealed one, which gives the same distances
         g = random_chordal_graph(20, seed=3)
         root = g.vertices()[0]
-        sealed_flags = []
+        built = []
         init = SyncNetwork.__init__
 
         def spy(self, *args, **kwargs):
-            sealed_flags.append(kwargs.get("sealed"))
+            built.append(kwargs)
             init(self, *args, **kwargs)
 
         with mock.patch.object(SyncNetwork, "__init__", spy):
-            sealed = bfs_layers(g, root, sealed=True)
             plain = bfs_layers(g, root)
+        assert built == [{}]
+        sealed, _ = bfs_run(g, {root}, len(g) + 1, sealed=True)
         assert sealed == plain
-        assert sealed_flags == [True, False]
 
     def test_multi_source_instances_compile(self):
         # two programs constructed with distance 0: a legitimate
@@ -526,7 +519,7 @@ def _generate(family, n, seed):
 
 
 # ---------------------------------------------------------------------------
-# edge cases and the dispatch rule
+# edge cases and the per-node options the gather refuses
 # ---------------------------------------------------------------------------
 class TestEdgeCases:
     def test_empty_graph_completes_in_zero_rounds(self):
@@ -560,30 +553,18 @@ class TestEdgeCases:
             SyncNetwork(g, gather_factory(g, 5)).run(max_rounds=5)
 
     def test_batch_refuses_nonempty_fault_plan(self):
-        info = {}
-        gather_balls(path_graph(6), 2, faults=FaultPlan(drop=0.2, seed=7), info=info)
-        assert info["executed"] == "node"
-        assert "fault plan is non-empty" in info["fallback_reason"]
-
-    def test_auto_routes_fault_runs_to_node_path(self):
-        g = path_graph(6)
-        plan = FaultPlan(duplicate=0.4, seed=13)
-        info = {}
-        balls, rounds = gather_balls(g, 2, faults=plan, info=info)
-        assert info["executed"] == "node"
-        # duplicates are no-op merges: the balls are the fault-free ones
-        assert (balls, rounds) == gather_balls(g, 2)
-
-    def test_empty_fault_plan_does_not_block_batch(self):
-        info = {}
-        gather_balls(path_graph(6), 2, faults=FaultPlan(), info=info)
-        assert info["executed"] == "batch"
+        # fault injection is per message: a faulty gather is a SyncNetwork
+        # its caller builds, and the gather offers no faults= to ask for one
+        with pytest.raises(TypeError, match="faults"):
+            gather_balls(path_graph(6), 2, faults=FaultPlan(drop=0.2, seed=7))
 
     def test_batch_refuses_trace_sinks(self):
-        info = {}
-        gather_balls(path_graph(6), 2, sinks=[MetricsSink()], info=info)
-        assert info["executed"] == "node"
-        assert "trace sinks" in info["fallback_reason"]
+        with pytest.raises(TypeError, match="sinks"):
+            gather_balls(path_graph(6), 2, sinks=[MetricsSink()])
+
+    def test_batch_refuses_sealed(self):
+        with pytest.raises(TypeError, match="sealed"):
+            gather_balls(path_graph(6), 2, sealed=True)
 
     def test_batch_refuses_inbox_order(self):
         # the determinism sanitizer permutes real inboxes on a SyncNetwork;
@@ -596,71 +577,28 @@ class TestEdgeCases:
             gather_balls(path_graph(3), 1, mode="batch")
 
     def test_mode_node_never_consults_kernels(self):
-        # a blocked gather steps node by node without building the kernel
+        # a per-node gather is a SyncNetwork of delta programs; it never
+        # builds the kernel, which only gather_balls runs
         def refuse(*args, **kwargs):
             raise AssertionError("the per-node path consulted the kernel")
 
         g = path_graph(5)
         expected = gather_balls(g, 1)
         with mock.patch.object(DeltaGatherKernel, "__init__", refuse):
-            assert gather_balls(g, 1, sealed=True) == expected
+            net = SyncNetwork(g, gather_factory(g, 1), sealed=True)
+            assert (net.run(max_rounds=2), net.stats.rounds) == expected
             with pytest.raises(AssertionError, match="consulted the kernel"):
                 gather_balls(g, 1)
 
-    def test_plan_reports_path_and_blockers(self):
+    def test_info_reports_the_batch_run(self):
         g = path_graph(5)
         info = {}
-        gather_balls(g, 1, info=info)
-        assert (info["executed"], info["fallback_reason"]) == ("batch", None)
-        info2 = {}
-        gather_balls(g, 1, faults=FaultPlan(drop=0.5, seed=1), info=info2)
-        assert info2["executed"] == "node" and info2["fallback_reason"]
+        _balls, rounds = gather_balls(g, 1, info=info)
+        assert info == {"executed": "batch", "stats": info["stats"]}
+        assert info["stats"].rounds == rounds == 2
 
-
-class TestFallbackReason:
-    """The diagnostic recording *why* a gather left the batch path."""
-
-    def test_none_before_any_run(self):
-        # a call rejected before it runs reports no dispatch at all
+    def test_rejected_call_fills_no_info(self):
         info = {}
         with pytest.raises(ValueError, match="non-negative"):
             gather_balls(path_graph(4), -1, info=info)
         assert info == {}
-
-    def test_batch_path_leaves_reason_none(self):
-        info = {}
-        gather_balls(path_graph(4), 1, info=info)
-        assert info["executed"] == "batch"
-        assert info["fallback_reason"] is None
-
-    @pytest.mark.parametrize("blocker", sorted(BLOCKERS))
-    def test_each_blocker_is_named(self, blocker):
-        kwargs, text = BLOCKERS[blocker]
-        info = {}
-        gather_balls(path_graph(4), 1, info=info, **kwargs)
-        assert info["executed"] == "node"
-        assert text in info["fallback_reason"]
-        for other, (_kwargs, other_text) in BLOCKERS.items():
-            if other != blocker:
-                assert other_text not in info["fallback_reason"]
-
-    def test_auto_fallback_records_joined_blockers(self):
-        info = {}
-        gather_balls(
-            path_graph(4),
-            1,
-            faults=FaultPlan(drop=0.5, seed=1),
-            sinks=[MetricsSink()],
-            info=info,
-        )
-        assert info["executed"] == "node"
-        assert "fault plan is non-empty" in info["fallback_reason"]
-        assert "trace sinks" in info["fallback_reason"]
-
-    def test_sealed_fallback_names_sealing(self):
-        info = {}
-        gather_balls(path_graph(4), 1, sealed=True, info=info)
-        assert info["executed"] == "node"
-        assert info["fallback_reason"] == (
-            "sealed=True: sealed contexts are built by per-node dispatch only"
-        )

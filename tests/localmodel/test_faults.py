@@ -137,8 +137,19 @@ class TestEmptyPlanIdentity:
         assert '"status"' not in streams[0]
 
     def test_shadow_check_passes_under_empty_plan(self):
-        report = shadow_check(path_graph(7), bfs_factory(budget=8), faults=FaultPlan())
-        assert report.deterministic
+        # the shadow check's permuted inboxes on a network carrying an
+        # empty plan: the transcript matches the plan-free baseline
+        def transcript(**options):
+            sink = RecordingSink()
+            net = SyncNetwork(
+                path_graph(7), bfs_factory(budget=8), sinks=[sink], **options
+            )
+            return net.run(), canonical_transcript(sink)
+
+        baseline = transcript()
+        assert shadow_check(path_graph(7), bfs_factory(budget=8)).deterministic
+        for seed in (1, 2, 3):
+            assert transcript(faults=FaultPlan(), inbox_order=seed) == baseline
 
     def test_empty_plan_summary_all_zero(self):
         net = SyncNetwork(path_graph(4), bfs_factory(budget=5), faults=FaultPlan())

@@ -6,8 +6,11 @@ The contract of :class:`DeltaGatherProgram` is strict: byte-identical
 oracle of ``tests/oracles.py``, sealed mode, and the
 fault plans under which the two programs are provably equivalent
 (reliable, explicitly empty, and duplicate-only -- duplicates are no-op
-merges for both).  The ball contents themselves are pinned against a
-direct BFS oracle, including disconnected graphs and isolated vertices.
+merges for both).  Sealing and fault plans are options of the
+:class:`SyncNetwork` the programs run on, and :func:`gather_balls`'
+kernel must give the same balls.  The ball contents themselves are
+pinned against a direct BFS oracle, including disconnected graphs and
+isolated vertices.
 """
 
 import pytest
@@ -21,7 +24,14 @@ from repro.graphs import (
     random_chordal_graph,
     star_graph,
 )
-from repro.localmodel import FaultPlan, MessageMeter, gather_balls
+from repro.graphs.index import graph_index
+from repro.localmodel import (
+    DeltaGatherProgram,
+    FaultPlan,
+    MessageMeter,
+    SyncNetwork,
+    gather_balls,
+)
 from tests.oracles import reference_gather, scheduling
 
 SCHEDULERS = ("active", "dense")
@@ -33,6 +43,20 @@ EQUIVALENT_FAULTS = {
     "empty": FaultPlan(),
     "duplicate": FaultPlan(duplicate=0.4, seed=13),
 }
+
+
+def delta_gather(graph, radius, states=None, sealed=False, sinks=None, faults=None):
+    """The delta programs stepped node by node: (balls, rounds)."""
+    index = graph_index(graph)
+    state_of = states or {}
+    net = SyncNetwork(
+        graph,
+        lambda v, nbrs: DeltaGatherProgram(v, nbrs, radius, state_of.get(v), index),
+        sealed=sealed,
+        sinks=sinks,
+        faults=faults,
+    )
+    return net.run(max_rounds=radius + 1), net.stats.rounds
 
 
 def graphs_under_test():
@@ -80,7 +104,7 @@ class TestEquivalenceMatrix:
             states = {v: ("s", v) for v in g.vertices()}
             for radius in (0, 1, 2, 4):
                 with scheduling(scheduler):
-                    delta, d_rounds = gather_balls(
+                    delta, d_rounds = delta_gather(
                         g,
                         radius,
                         states,
@@ -96,6 +120,7 @@ class TestEquivalenceMatrix:
                     )
                 label = f"{name} r={radius} {scheduler} sealed={sealed} {fault_name}"
                 assert d_rounds == r_rounds, label
+                assert (delta, d_rounds) == gather_balls(g, radius, states), label
                 assert set(delta) == set(ref), label
                 for v in ref:
                     assert delta[v] == ref[v], f"{label} node {v}"
@@ -228,7 +253,7 @@ def test_delta_sends_fewer_messages_than_reference():
     g = path_graph(60)
     meter_d = MessageMeter()
     meter_r = MessageMeter()
-    gather_balls(g, 8, sinks=[meter_d])
+    delta_gather(g, 8, sinks=[meter_d])
     reference_gather(g, 8, sinks=[meter_r])
     assert (
         meter_d.total_payload_words < meter_r.total_payload_words

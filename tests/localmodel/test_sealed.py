@@ -1,5 +1,8 @@
 """Sealed execution: freeze semantics, sealed views, and the guarantee
-that sealing is behavior-preserving for every conforming stock program."""
+that sealing is behavior-preserving for every conforming stock program.
+
+Only :class:`SyncNetwork` seals a run: the drivers built on it and
+:func:`shadow_check` take no ``sealed`` of their own."""
 
 from __future__ import annotations
 
@@ -7,8 +10,10 @@ import pytest
 
 from repro.baselines.coloring_baselines import distributed_delta_plus_one
 from repro.baselines.luby import luby_mis
-from repro.graphs import Graph, cycle_graph, path_graph, random_chordal_graph, random_tree
+from repro.coloring import ColoringParameters, message_level_layer_decisions
+from repro.graphs import Graph, path_graph, random_chordal_graph
 from repro.localmodel import (
+    FaultPlan,
     FrozenMessageDict,
     LinialPathProgram,
     NodeProgram,
@@ -17,11 +22,15 @@ from repro.localmodel import (
     SealedNodeContext,
     SyncNetwork,
     freeze,
-    gather_balls,
+    shadow_check,
 )
-from repro.localmodel.programs import bfs_layers, elect_leader, tree_count
-from repro.localmodel.trace import TracedNetwork
+from repro.localmodel.programs import BFSLayerProgram, bfs_layers, elect_leader, tree_count
+from repro.localmodel.stock import STOCK, stock_suite
+from repro.mis.distributed_mis import message_level_mis_decisions
 from tests.oracles import scheduling
+
+#: the stock suite's (graph, factory) per program name
+SUITE = {name: (graph, factory) for name, graph, factory, _ in stock_suite()}
 
 
 class TestFreeze:
@@ -126,9 +135,10 @@ class TestEngineAliasing:
 
 @pytest.mark.parametrize("scheduler", ["active", "dense"])
 class TestSealingIsBehaviorPreserving:
-    """Acceptance: byte-identical outputs with sealing on vs. off.
+    """Acceptance: identical outputs and RunStats with sealing on vs. off.
 
-    Parametrized over the scheduler so all four sealed x scheduler
+    Every program of the stock catalogue runs on its stock-suite
+    instance, sealed and unsealed.  Parametrized over the scheduler so all four sealed x scheduler
     combinations run: sealing must stay behavior-preserving under both
     the active-set scheduler and the dense oracle (the scheduler x
     scheduler axis is covered by ``test_equivalence.py``).
@@ -139,27 +149,14 @@ class TestSealingIsBehaviorPreserving:
         with scheduling(scheduler):
             yield
 
-    def test_bfs_layers(self, scheduler):
-        g = random_chordal_graph(40, seed=3)
-        assert bfs_layers(g, 0) == bfs_layers(g, 0, sealed=True)
-
-    def test_leader_election(self, scheduler):
-        g = cycle_graph(15)
-        assert elect_leader(g) == elect_leader(g, sealed=True)
-
-    def test_tree_count(self, scheduler):
-        t = random_tree(30, seed=8)
-        assert tree_count(t, 0) == tree_count(t, 0, sealed=True)
-
-    def test_luby_mis(self, scheduler):
-        g = random_chordal_graph(35, seed=11)
-        assert luby_mis(g, seed=4) == luby_mis(g, seed=4, sealed=True)
-
-    def test_delta_plus_one_coloring(self, scheduler):
-        g = random_chordal_graph(30, seed=6)
-        assert distributed_delta_plus_one(g, seed=9) == distributed_delta_plus_one(
-            g, seed=9, sealed=True
-        )
+    @pytest.mark.parametrize("name", sorted(STOCK))
+    def test_stock_program(self, scheduler, name):
+        graph, factory = SUITE[name]
+        runs = []
+        for sealed in (False, True):
+            net = SyncNetwork(graph, factory, sealed=sealed)
+            runs.append((net.run(), net.stats))
+        assert runs[0] == runs[1]
 
     def test_cole_vishkin_linial(self, scheduler):
         ids = [17, 3, 29, 0, 12, 8, 41, 5]
@@ -174,30 +171,43 @@ class TestSealingIsBehaviorPreserving:
             runs[sealed] = (net.run(), net.stats.rounds, net.stats.messages_sent)
         assert runs[False] == runs[True]
 
-    def test_ball_gathering(self, scheduler):
-        g = random_chordal_graph(25, seed=2)
-        plain, rounds_plain = gather_balls(g, 2)
-        info = {}
-        sealed, rounds_sealed = gather_balls(g, 2, sealed=True, info=info)
-        # only per-node dispatch builds sealed contexts
-        assert info["executed"] == "node"
-        assert rounds_plain == rounds_sealed
-        for v in plain:
-            assert plain[v].states == sealed[v].states
-            assert plain[v].edges == sealed[v].edges
 
-    def test_traced_network_seals(self, scheduler):
-        from repro.localmodel.programs import LeaderElectionProgram
+#: the drivers that run a LOCAL program for their caller, each on a
+#: 4-vertex path
+DRIVERS = {
+    "bfs_layers": lambda g, **kw: bfs_layers(g, 0, **kw),
+    "elect_leader": lambda g, **kw: elect_leader(g, **kw),
+    "tree_count": lambda g, **kw: tree_count(g, 0, **kw),
+    "luby_mis": lambda g, **kw: luby_mis(g, **kw),
+    "distributed_delta_plus_one": lambda g, **kw: distributed_delta_plus_one(g, **kw),
+    "message_level_layer_decisions": lambda g, **kw: message_level_layer_decisions(
+        g, ColoringParameters.from_k(1), **kw
+    ),
+    "message_level_mis_decisions": lambda g, **kw: message_level_mis_decisions(
+        g, 1, **kw
+    ),
+}
 
-        g = path_graph(6)
-        traced = TracedNetwork(
-            g,
-            lambda v, nbrs: LeaderElectionProgram(v, nbrs, len(g)),
-            sealed=True,
-        )
-        outputs = traced.run()
-        assert set(outputs.values()) == {0}
-        assert traced.total_messages() > 0
+
+class TestOnlySyncNetworkSeals:
+    """Drivers and the shadow check take no network option of their own."""
+
+    @pytest.mark.parametrize("driver", sorted(DRIVERS))
+    def test_driver_runs_and_rejects_sealed(self, driver):
+        DRIVERS[driver](path_graph(4))
+        with pytest.raises(TypeError, match="sealed"):
+            DRIVERS[driver](path_graph(4), sealed=True)
+
+    @pytest.mark.parametrize(
+        "option,value",
+        [("sealed", True), ("max_rounds", 50), ("faults", FaultPlan())],
+        ids=["sealed", "max_rounds", "faults"],
+    )
+    def test_shadow_check_takes_only_seeds(self, option, value):
+        factory = lambda v, nbrs: BFSLayerProgram(v, nbrs, 0, 5)
+        assert shadow_check(path_graph(4), factory, seeds=(1,)).deterministic
+        with pytest.raises(TypeError, match=option):
+            shadow_check(path_graph(4), factory, **{option: value})
 
 
 class TestDeterminismRegressions:

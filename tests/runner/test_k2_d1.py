@@ -17,7 +17,7 @@ class TestK2:
         batch = k2_cell(family, n, radius, "batch", 0, 8)
         assert node["path"] == "node"
         assert batch["path"] == "batch"
-        assert batch["fallback_reason"] is None
+        assert "fallback_reason" not in batch
         for key in ("n", "m", "rounds", "messages", "max_messages_per_round"):
             assert node[key] == batch[key], key
         assert node["agree"] == batch["agree"] == node["sampled"] == 8
@@ -45,7 +45,7 @@ class TestD1:
     def test_cell_takes_the_batch_path(self, pipeline):
         payload = d1_cell(pipeline, "path", 200, 0, 8)
         assert payload["path"] == "batch"
-        assert payload["fallback_reason"] is None
+        assert "fallback_reason" not in payload
         assert payload["agree"] == payload["sampled"] == 8
         assert "executor" not in payload
 

@@ -205,19 +205,39 @@ class TestCheck:
         assert "docs/gather.md: 'SubtreeTable' is never mentioned" in text
         assert "docs/gather.md: 'local_view_from_ball' is never mentioned" not in text
 
-    def test_executor_doc_must_name_vertex_facts(self, broken_root):
+    def test_gather_doc_must_name_vertex_facts(self, broken_root):
         docs = broken_root / "docs"
         docs.mkdir()
-        (docs / "executor.md").write_text("# DeltaGatherKernel and fallback_reason\n")
+        (docs / "gather.md").write_text('# DeltaGatherKernel and info["executed"]\n')
         text = "\n".join(check_docs.check(broken_root))
-        assert "docs/executor.md: 'vertex facts' is never mentioned" in text
-        assert "docs/executor.md: 'fallback_reason' is never mentioned" not in text
+        assert "docs/gather.md: 'vertex facts' is never mentioned" in text
+        assert "docs/gather.md: 'DeltaGatherKernel' is never mentioned" not in text
+        assert "docs/gather.md: 'info[\"executed\"]' is never mentioned" not in text
+        # the retired per-node options are no longer required anywhere
+        for term in ("sealed=True", "FaultPlan", "fallback_reason"):
+            assert f"{term!r} is never mentioned" not in text
+        assert "docs/executor.md" not in text
+
+    def test_retired_fallback_terms_are_flagged(self, broken_root):
+        docs = broken_root / "docs"
+        docs.mkdir()
+        (docs / "tracing.md").write_text("wrap it in a TracedNetwork\n")
+        (docs / "gather.md").write_text("info[\"fallback_reason\"] names the blockers\n")
+        (broken_root / "DESIGN.md").write_text(
+            "| T4 | Theorem 4 |\n`_per_node_blockers` picks the path\n"
+        )
+        text = "\n".join(check_docs.check(broken_root))
+        assert "docs/tracing.md: names the retired 'TracedNetwork'" in text
+        assert "docs/gather.md: names the retired 'fallback_reason'" in text
+        assert "DESIGN.md: names the retired '_per_node_blockers'" in text
+        assert "README.md: names the retired" not in text
+        assert "(only SyncNetwork seals, traces or faults a run)" in text
 
     def test_retired_fact_id_space_is_flagged_on_docs_pages(self, broken_root):
         docs = broken_root / "docs"
         docs.mkdir()
-        (docs / "executor.md").write_text("vertex facts replaced the fact-id space\n")
-        (docs / "gather.md").write_text("a dense *fact-id* space\n")
+        (docs / "executor.md").write_text("a dense *fact-id* space\n")
+        (docs / "gather.md").write_text("vertex facts replaced the fact-id space\n")
         (broken_root / "README.md").write_text("history: the fact-id kernel\n")
         text = "\n".join(check_docs.check(broken_root))
         for page in ("docs/executor.md", "docs/gather.md"):

@@ -574,6 +574,13 @@ CONTRACT = [
      "repro faults: LinialPathProgram requires maximum degree 2"),
     (["faults", "--stock", "--program", "bfs", "--recovery", "checkpoint",
       "--checkpoint-every", "0"], "repro faults: checkpoint_every"),
+    # the stock replay's instance fixes the root, the radius and the seed
+    (["faults", "--stock", "--program", "gather", "--radius", "7", "--plan", ""],
+     "repro faults: --radius cannot be combined with --stock"),
+    (["faults", "--stock", "--program", "bfs", "--root", "5", "--plan", ""],
+     "repro faults: --root cannot be combined with --stock"),
+    (["faults", "--stock", "--program", "luby", "--seed", "9", "--plan", ""],
+     "repro faults: --seed cannot be combined with --stock"),
     (["color", "{c4}"], "repro color: input graph is not chordal"),
     (["mis", "{c4}"], "repro mis: input graph is not chordal"),
     (["trace", "{graph}", "--faults", "wibble=1"],

@@ -8,28 +8,77 @@ the exception type.
 
 import pytest
 
-from repro.cliquetree import NotIntervalError, clique_paths_of_interval_graph
+from repro.cliquetree import (
+    NotIntervalError,
+    build_clique_forest,
+    clique_paths_of_interval_graph,
+)
 from repro.coloring import (
     ColoringParameters,
     PathBags,
     col_int_graph,
     color_chordal_graph,
+    diameter_rule,
     distributed_color_chordal,
     extend_path_coloring,
+    message_level_layer_decisions,
+    peel_chordal_graph,
 )
 from repro.graphs import (
     Graph,
     NotChordalError,
     NotProperIntervalError,
+    clique_number,
     cycle_graph,
+    is_chordal,
+    maximal_cliques,
     path_graph,
+    perfect_elimination_ordering,
     proper_interval_order,
+    random_tree,
 )
 from repro.mis import chordal_mis, distributed_chordal_mis, interval_mis
+from repro.mis.distributed_mis import message_level_mis_decisions
 from repro.localmodel import path_spaced_selection, three_color_path
+from tests.conftest import string_labels
 
 
 NON_CHORDAL = cycle_graph(6)
+
+
+def _tree_closing_a_long_cycle():
+    """A random tree plus one edge closing a chordless cycle of length >= 4."""
+    g = random_tree(16, seed=4)
+    dist = g.bfs_distances(0)
+    far = max(dist, key=lambda v: (dist[v], v))
+    assert dist[far] >= 3
+    g.add_edge(0, far)
+    return g
+
+
+#: non-chordal inputs: the 5-cycle, a string-labelled 4-cycle, a generated graph
+NAMED_INPUTS = {
+    "c5": lambda: cycle_graph(5),
+    "c4-str": lambda: string_labels(cycle_graph(4)),
+    "tree-plus-edge": _tree_closing_a_long_cycle,
+}
+
+#: every public entry point that needs a chordal input
+CHORDAL_ENTRY_POINTS = {
+    "perfect_elimination_ordering": perfect_elimination_ordering,
+    "maximal_cliques": maximal_cliques,
+    "clique_number": clique_number,
+    "build_clique_forest": build_clique_forest,
+    "peel_chordal_graph": lambda g: peel_chordal_graph(g, diameter_rule(4)),
+    "color_chordal_graph": lambda g: color_chordal_graph(g, epsilon=0.5),
+    "distributed_color_chordal": lambda g: distributed_color_chordal(g, epsilon=0.5),
+    "chordal_mis": lambda g: chordal_mis(g, 0.4),
+    "distributed_chordal_mis": lambda g: distributed_chordal_mis(g, 0.4),
+    "message_level_layer_decisions": lambda g: message_level_layer_decisions(
+        g, ColoringParameters.from_k(1)
+    ),
+    "message_level_mis_decisions": lambda g: message_level_mis_decisions(g, 1),
+}
 
 
 class TestNonChordalInputs:
@@ -38,6 +87,19 @@ class TestNonChordalInputs:
             color_chordal_graph(NON_CHORDAL, k=2)
         with pytest.raises(NotChordalError):
             distributed_color_chordal(NON_CHORDAL, k=2)
+
+    @pytest.mark.parametrize("graph", sorted(NAMED_INPUTS))
+    @pytest.mark.parametrize("entry", sorted(CHORDAL_ENTRY_POINTS))
+    def test_every_entry_point_names_the_peo_vertex(self, entry, graph):
+        g = NAMED_INPUTS[graph]()
+        assert not is_chordal(g)
+        with pytest.raises(NotChordalError) as named:
+            perfect_elimination_ordering(g)
+        assert named.value.vertex in g
+        with pytest.raises(NotChordalError) as exc:
+            CHORDAL_ENTRY_POINTS[entry](g)
+        assert exc.value.vertex == named.value.vertex
+        assert str(exc.value) == str(named.value)
 
     def test_mis_entry_points(self):
         with pytest.raises(NotChordalError):

@@ -40,13 +40,14 @@ instructions can never silently rot:
 * ``docs/gather.md`` must exist and document the ball-gathering surface
   (``KnownBall``, the delta/reference program pair, the shared
   ``SubtreeTable`` of the local views, the counting contract's status
-  sets, ``bench_network`` / ``BENCH_network.json``);
-* ``docs/executor.md`` must exist and document the gather's dispatch
-  (``DeltaGatherKernel``, the blockers that select the per-node path
-  including ``sealed=True``, and the ``info["executed"]`` /
-  ``fallback_reason`` entries that record the selection);
+  sets, ``bench_network`` / ``BENCH_network.json``) and the gather's one
+  path (``DeltaGatherKernel`` on "vertex facts", its ``RunStats`` and
+  the ``info["executed"]`` entry, ``--profile``);
 * no page names the retired batch-executor framework
   (:data:`RETIRED_EXECUTOR_TERMS`): ``gather_balls`` dispatches itself;
+* no page names the retired per-node fallback of ``gather_balls`` or the
+  ``TracedNetwork`` wrapper (:data:`RETIRED_FALLBACK_TERMS`):
+  ``SyncNetwork`` alone seals, traces or faults a run;
 * no page names a retired experiment path (:data:`RETIRED_PATHS`):
   experiments live only in ``repro.runner``;
 * ``docs/kernels.md`` names the clique-forest builder
@@ -58,8 +59,7 @@ instructions can never silently rot:
 * no page names a retired stock-program inventory or harness helper
   (:data:`RETIRED_STOCK_TERMS`): ``repro.localmodel.stock`` is the one
   catalogue;
-* ``docs/executor.md`` says the gather kernel runs on "vertex facts",
-  and no docs page describes the retired "fact-id" space;
+* no docs page describes the gather kernel's retired "fact-id" space;
 * ``docs/index.md`` holds the table of accepted epsilon ranges
   (:data:`EPSILON_RANGES`), one row per entry point.
 
@@ -124,6 +124,15 @@ RETIRED_EXECUTOR_TERMS = (
     "BFSLayerKernel",
     "LinialPathKernel",
     "batch_kernel",
+)
+
+
+#: the per-node path ``gather_balls`` no longer has, and the wrapper that
+#: only passed ``SyncNetwork``'s own options on
+RETIRED_FALLBACK_TERMS = (
+    "TracedNetwork",
+    "fallback_reason",
+    "_per_node_blockers",
 )
 
 
@@ -386,6 +395,11 @@ def check(root: Path) -> List[str]:
             "radius + 1",
             "bench_network",
             "BENCH_network.json",
+            "DeltaGatherKernel",
+            'info["executed"]',
+            "RunStats",
+            "--profile",
+            GATHER_KERNEL_TERM,
         ):
             if term not in text:
                 problems.append(
@@ -424,29 +438,6 @@ def check(root: Path) -> List[str]:
                 problems.append(
                     f"docs/index.md: CLI subcommand {command!r} is never "
                     "mentioned"
-                )
-
-    executor_doc = root / "docs" / "executor.md"
-    if not executor_doc.is_file():
-        problems.append("docs/executor.md: file missing")
-    else:
-        text = executor_doc.read_text()
-        for term in (
-            "DeltaGatherKernel",
-            "sealed=True",
-            "FaultPlan",
-            'info["executed"]',
-            "fallback_reason",
-            "--profile",
-            "RunStats",
-            "bench_network",
-            "BENCH_network.json",
-            GATHER_KERNEL_TERM,
-        ):
-            if term not in text:
-                problems.append(
-                    f"docs/executor.md: {term!r} is never mentioned (the "
-                    "gather's dispatch contract must stay documented)"
                 )
 
     kernels_doc = root / "docs" / "kernels.md"
@@ -509,6 +500,13 @@ def check(root: Path) -> List[str]:
                 problems.append(
                     f"{page.relative_to(root)}: names the retired "
                     f"{retired!r} (gather_balls dispatches itself)"
+                )
+        for retired in RETIRED_FALLBACK_TERMS:
+            if retired in text:
+                problems.append(
+                    f"{page.relative_to(root)}: names the retired "
+                    f"{retired!r} (only SyncNetwork seals, traces or faults "
+                    "a run)"
                 )
         for retired in RETIRED_STOCK_TERMS:
             if retired in text:
