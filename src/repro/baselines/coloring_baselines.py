@@ -15,7 +15,7 @@
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..graphs.adjacency import Graph, Vertex
 from ..localmodel.network import NodeContext, NodeProgram, SyncNetwork

@@ -14,7 +14,7 @@ paper's (1 + eps)-approximation algorithms close.
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Mapping, Optional, Set, Tuple
+from typing import List, Mapping, Optional, Set, Tuple
 
 from ..graphs.adjacency import Graph, Vertex
 from ..localmodel.network import NodeContext, NodeProgram, SyncNetwork

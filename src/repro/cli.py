@@ -22,7 +22,9 @@ Commands:
   ``--plan`` with validity monitoring (``--stock`` replays a plan on a
   program's fixed stock-suite instance, so it takes no ``--root``,
   ``--radius`` or ``--seed``), or ``--sweep`` to classify every
-  stock program as self-healing / degraded-but-valid / unsafe
+  stock program as self-healing / degraded-but-valid / unsafe (it runs
+  its own instances and grid, so it takes no GRAPH and no single-run
+  option)
 * ``chaos``            -- chaos soak: N seeded randomized fault plans
   (channel + state corruption) against the stock suite, every failure
   delta-debugged to a minimal deterministic repro spec (docs/stabilize.md)
@@ -36,8 +38,9 @@ the completion).
 Bad input (an unreadable, malformed or, without ``--triangulate``,
 non-chordal ``GRAPH``; a missing one; an out-of-range option; a bad
 ``--plan`` / ``--faults`` spec; an unknown ``--programs`` name;
-``--root``, ``--radius`` or ``--seed`` with ``faults --stock``) exits 2
-with one ``repro <command>: ...`` line on stderr.
+``--root``, ``--radius`` or ``--seed`` with ``faults --stock``; a GRAPH
+or any single-run option with ``faults --sweep``) exits 2 with one
+``repro <command>: ...`` line on stderr.
 """
 
 from __future__ import annotations
@@ -53,7 +56,6 @@ from .graphs import (
     clique_number,
     degeneracy,
     density,
-    dump_json,
     from_edge_list,
     is_chordal,
     random_chordal_graph,
@@ -183,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
     faults.add_argument("--plan", default="", metavar="SPEC",
                         help="fault plan: drop=P,dup=P,delay=P:K,burst=R1-R2,"
                         "crash=V@R[-R2],seed=N (grammar in docs/faults.md)")
-    faults.add_argument("--program", choices=sorted(STOCK), default="bfs",
+    faults.add_argument("--program", choices=sorted(STOCK), default=None,
                         help="stock NodeProgram for a single run (default: bfs)")
     faults.add_argument("--root", type=int, default=None,
                         help="root vertex for bfs/echo (default: smallest id; "
@@ -210,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="run --program on its stock sweep graph instead "
                         "of a GRAPH file (replays 'repro chaos' repro specs)")
     faults.add_argument("--recovery", choices=("intact", "restart", "checkpoint"),
-                        default="intact",
+                        default=None,
                         help="crash-recover state policy (default: intact; "
                         "see docs/faults.md)")
     faults.add_argument("--checkpoint-every", type=int, default=None,
@@ -521,7 +523,32 @@ def _cmd_faults(args, out) -> int:
     )
 
     if args.sweep:
+        # the sweep classifies the stock suite's fixed instances under its
+        # own fault grid, so every single-run input would be dropped
+        given = [
+            flag
+            for flag, value in (
+                ("GRAPH", args.graph is not None),
+                ("--plan", bool(args.plan)),
+                ("--program", args.program is not None),
+                ("--root", args.root is not None),
+                ("--radius", args.radius is not None),
+                ("--seed", args.seed is not None),
+                ("--timeline", args.timeline),
+                ("--stock", args.stock),
+                ("--recovery", args.recovery is not None),
+                ("--checkpoint-every", args.checkpoint_every is not None),
+            )
+            if value
+        ]
+        if given:
+            raise _BadInput(
+                f"{'/'.join(given)} cannot be combined with --sweep: the sweep "
+                "runs the stock suite's fixed instances under its own fault grid"
+            )
         return _cmd_faults_sweep(args, out)
+    if args.program is None:
+        args.program = "bfs"
     try:
         plan = FaultPlan.parse(args.plan)
     except FaultPlanError as exc:
@@ -566,7 +593,7 @@ def _cmd_faults(args, out) -> int:
             factory,
             sinks=[metrics],
             faults=plan,
-            recovery=args.recovery,
+            recovery=args.recovery or "intact",
             checkpoint_every=args.checkpoint_every,
         )
     except ValueError as exc:

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set
 
 from ..graphs.adjacency import Graph, Vertex
 from ..graphs.chordal import clique_number, is_chordal, not_chordal_error

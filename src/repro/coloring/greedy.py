@@ -20,7 +20,7 @@ Two greedy colorings are used throughout:
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set
+from typing import Dict, List, Mapping, Optional, Sequence, Set
 
 from ..graphs.adjacency import Graph, Vertex
 from ..graphs.chordal import perfect_elimination_ordering

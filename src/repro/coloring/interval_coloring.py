@@ -30,16 +30,15 @@ colored greedily by a single coordinator in O(diameter) = O(k) rounds.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..graphs.adjacency import Graph, Vertex
-from ..localmodel.rulingset import charged_rounds_distance_k, log_star
+from ..localmodel.rulingset import charged_rounds_distance_k
 from .decomposition import PathBags
 from .extension import extend_path_coloring
 from .greedy import preference_greedy
-from .parameters import morph_cut_budget, required_morph_distance
+from .parameters import required_morph_distance
 
 Color = int
 

@@ -28,7 +28,7 @@ from typing import List, Optional, Sequence, Set, Tuple
 
 from ..coloring.chordal_mvc import ChordalColoringResult, color_chordal_graph
 from ..graphs.adjacency import Graph, Vertex
-from ..graphs.chordal import clique_number, is_chordal
+from ..graphs.chordal import clique_number
 from ..graphs.exact import brute_force_chromatic_number
 from ..graphs.generators import random_chordal_graph
 from ..graphs.triangulation import triangulate

@@ -16,7 +16,6 @@ and interval pieces the library uses the polynomial routines from
 
 from __future__ import annotations
 
-from itertools import combinations
 from typing import Dict, List, Optional, Set
 
 from .adjacency import Graph, Vertex

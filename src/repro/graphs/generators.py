@@ -18,7 +18,7 @@ Every random generator takes an explicit ``seed`` (or an already-seeded
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, List, Optional, Set, Tuple, Union
 
 from .adjacency import Graph, Vertex
 from .interval import interval_graph_from_intervals

@@ -15,7 +15,7 @@ everything else as strings; round-trips preserve both.
 from __future__ import annotations
 
 import json
-from typing import Dict, Iterable, List, Tuple, Union
+from typing import Dict, Tuple
 
 from .adjacency import Graph, Vertex
 

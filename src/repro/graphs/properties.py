@@ -9,7 +9,7 @@ underlies the sparse-graph baselines the paper cites ([5], [17]).
 
 from __future__ import annotations
 
-from typing import Dict, List, Set, Tuple
+from typing import List, Set, Tuple
 
 from .adjacency import Graph, Vertex
 from .chordal import perfect_elimination_ordering

@@ -17,7 +17,7 @@ for already-chordal graphs (treewidth = omega - 1).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Literal, Optional, Set, Tuple
+from typing import List, Tuple
 
 from .adjacency import Graph, Vertex
 from .chordal import clique_number, is_chordal

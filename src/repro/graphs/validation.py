@@ -8,7 +8,7 @@ failing tests and assertions print actionable diagnostics.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, Optional, Set, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
 from .adjacency import Graph, Vertex
 

@@ -11,7 +11,7 @@ no third-party dependencies).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Sequence
 
 from .rules import RULES

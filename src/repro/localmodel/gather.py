@@ -331,16 +331,16 @@ class DeltaGatherKernel:
 
     Built from the graph index, the radius and the initial states alone:
     no program or network exists on this path.  One :meth:`round` call
-    performs what ``n`` ``step`` calls would, but it tracks vertex ids
-    only.  ``F_i(t)`` is what node ``i`` first learned in round ``t``
-    (``F_i(0) = {i}``) and ``K_i`` everything it knows; in round
-    ``t >= 1``, ``F_i(t) = (union of F_u(t - 1) over neighbours u) - K_i``,
-    and ``K_i`` grows by ``F_i(t)``.  Node ``i`` sends to neighbour ``u``
-    in rounds ``1 .. radius - 1`` exactly when ``F_i(t)`` is non-empty and
-    not a subset of ``F_u(t - 1)``; round 0 sends on all ``2m`` directed
-    edges (every first payload holds its sender's state), and round
-    ``radius`` only merges.  This reproduces the program's per-round
-    ``(sent, delivered)`` counts, so
+    performs the merge that ``n`` ``step`` calls would, but it tracks
+    vertex ids only.  ``F_i(t)`` is what node ``i`` first learned in
+    round ``t`` (``F_i(0) = {i}``) and ``K_i`` everything it knows; in
+    round ``t >= 1``, ``F_i(t) = (union of F_u(t - 1) over neighbours u)
+    - K_i``, and ``K_i`` grows by ``F_i(t)``.  Node ``i`` sends to
+    neighbour ``u`` in rounds ``1 .. radius - 1`` exactly when ``F_i(t)``
+    is non-empty and not a subset of ``F_u(t - 1)``; round 0 sends on all
+    ``2m`` directed edges (every first payload holds its sender's state),
+    and round ``radius`` only merges.  This reproduces the program's
+    per-round ``(sent, delivered)`` counts, so
     :class:`~repro.localmodel.network.RunStats` matches the per-node path
     field for field, for three reasons:
 
@@ -357,9 +357,18 @@ class DeltaGatherKernel:
     The union of the neighbours' spheres lies between distance ``t - 2``
     and ``t`` of ``i``, so subtracting ``F_i(t - 1)`` and ``F_i(t - 2)``
     subtracts ``K_i``; ``K_i`` is then a plain id list, and every step of
-    a round is one bulk set or list operation per node.  :meth:`run`
-    frees the round state, then builds each ball's ``states`` at once
-    and its ``edges`` only when first read (see :class:`KnownBall`).
+    a round is one bulk set or list operation per node.  Each sphere is
+    a new set, ``union - F_i(t - 1) - F_i(t - 2)``, rather than the union
+    with both removed in place: removal leaves dummy slots, and CPython
+    resizes a set that is more than a quarter dummies to four times its
+    size, so an in-place two-id path sphere held a 16-slot heap table
+    (472 B) where a new one fits its 8-slot inline table (216 B), and
+    three generations of spheres are alive at once.  Sends are counted
+    only when :meth:`run` is given a ``RunStats``: the count is ``2m``
+    subset tests a round, and no caller that passes none reads it.
+    :meth:`run` frees the round state, then builds each ball's
+    ``states`` at once and its ``edges`` only when first read (see
+    :class:`KnownBall`).
     """
 
     def __init__(self, index: GraphIndex, radius: int, states: Mapping[Vertex, Any]):
@@ -378,60 +387,72 @@ class DeltaGatherKernel:
         self._around: List[Callable[[List[Set[int]]], Any]] = [
             itemgetter(*row, *pad[len(row):]) for row in rows
         ]
-        #: the sending end of each directed edge, aligned with ``indices``
-        self._tails: List[int] = [
-            i for i, degree in enumerate(index.degrees) for _ in range(degree)
-        ]
         #: F(t - 1) and F(t - 2) per vid (F(-1) is empty), then the pad
         self._fresh: List[Set[int]] = [{i} for i in range(n)] + [set()]
         self._older: List[Set[int]] = [set()] * n
         #: K per vid: every id the node knows
         self._known: List[List[int]] = [[i] for i in range(n)]
-        self._round_no = 0
 
-    def round(self) -> Tuple[int, int]:
-        """One whole synchronous round: grow every K, count the sends."""
-        t = self._round_no
-        self._round_no = t + 1
-        if t == 0:
-            sent = len(self._tails) if self.radius else 0
-            return sent, sent
+    def round(self) -> bool:
+        """Merge one synchronous round: grow every K by its next sphere.
+
+        Returns False, and changes nothing, once every sphere is empty:
+        the gather has gone quiet for good.
+        """
         prev = self._fresh
         if not any(prev):
-            # every sphere is empty: the gather has gone quiet for good
-            return 0, 0
+            return False
         union = set().union
-        fresh = [union(*around(prev)) for around in self._around]
-        _consume(map(set.difference_update, fresh, prev, self._older))
+        fresh = [
+            union(*around(prev)) - last - older
+            for around, last, older in zip(self._around, prev, self._older)
+        ]
         _consume(map(list.extend, self._known, fresh))
         fresh.append(prev[-1])
         self._fresh, self._older = fresh, prev
-        if t >= self.radius:
-            return 0, 0
-        quiet = sum(
-            map(
-                set.issubset,
-                map(fresh.__getitem__, self._tails),
-                map(prev.__getitem__, self.index.indices),
-            )
-        )
-        sent = len(self._tails) - quiet
-        return sent, sent
+        return True
 
-    def run(self, stats: RunStats) -> Dict[Vertex, KnownBall]:
-        """Fold rounds ``0 .. radius`` into ``stats``; return every ball.
+    def _counted_rounds(self, stats: RunStats) -> None:
+        """Run rounds ``0 .. radius``, folding each one's sends into ``stats``."""
+        index = self.index
+        radius = self.radius
+        #: the sending end of each directed edge, aligned with ``indices``
+        tails = [i for i, degree in enumerate(index.degrees) for _ in range(degree)]
+        heads = index.indices
+        sent = len(tails) if radius else 0
+        stats.record_round(sent, sent)
+        for t in range(1, radius + 1):
+            sent = 0
+            if self.round() and t < radius:
+                fresh, prev = self._fresh, self._older
+                quiet = sum(
+                    map(
+                        set.issubset,
+                        map(fresh.__getitem__, tails),
+                        map(prev.__getitem__, heads),
+                    )
+                )
+                sent = len(tails) - quiet
+            stats.record_round(sent, sent)
 
-        Balls are keyed in vertex order, like the per-node path's
-        outputs.  An empty graph runs no round on either path.  The
-        round state dies before the first ball is built, so the balls
-        reuse its memory instead of adding to the peak; :meth:`round`
-        cannot run after this.
+    def run(self, stats: Optional[RunStats] = None) -> Dict[Vertex, KnownBall]:
+        """Run rounds ``0 .. radius``; return every ball.
+
+        With ``stats``, each round's sends are folded into it; without,
+        none are counted.  Balls are keyed in vertex order, like the
+        per-node path's outputs.  An empty graph runs no round on either
+        path.  The round state dies before the first ball is built, so
+        the balls reuse its memory instead of adding to the peak;
+        :meth:`round` cannot run after this.
         """
         index = self.index
         if index.n:
-            for _ in range(self.radius + 1):
-                stats.record_round(*self.round())
-        del self._around, self._tails, self._fresh, self._older
+            if stats is None:
+                for _ in range(self.radius):
+                    self.round()
+            else:
+                self._counted_rounds(stats)
+        del self._around, self._fresh, self._older
         verts = index.verts
         values = self._values
         radius = self.radius
@@ -464,13 +485,17 @@ def gather_balls(
     those of a :class:`~repro.localmodel.network.SyncNetwork` of
     :class:`DeltaGatherProgram` nodes, which is what a sealed, traced or
     faulty gather builds itself.  A caller-supplied ``info`` dict
-    receives ``executed`` (always ``"batch"``) and the run's ``stats``.
+    receives ``executed`` (always ``"batch"``) and the run's ``stats``;
+    sends are counted only then.  Without ``info`` the rounds are
+    ``radius + 1`` (0 on an empty graph), which is what a counted run
+    records.
     """
     if isinstance(radius, bool) or not isinstance(radius, int):
         raise TypeError(f"radius must be an int, got {type(radius).__name__}")
     if radius < 0:
         raise ValueError(f"radius must be non-negative, got {radius}")
     index = graph_index(graph)
+    stats = RunStats()
     # Building balls allocates containers at a rate that makes the cyclic
     # GC's generation scans a measurable fraction of wall-clock, and none
     # of them hold cycles, so the scans never free anything; pause
@@ -479,12 +504,14 @@ def gather_balls(
     if was_enabled:
         gc.disable()
     try:
-        stats = RunStats()
-        balls = DeltaGatherKernel(index, radius, states or {}).run(stats)
+        balls = DeltaGatherKernel(index, radius, states or {}).run(
+            None if info is None else stats
+        )
     finally:
         if was_enabled:
             gc.enable()
-    if info is not None:
-        info["executed"] = "batch"
-        info["stats"] = stats
+    if info is None:
+        return balls, radius + 1 if index.n else 0
+    info["executed"] = "batch"
+    info["stats"] = stats
     return balls, stats.rounds

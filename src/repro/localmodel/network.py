@@ -70,13 +70,12 @@ from __future__ import annotations
 import copy
 import random
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
     Any,
     Callable,
     Dict,
-    Hashable,
     List,
     Mapping,
     Optional,

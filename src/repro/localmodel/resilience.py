@@ -36,7 +36,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import (
-    TYPE_CHECKING,
     Any,
     Callable,
     Dict,
@@ -56,9 +55,6 @@ from .network import (
     SyncNetwork,
     TraceSink,
 )
-
-if TYPE_CHECKING:  # pragma: no cover - types only
-    from .gather import KnownBall
 
 __all__ = [
     "ValidityMonitor",

@@ -30,7 +30,7 @@ unaffected by (and independent of) the network's scheduler choice.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
 from ..graphs.adjacency import Graph, Vertex
 from .colorreduction import three_color_path

@@ -28,7 +28,7 @@ equivalence suite asserts the full ``sealed x scheduler`` product).
 
 from __future__ import annotations
 
-from typing import Any, Dict, FrozenSet, Iterator, List, Mapping
+from typing import Any, Dict, FrozenSet, Iterator, Mapping
 
 from ..graphs.adjacency import Vertex
 

@@ -113,17 +113,16 @@ class RecordingSink(TraceSink):
 class MetricsSink(TraceSink):
     """Per-round metrics without payload retention.
 
-    Records, per round: message count, active (stepped) node count,
-    completion count, and wall-clock time (measured between successive
-    ``on_round`` calls, so a round's figure includes its delivery and
-    bookkeeping); :meth:`summary` aggregates the series.
+    Records, per round: message count, active (stepped) node count and
+    wall-clock time (measured between successive ``on_round`` calls, so
+    a round's figure includes its delivery and bookkeeping);
+    :meth:`summary` aggregates the series.
     """
 
     def __init__(self) -> None:
         """Start all per-round series empty; the wall clock starts now."""
         self.message_counts: List[int] = []
         self.active_counts: List[int] = []
-        self.completed_counts: List[int] = []
         self.wall_times: List[float] = []
         self._last = time.perf_counter()
 
@@ -134,7 +133,6 @@ class MetricsSink(TraceSink):
         self._last = now
         self.message_counts.append(len(messages))
         self.active_counts.append(active_count)
-        self.completed_counts.append(len(completed))
 
     def summary(self) -> Dict[str, Any]:
         """Aggregates: rounds, totals, maxima, quiet rounds, wall time."""

@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Optional, Sequence, Set, Tuple
 
 __all__ = [
     "anchor_parity_mis",

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Optional, Set, Tuple
 
 from ..cliquetree.paths import ForestPath, path_independence_number
 from ..graphs.adjacency import Graph, Vertex

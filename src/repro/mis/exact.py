@@ -13,7 +13,7 @@ realizes exactly that in O(n + m).  This serves three roles:
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, List, Optional, Set
+from typing import Dict, Hashable, Optional, Set
 
 from ..graphs.adjacency import Graph, Vertex
 from ..graphs.chordal import perfect_elimination_ordering

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Set, Tuple
 
 from ..graphs.adjacency import Graph, Vertex
 from ..graphs.interval import proper_interval_order, remove_dominated_vertices

@@ -547,7 +547,8 @@ def d1_cell(
     were unreachable under the full flood — and the wall-clock /
     message-volume comparison against the flood lives in
     ``BENCH_network.json``.  The gather is the whole-round batch
-    kernel; ``path`` reports the path its ``info`` names.
+    kernel, which is what ``path`` names; no ``info`` is passed, so it
+    counts no sends.
 
     The from-ball decisions share one subtree table, and the global-graph
     validations another: filling the oracle's table from ``g`` rather
@@ -561,8 +562,7 @@ def d1_cell(
         raise ValueError(f"unknown D1 family {family!r}")
     g, cache_hit = _cached_graph(family, n, seed)
     params = _d1_params(pipeline)
-    info: Dict[str, Any] = {}
-    balls, rounds = gather_balls(g, params.collect_radius, info=info)
+    balls, rounds = gather_balls(g, params.collect_radius)
     verts = sorted(g.vertices())
     step = max(1, len(verts) // sample)
     sampled = verts[::step][:sample]
@@ -584,7 +584,7 @@ def d1_cell(
         "sampled": len(sampled),
         "agree": agree,
         "joined": joined,
-        "path": info.get("executed"),
+        "path": "batch",
         "graph_cache_hit": cache_hit,
     }
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List
 
 from .cliquetree.cliquepath import is_interval_graph
 from .coloring.chordal_mvc import ChordalColoringResult

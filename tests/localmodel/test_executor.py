@@ -20,7 +20,11 @@ that its caller builds.  The contract:
   building its edge set or the index's edge-label table;
 * the kernel path builds no program and no network, its round state is
   gone before the first ball is built, and ``gather_balls`` takes none
-  of the per-node options (``sealed``, ``sinks``, ``faults``).
+  of the per-node options (``sealed``, ``sinks``, ``faults``);
+* an uncounted run (no ``RunStats``, no ``info``) returns the counted
+  run's balls without reaching the send count, and after every round
+  its spheres are no larger than copies on a path and under twice them
+  on a chordal graph.
 
 The message-passing BFS and Linial programs have no kernel: their
 per-node runs are pinned against closed forms instead
@@ -31,6 +35,7 @@ drives the matrix over generated path / interval / chordal families.
 
 import dataclasses
 import pickle
+import sys
 from unittest import mock
 
 import pytest
@@ -208,7 +213,7 @@ class TestKernelPathBuildsNoProgram:
         """The balls reuse the rounds' memory instead of adding to the peak."""
         g = random_chordal_graph(30, seed=4)
         kernel = DeltaGatherKernel(graph_index(g), 3, {})
-        round_state = ("_around", "_tails", "_fresh", "_older")
+        round_state = ("_around", "_fresh", "_older")
         assert all(hasattr(kernel, name) for name in round_state)
         alive = []
 
@@ -224,6 +229,66 @@ class TestKernelPathBuildsNoProgram:
         assert list(map(dataclasses.astuple, balls.values())) == list(
             map(dataclasses.astuple, expected.values())
         )
+
+    @pytest.mark.parametrize("name,graph", graphs_under_test())
+    @pytest.mark.parametrize("radius", [0, 1, 3])
+    def test_uncounted_run_returns_the_counted_balls(self, name, graph, radius):
+        states = {v: ("s", v) for v in graph.vertices()}
+        index = graph_index(graph)
+        stats = RunStats()
+        counted = DeltaGatherKernel(index, radius, states).run(stats)
+        uncounted = DeltaGatherKernel(index, radius, states).run(None)
+        assert list(uncounted) == list(counted)
+        assert list(map(dataclasses.astuple, uncounted.values())) == list(
+            map(dataclasses.astuple, counted.values())
+        )
+        assert gather_balls(graph, radius, states) == (counted, stats.rounds)
+
+    def test_uncounted_run_builds_no_send_table(self):
+        # the directed-edge tail list and the subset pass live in the
+        # counted rounds alone, which only a caller passing info reaches
+        g = random_chordal_graph(30, seed=4)
+        expected = gather_balls(g, 3)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an uncounted run counted its sends")
+
+        with mock.patch.object(DeltaGatherKernel, "_counted_rounds", refuse):
+            assert gather_balls(g, 3) == expected
+            assert DeltaGatherKernel(graph_index(g), 3, {}).run() == expected[0]
+            with pytest.raises(AssertionError, match="counted its sends"):
+                gather_balls(g, 3, info={})
+
+    def test_path_spheres_are_as_small_as_their_copies(self):
+        # a fresh set of at most four ids keeps its inline table; one
+        # thinned in place moved to a 16-slot heap table (472 B vs 216 B)
+        sizes = sphere_sizes(path_graph(50), 8)
+        assert len(sizes) == 8
+        assert all(size <= copy for row in sizes for size, copy in row)
+
+    def test_chordal_spheres_stay_within_one_doubling_of_their_copies(self):
+        # a set built by insertion sits at most one doubling above a copy;
+        # spheres thinned in place read up to 10.5 times it here
+        sizes = sphere_sizes(random_chordal_graph(30, seed=4), 8)
+        assert len(sizes) == 8
+        assert all(size < 2 * copy for row in sizes for size, copy in row)
+
+
+def sphere_sizes(graph, radius):
+    """Per round of an uncounted run: (getsizeof, that of a copy) per sphere."""
+    sizes = []
+    merge = DeltaGatherKernel.round
+
+    def spy(kernel):
+        merged = merge(kernel)
+        sizes.append(
+            [(sys.getsizeof(s), sys.getsizeof(set(s))) for s in kernel._fresh]
+        )
+        return merged
+
+    with mock.patch.object(DeltaGatherKernel, "round", spy):
+        DeltaGatherKernel(graph_index(graph), radius, {}).run()
+    return sizes
 
 
 def _disconnected_with_isolated(n, seed):

@@ -8,9 +8,10 @@ fault plans under which the two programs are provably equivalent
 (reliable, explicitly empty, and duplicate-only -- duplicates are no-op
 merges for both).  Sealing and fault plans are options of the
 :class:`SyncNetwork` the programs run on, and :func:`gather_balls`'
-kernel must give the same balls.  The ball contents themselves are
-pinned against a direct BFS oracle, including disconnected graphs and
-isolated vertices.
+kernel, called without ``info`` so that it counts no sends, must give
+the same balls and rounds, the empty graph's zero included.  The ball
+contents themselves are pinned against a direct BFS oracle, including
+disconnected graphs and isolated vertices.
 """
 
 import pytest
@@ -68,6 +69,8 @@ def graphs_under_test():
         ("chordal", random_chordal_graph(20, seed=5)),
         ("two-components", _two_components()),
         ("isolated", _with_isolated_vertex()),
+        ("single", Graph(vertices=[3], edges=[])),
+        ("empty", Graph(vertices=[], edges=[])),
     ]
 
 
@@ -119,7 +122,9 @@ class TestEquivalenceMatrix:
                         faults=EQUIVALENT_FAULTS[fault_name],
                     )
                 label = f"{name} r={radius} {scheduler} sealed={sealed} {fault_name}"
-                assert d_rounds == r_rounds, label
+                assert d_rounds == r_rounds == (radius + 1 if len(g) else 0), label
+                # without info the kernel counts nothing, yet its rounds
+                # are the per-node run's
                 assert (delta, d_rounds) == gather_balls(g, radius, states), label
                 assert set(delta) == set(ref), label
                 for v in ref:

@@ -1,9 +1,11 @@
 """The D1 and K2 cells at small n: dispatch paths and the K2 witness."""
 
 import json
+from unittest import mock
 
 import pytest
 
+from repro.localmodel.gather import DeltaGatherKernel
 from repro.runner import REGISTRY, plan_cells
 from repro.runner.cells import d1_cell, k2_cell
 
@@ -48,6 +50,18 @@ class TestD1:
         assert "fallback_reason" not in payload
         assert payload["agree"] == payload["sampled"] == 8
         assert "executor" not in payload
+
+    def test_cell_counts_no_sends(self):
+        # D1 reads only the gather's balls and rounds, so it passes no info
+        def refuse(*args, **kwargs):
+            raise AssertionError("D1 counted the gather's sends")
+
+        expected = d1_cell("mvc", "interval", 60, 0, 8)
+        with mock.patch.object(DeltaGatherKernel, "_counted_rounds", refuse):
+            payload = d1_cell("mvc", "interval", 60, 0, 8)
+        # the second call reuses the worker's graph
+        assert payload == {**expected, "graph_cache_hit": True}
+        assert payload["path"] == "batch" and payload["rounds"] == 11
 
     def test_plan_has_no_executor_param(self):
         for spec in plan_cells(["D1"]):

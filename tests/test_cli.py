@@ -581,6 +581,25 @@ CONTRACT = [
      "repro faults: --root cannot be combined with --stock"),
     (["faults", "--stock", "--program", "luby", "--seed", "9", "--plan", ""],
      "repro faults: --seed cannot be combined with --stock"),
+    # the sweep runs the stock suite's own instances under its own grid
+    (["faults", "--sweep", "--radius", "7", "--seed", "9", "--root", "3",
+      "--plan", "drop=nope", "--program", "linial"],
+     "repro faults: --plan/--program/--root/--radius/--seed cannot be "
+     "combined with --sweep"),
+    (["faults", "--sweep", "{graph}"],
+     "repro faults: GRAPH cannot be combined with --sweep"),
+    (["faults", "--sweep", "--program", "bfs"],
+     "repro faults: --program cannot be combined with --sweep"),
+    (["faults", "--sweep", "--root", "0"],
+     "repro faults: --root cannot be combined with --sweep"),
+    (["faults", "--sweep", "--plan", "drop=0.1"],
+     "repro faults: --plan cannot be combined with --sweep"),
+    (["faults", "--sweep", "--timeline", "--stock"],
+     "repro faults: --timeline/--stock cannot be combined with --sweep"),
+    (["faults", "--sweep", "--recovery", "intact"],
+     "repro faults: --recovery cannot be combined with --sweep"),
+    (["faults", "--sweep", "--checkpoint-every", "3"],
+     "repro faults: --checkpoint-every cannot be combined with --sweep"),
     (["color", "{c4}"], "repro color: input graph is not chordal"),
     (["mis", "{c4}"], "repro mis: input graph is not chordal"),
     (["trace", "{graph}", "--faults", "wibble=1"],
